@@ -37,7 +37,7 @@ from .maps import (
     reflect_map,
     varphi_map,
 )
-from .ranges import DEFAULT_NUM_ANGLES, DEFAULT_RTOL, support_values_batch
+from .ranges import DEFAULT_NUM_ANGLES, DEFAULT_RTOL, _angle_grid, support_values_batch
 
 DEFAULT_TRIALS = 50
 # Internal verification settings for the falsifier: random non-canonical maps
@@ -129,7 +129,7 @@ def verify_preserver(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     shape = phi.shape
-    angles = 2.0 * np.pi * np.arange(num_angles) / num_angles
+    angles = _angle_grid(num_angles)
     pairs = _trial_pairs(shape, trials, seed)
     xs = np.stack([kron(a, b) for a, b in pairs])
     ys = apply_map_batch(phi, xs)

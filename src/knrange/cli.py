@@ -109,6 +109,8 @@ def _cmd_range(cfg: CliConfig) -> int:
 def _load_map_input(cfg: CliConfig):
     with open(cfg.input_path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{cfg.input_path}: expected a JSON object")
     if "varphi" in payload:
         return build_canonical(descriptor_from_payload(payload, cfg.shape()))
     phi = map_from_payload(payload)
@@ -203,7 +205,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[cfg.command](cfg)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

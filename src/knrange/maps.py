@@ -217,12 +217,14 @@ def map_to_payload(phi: LinearMapMatrix) -> dict:
 
 
 def map_from_payload(payload: dict) -> LinearMapMatrix:
-    shape = BipartiteShape(m=payload["m"], n=payload["n"], k=payload["k"])
-    if payload["dim"] != shape.dim ** 2:
-        raise ValueError(
-            f"declared dim {payload['dim']} does not equal (mn)^2 = {shape.dim ** 2}"
-        )
-    matrix = matrix_from_payload({"dim": payload["dim"], "entries": payload["entries"]})
+    try:
+        shape = BipartiteShape(m=payload["m"], n=payload["n"], k=payload["k"])
+        dim, entries = payload["dim"], payload["entries"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed map payload: {exc!r}") from exc
+    if dim != shape.dim ** 2:
+        raise ValueError(f"declared dim {dim} does not equal (mn)^2 = {shape.dim ** 2}")
+    matrix = matrix_from_payload({"dim": dim, "entries": entries})
     return LinearMapMatrix(shape=shape, matrix=matrix)
 
 
@@ -235,14 +237,12 @@ def descriptor_to_payload(spec: CanonicalFormSpec) -> dict:
 
 
 def descriptor_from_payload(payload: dict, shape: BipartiteShape) -> CanonicalFormSpec:
-    raw = payload["unitary"]
+    try:
+        raw, varphi, affine = payload["unitary"], payload["varphi"], bool(payload["affine"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed canonical descriptor: {exc!r}") from exc
     if raw == "identity":
         unitary = np.eye(shape.dim, dtype=complex)
     else:
         unitary = matrix_from_payload(raw)
-    return CanonicalFormSpec(
-        varphi=payload["varphi"],
-        unitary=unitary,
-        affine=bool(payload["affine"]),
-        shape=shape,
-    )
+    return CanonicalFormSpec(varphi=varphi, unitary=unitary, affine=affine, shape=shape)

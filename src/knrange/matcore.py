@@ -59,7 +59,7 @@ class BipartiteShape:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and isinstance(self.n, int) and isinstance(self.k, int)):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (self.m, self.n, self.k)):
             raise ValueError("m, n, k must be integers")
         if self.m < 2 or self.n < 2:
             raise ValueError(f"factor dimensions must be >= 2, got m={self.m}, n={self.n}")
@@ -215,13 +215,16 @@ def matrix_to_payload(a) -> dict:
 
 
 def matrix_from_payload(payload: dict) -> np.ndarray:
-    d = payload["dim"]
-    entries = payload["entries"]
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"bad dim in matrix payload: {d!r}")
-    if len(entries) != d * d:
-        raise ValueError(f"expected {d * d} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    try:
+        d = payload["dim"]
+        entries = payload["entries"]
+        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+            raise ValueError(f"bad dim in matrix payload: {d!r}")
+        if len(entries) != d * d:
+            raise ValueError(f"expected {d * d} entries, got {len(entries)}")
+        flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed matrix payload: {exc!r}") from exc
     return as_matrix(flat.reshape(d, d))
 
 

@@ -11,6 +11,13 @@ largest eigenvalues of the Hermitian part of e^{-i theta} A, because
 Re W_k(M) = W_k((M + M*)/2) and rotation is an affine reparametrization.
 Support functions determine compact convex sets uniquely, so comparing them
 on a grid is the equality test used throughout.
+
+All spectra come from one kernel, `_rotated_eigs`. On the default uniform grid
+with an even number of angles it solves only theta in [0, pi): since
+Herm(e^{-i(theta+pi)} A) = -Herm(e^{-i theta} A), the ascending spectrum at
+theta + pi is the negated, reversed spectrum at theta, with the eigenvector
+columns reversed to match. The k largest eigenvalues at theta + pi are thus
+the k smallest at theta. Odd grids and caller-chosen angles are solved in full.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ import numpy as np
 from .matcore import (
     as_matrix,
     hermiticity_defect,
-    hermitian_part,
     is_hermitian,
     max_abs,
 )
@@ -59,7 +65,7 @@ class SupportProfile:
 
 
 def _check_k(dim: int, k: int) -> None:
-    if not isinstance(k, int):
+    if isinstance(k, bool) or not isinstance(k, int):
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= dim - 1:
         raise ValueError(f"k must satisfy 1 <= k <= dim-1 = {dim - 1}, got {k}")
@@ -71,11 +77,60 @@ def _angle_grid(num_angles: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(num_angles) / num_angles
 
 
-def _rotation_parts(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H1, K with Herm(e^{-i theta} A) = cos(theta) H1 + sin(theta) K."""
-    h1 = hermitian_part(a)
-    k = hermitian_part(-1j * a)
-    return h1, k
+def _is_antipodal_grid(angles: np.ndarray) -> bool:
+    """True iff `angles` is the uniform grid of an even length, so that
+    angles[j + n/2] = angles[j] + pi for every j < n/2."""
+    n = len(angles)
+    return n >= 8 and n % 2 == 0 and np.array_equal(angles, _angle_grid(n))
+
+
+def _rotated_eigs(stack: np.ndarray, angles: np.ndarray, vectors: bool = False):
+    """Ascending spectra of Herm(e^{-i theta} A) for every A in a (count, d, d)
+    stack and every theta in `angles`.
+
+    Returns w of shape (count, len(angles), d) and, with vectors=True, also the
+    eigenvector frames v of shape (count, len(angles), d, d) (columns in the
+    order of w). Rows that are Hermitian within 1e-12 * (1 + max|H|) take one
+    eigendecomposition: their rotated Hermitian part is cos(theta) times the
+    matrix. On an even uniform grid only the first half of the angles is
+    solved; see the module docstring.
+    """
+    count, d = stack.shape[0], stack.shape[1]
+    n = len(angles)
+    half = n // 2 if _is_antipodal_grid(angles) else n
+    cos, sin = np.cos(angles[:half]), np.sin(angles[:half])
+    # Herm(e^{-i theta} A) = cos(theta) H + sin(theta) K
+    adj = stack.conj().transpose(0, 2, 1)
+    h = (stack + adj) / 2
+    kk = -0.5j * (stack - adj)
+    herm = (np.abs(kk).reshape(count, -1).max(axis=1)
+            <= 1e-12 * (1.0 + np.abs(h).reshape(count, -1).max(axis=1)))
+
+    w = np.empty((count, half, d))
+    v = np.empty((count, half, d, d), dtype=complex) if vectors else None
+    if herm.any():
+        hw, hv = np.linalg.eigh(h[herm]) if vectors else (np.linalg.eigvalsh(h[herm]), None)
+        flip = cos < 0.0  # scaling by a negative cosine reverses the order
+        hw = cos[None, :, None] * hw[:, None, :]
+        hw[:, flip] = hw[:, flip, ::-1]
+        w[herm] = hw
+        if vectors:
+            hv = np.repeat(hv[:, None], half, axis=1)
+            hv[:, flip] = hv[:, flip, :, ::-1]
+            v[herm] = hv
+    if not herm.all():
+        rot = cos[None, :, None, None] * h[~herm][:, None]
+        rot += sin[None, :, None, None] * kk[~herm][:, None]
+        if vectors:
+            w[~herm], v[~herm] = np.linalg.eigh(rot)
+        else:
+            w[~herm] = np.linalg.eigvalsh(rot)
+
+    if half < n:
+        w = np.concatenate([w, -w[..., ::-1]], axis=1)
+        if vectors:
+            v = np.concatenate([v, v[..., ::-1]], axis=1)
+    return (w, v) if vectors else w
 
 
 def krange_hermitian(h, k: int) -> KInterval:
@@ -94,23 +149,11 @@ def krange_hermitian(h, k: int) -> KInterval:
 
 
 def support_values(a, k: int, angles: np.ndarray) -> np.ndarray:
-    """h(theta) for every theta in `angles` (vectorized).
-
-    Hermitian inputs take a one-decomposition fast path: the rotated Hermitian
-    part is cos(theta) * A, whose top-k eigenvalue sum is cos(theta) times the
-    top-k (cos >= 0) or bottom-k (cos < 0) sum of A.
-    """
+    """h(theta) for every theta in `angles` (vectorized)."""
     m = as_matrix(a)
     _check_k(m.shape[0], k)
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    h1, kk = _rotation_parts(m)
-    cos, sin = np.cos(angles), np.sin(angles)
-    if max_abs(kk) <= 1e-12 * (1.0 + max_abs(h1)):
-        w = np.linalg.eigvalsh(h1)
-        top, bot = w[-k:].sum() / k, w[:k].sum() / k
-        return np.where(cos >= 0.0, cos * top, cos * bot)
-    stack = cos[:, None, None] * h1 + sin[:, None, None] * kk
-    w = np.linalg.eigvalsh(stack)
+    w = _rotated_eigs(m[None], angles)[0]
     return w[:, -k:].sum(axis=1) / k
 
 
@@ -124,35 +167,12 @@ def support_values_batch(stack: np.ndarray, k: int, angles: np.ndarray) -> np.nd
     """Support grids for a (count, d, d) stack of matrices at once.
 
     Returns shape (count, len(angles)). Rows that are Hermitian (within
-    roundoff) skip the per-angle eigensolve: their rotated Hermitian part is
-    cos(theta) times the matrix itself.
+    roundoff) skip the per-angle eigensolve.
     """
     stack = np.asarray(stack, dtype=complex)
-    count, d = stack.shape[0], stack.shape[1]
-    _check_k(d, k)
-    angles = np.asarray(angles, dtype=float)
-    adj = stack.conj().transpose(0, 2, 1)
-    h1 = (stack + adj) / 2
-    kk = -0.5j * (stack - adj)
-    cos, sin = np.cos(angles), np.sin(angles)
-    out = np.empty((count, len(angles)))
-
-    kk_norm = np.abs(kk).reshape(count, -1).max(axis=1)
-    h1_norm = np.abs(h1).reshape(count, -1).max(axis=1)
-    herm = kk_norm <= 1e-12 * (1.0 + h1_norm)
-
-    if herm.any():
-        w = np.linalg.eigvalsh(h1[herm])
-        top = w[:, -k:].sum(axis=1) / k
-        bot = w[:, :k].sum(axis=1) / k
-        out[herm] = np.where(cos[None, :] >= 0.0, cos[None, :] * top[:, None],
-                             cos[None, :] * bot[:, None])
-    if (~herm).any():
-        rot = (cos[None, :, None, None] * h1[~herm][:, None]
-               + sin[None, :, None, None] * kk[~herm][:, None])
-        w = np.linalg.eigvalsh(rot.reshape(-1, d, d)).reshape(int((~herm).sum()), len(angles), d)
-        out[~herm] = w[:, :, -k:].sum(axis=2) / k
-    return out
+    _check_k(stack.shape[1], k)
+    w = _rotated_eigs(stack, np.asarray(angles, dtype=float))
+    return w[:, :, -k:].sum(axis=2) / k
 
 
 def boundary_point(a, k: int, theta: float) -> complex:
@@ -165,10 +185,8 @@ def boundary_point(a, k: int, theta: float) -> complex:
     """
     m = as_matrix(a)
     _check_k(m.shape[0], k)
-    h1, kk = _rotation_parts(m)
-    r = np.cos(theta) * h1 + np.sin(theta) * kk
-    _, v = np.linalg.eigh(r)
-    vk = v[:, -k:]
+    _, v = _rotated_eigs(m[None], np.array([float(theta)]), vectors=True)
+    vk = v[0, 0, :, -k:]
     return complex(np.einsum("is,ij,js->", vk.conj(), m, vk) / k)
 
 
@@ -177,12 +195,11 @@ def krange_profile(a, k: int, num_angles: int = DEFAULT_NUM_ANGLES) -> SupportPr
     m = as_matrix(a)
     _check_k(m.shape[0], k)
     angles = _angle_grid(num_angles)
-    h1, kk = _rotation_parts(m)
-    stack = np.cos(angles)[:, None, None] * h1 + np.sin(angles)[:, None, None] * kk
-    w, v = np.linalg.eigh(stack)
+    w, v = _rotated_eigs(m[None], angles, vectors=True)
+    w, v = w[0], v[0]
     support = w[:, -k:].sum(axis=1) / k
     vk = v[:, :, -k:]
-    boundary = np.einsum("jis,il,jls->j", vk.conj(), m, vk) / k
+    boundary = np.einsum("jis,jis->j", vk.conj(), m @ vk) / k
     return SupportProfile(k=k, angles=angles, support=support, boundary=boundary)
 
 

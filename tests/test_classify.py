@@ -67,6 +67,11 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_preserver(identity_map(BipartiteShape(2, 2, 1)), trials=0)
 
+    @pytest.mark.parametrize("num_angles", [3, 0])
+    def test_num_angles_validation(self, num_angles):
+        with pytest.raises(ValueError, match="num_angles must be >= 8"):
+            verify_preserver(identity_map(BipartiteShape(2, 2, 1)), num_angles=num_angles)
+
     def test_determinism(self):
         shape = BipartiteShape(2, 2, 2)
         phi, _ = canonical(shape, "t", seed=1)

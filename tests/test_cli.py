@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from knrange import cli
+import knrange
+from knrange import classify, cli
 from knrange.classify import _random_constrained_map
 from knrange.checks import counterexample_matrices
 from knrange.maps import map_to_payload
@@ -116,6 +120,29 @@ class TestVerifyCommand:
         write_json(mpath, map_to_payload(phi))
         assert cli.main(["verify", str(mpath), "--m", "3"]) == 2
 
+    def test_map_file_without_entries_exit_2(self, tmp_path):
+        phi = _random_constrained_map(BipartiteShape(2, 2, 2), np.random.default_rng(12))
+        payload = map_to_payload(phi)
+        del payload["entries"]
+        mpath = tmp_path / "map.json"
+        write_json(mpath, payload)
+        assert cli.main(["verify", str(mpath), "--trials", "2", "--angles", "8"]) == 2
+
+    def test_map_file_not_an_object_exit_2(self, tmp_path):
+        mpath = tmp_path / "map.json"
+        mpath.write_text("5")
+        assert cli.main(["verify", str(mpath)]) == 2
+
+    def test_library_errors_are_not_usage_errors(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(classify, "verify_preserver", broken)
+        dpath = tmp_path / "desc.json"
+        write_json(dpath, {"varphi": "id", "affine": False, "unitary": "identity"})
+        with pytest.raises(KeyError):
+            cli.main(["verify", str(dpath), "--m", "2", "--n", "2", "--k", "2"])
+
     def test_descriptor_needs_shape(self, tmp_path):
         dpath = tmp_path / "desc.json"
         write_json(dpath, {"varphi": "id", "affine": False, "unitary": "identity"})
@@ -161,3 +188,19 @@ def test_flags_are_deterministic(tmp_path):
     assert cli.main(args + ["--out", str(out1)]) == 0
     assert cli.main(args + ["--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
+
+
+def test_suite_bytes_independent_of_blas_threads(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(knrange.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-m", "knrange.cli", "suite", "--m", "2", "--n", "3", "--k", "3",
+             "--trials", "6", "--angles", "90", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        outputs.append((out / "suite_summary.json").read_bytes())
+    assert outputs[0] == outputs[1]

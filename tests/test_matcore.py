@@ -226,6 +226,11 @@ class TestShape:
         with pytest.raises(ValueError):
             BipartiteShape(m, n, k)
 
+    @pytest.mark.parametrize("m,n,k", [(True, 2, 1), (2, True, 1), (2, 2, True), (3, 3, False)])
+    def test_rejects_bool(self, m, n, k):
+        with pytest.raises(ValueError, match="integers"):
+            BipartiteShape(m, n, k)
+
 
 class TestMatrixFile:
     def test_exact_round_trip(self, rng):
@@ -242,6 +247,17 @@ class TestMatrixFile:
     def test_bad_payload(self):
         with pytest.raises(ValueError):
             matrix_from_payload({"dim": 2, "entries": [[1.0, 0.0]]})
+
+    @pytest.mark.parametrize("payload", [
+        {"dim": True, "entries": [[1.0, 0.0]]},
+        {"entries": [[1.0, 0.0]]},
+        {"dim": 1, "entries": 5},
+        {"dim": 1, "entries": [["1", 0.0]]},
+        [1, 2, 3],
+    ])
+    def test_malformed_payload_is_value_error(self, payload):
+        with pytest.raises(ValueError):
+            matrix_from_payload(payload)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

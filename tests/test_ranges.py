@@ -9,11 +9,14 @@ from knrange.matcore import (
     BipartiteShape,
     hermitian_part,
     kron,
+    max_abs,
     random_complex,
     random_haar_unitary,
     random_hermitian,
 )
 from knrange.ranges import (
+    _angle_grid,
+    _rotated_eigs,
     boundary_point,
     k_numerical_radius,
     krange_hermitian,
@@ -39,6 +42,19 @@ def interval_by_enumeration(diag_values, k):
     """
     means = [sum(c) / k for c in combinations(diag_values, k)]
     return min(means), max(means)
+
+
+def direct_eigh(a, angles):
+    """Reference for the rotated-eigensolve kernel: one eigh per angle of the
+    Hermitian part of e^{-i theta} A, with no antipodal reuse."""
+    pairs = [np.linalg.eigh(hermitian_part(np.exp(-1j * theta) * a)) for theta in angles]
+    return np.array([w for w, _ in pairs]), np.array([v for _, v in pairs])
+
+
+def direct_support_and_boundary(a, k, angles):
+    w, v = direct_eigh(a, angles)
+    vk = v[:, :, -k:]
+    return w[:, -k:].sum(axis=1) / k, np.einsum("jis,jis->j", vk.conj(), a @ vk) / k
 
 
 class TestHermitianInterval:
@@ -311,3 +327,89 @@ class TestExport:
         svg = profile_svg(krange_profile(random_complex(4, rng), 2, 16))
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "polygon" in svg
+
+
+class TestRotatedEigs:
+    @pytest.mark.parametrize("num_angles", [8, 360])
+    @pytest.mark.parametrize("d", [2, 5, 12])
+    def test_even_grid_matches_direct_solve(self, rng, d, num_angles):
+        angles = _angle_grid(num_angles)
+        stack = np.stack([random_complex(d, rng), random_hermitian(d, rng)])
+        w = _rotated_eigs(stack, angles)
+        for row, a in enumerate(stack):
+            tol = 1e-12 * (1 + max_abs(a))
+            ref_w, _ = direct_eigh(a, angles)
+            np.testing.assert_allclose(w[row], ref_w, rtol=0, atol=tol)
+            for k in sorted({1, d // 2, d - 1}):
+                ref_support = ref_w[:, -k:].sum(axis=1) / k
+                batch = support_values_batch(stack, k, angles)[row]
+                np.testing.assert_allclose(batch, ref_support, rtol=0, atol=tol)
+                np.testing.assert_allclose(support_values(a, k, angles), ref_support, rtol=0, atol=tol)
+        # Boundary points are unique only off degenerate directions, which a
+        # Hermitian row has at cos(theta) = 0; compare them on the complex row.
+        a = stack[0]
+        tol = 1e-12 * (1 + max_abs(a))
+        for k in sorted({1, d // 2, d - 1}):
+            ref_support, ref_boundary = direct_support_and_boundary(a, k, angles)
+            profile = krange_profile(a, k, num_angles)
+            np.testing.assert_allclose(profile.support, ref_support, rtol=0, atol=tol)
+            np.testing.assert_allclose(profile.boundary, ref_boundary, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("d", [5, 12])
+    def test_antipodal_boundary_on_supporting_line(self, rng, d):
+        a = random_complex(d, rng)
+        tol = 1e-12 * (1 + max_abs(a))
+        for k in (1, d // 2):
+            profile = krange_profile(a, k, 360)
+            second = slice(180, None)
+            rotated = (np.exp(-1j * profile.angles[second]) * profile.boundary[second]).real
+            np.testing.assert_allclose(rotated, profile.support[second], rtol=0, atol=tol)
+
+    def test_odd_and_custom_grids_match_direct_solve(self, rng):
+        a = random_complex(6, rng)
+        tol = 1e-12 * (1 + max_abs(a))
+        custom = np.sort(rng.uniform(0.0, 2 * np.pi, 50))
+        for angles in (_angle_grid(361), custom):
+            ref_w, _ = direct_eigh(a, angles)
+            np.testing.assert_allclose(_rotated_eigs(a[None], angles)[0], ref_w, rtol=0, atol=tol)
+            ref_support, ref_boundary = direct_support_and_boundary(a, 2, angles)
+            np.testing.assert_allclose(support_values(a, 2, angles), ref_support, rtol=0, atol=tol)
+            points = [boundary_point(a, 2, theta) for theta in angles[:10]]
+            np.testing.assert_allclose(points, ref_boundary[:10], rtol=0, atol=tol)
+        ref_support, ref_boundary = direct_support_and_boundary(a, 2, _angle_grid(361))
+        profile = krange_profile(a, 2, 361)
+        np.testing.assert_allclose(profile.support, ref_support, rtol=0, atol=tol)
+        np.testing.assert_allclose(profile.boundary, ref_boundary, rtol=0, atol=tol)
+
+    def test_general_row_solves_half_of_an_even_grid(self, rng, monkeypatch):
+        solved = []
+
+        def counting(solver):
+            def wrapper(x, *args, **kwargs):
+                solved.append(int(np.prod(np.shape(x)[:-2])))
+                return solver(x, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+        general, herm = random_complex(4, rng), random_hermitian(4, rng)
+        for num_angles, general_solves in ((360, 180), (8, 4), (361, 361), (9, 9)):
+            angles = _angle_grid(num_angles)
+            solved.clear()
+            support_values_batch(np.stack([general, herm]), 2, angles)
+            assert sum(solved) == general_solves + 1  # the Hermitian row: one solve
+            for call in (lambda: krange_profile(general, 2, num_angles),
+                         lambda: support_values(general, 2, angles),
+                         lambda: k_numerical_radius(general, 2, num_angles)):
+                solved.clear()
+                call()
+                assert sum(solved) == general_solves
+
+    def test_rejects_bool_k(self):
+        a = np.diag([1.0, 2.0, 3.0]) + 0.5j * unit_matrix(3, 0, 1)
+        for call in (lambda: support_values(a, True, _angle_grid(8)),
+                     lambda: support_values_batch(a[None], True, _angle_grid(8)),
+                     lambda: krange_profile(a, True, 8),
+                     lambda: boundary_point(a, True, 0.0)):
+            with pytest.raises(ValueError, match="integer"):
+                call()
