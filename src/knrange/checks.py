@@ -34,7 +34,13 @@ from .matcore import (
     random_haar_unitary,
     random_hermitian,
 )
-from .maps import CanonicalFormSpec, VARPHI_TAGS, affine_reflect, build_canonical
+from .maps import (
+    CanonicalFormSpec,
+    affine_reflect,
+    build_canonical,
+    canonical_forms,
+    preserves_on_tensors,
+)
 from .ranges import (
     boundary_point,
     krange_hermitian,
@@ -185,20 +191,11 @@ class SuiteItem:
 
 
 def _valid_forms(shape: BipartiteShape) -> list[tuple[str, bool]]:
-    tags = [t for t in VARPHI_TAGS if t in ("id", "t") or min(shape.m, shape.n) <= 2]
-    forms = [(t, False) for t in tags]
-    if shape.is_half:
-        forms += [(t, True) for t in tags]
-    return forms
+    return [(t, a) for t, a in canonical_forms(shape) if preserves_on_tensors(t, shape)]
 
 
 def _invalid_forms(shape: BipartiteShape) -> list[tuple[str, bool]]:
-    if min(shape.m, shape.n) <= 2:
-        return []
-    forms = [("pt_right", False), ("pt_left", False)]
-    if shape.is_half:
-        forms += [("pt_right", True), ("pt_left", True)]
-    return forms
+    return [(t, a) for t, a in canonical_forms(shape) if not preserves_on_tensors(t, shape)]
 
 
 def _range_property_items(shape: BipartiteShape, rng: np.random.Generator) -> list[SuiteItem]:
@@ -296,30 +293,20 @@ def preserver_suite(
     rng = np.random.default_rng(seed)
     items: list[SuiteItem] = []
 
-    for tag, affine in _valid_forms(shape):
+    # Valid forms must pass verification (sufficiency), invalid ones fail it
+    # (necessity).
+    for tag, affine in _valid_forms(shape) + _invalid_forms(shape):
+        valid = preserves_on_tensors(tag, shape)
         u = random_haar_unitary(shape.dim, rng)
         phi = build_canonical(CanonicalFormSpec(varphi=tag, unitary=u, affine=affine, shape=shape))
         report = classify.verify_preserver(
             phi, trials=trials, num_angles=num_angles, tol=tol, seed=rng.integers(2**63)
         )
+        prefix = "sufficiency" if valid else "necessity"
         items.append(
             SuiteItem(
-                name=f"sufficiency:{tag}" + ("+affine" if affine else ""),
-                passed=report.passed,
-                detail={"max_defect": report.max_support_defect},
-            )
-        )
-
-    for tag, affine in _invalid_forms(shape):
-        u = random_haar_unitary(shape.dim, rng)
-        phi = build_canonical(CanonicalFormSpec(varphi=tag, unitary=u, affine=affine, shape=shape))
-        report = classify.verify_preserver(
-            phi, trials=trials, num_angles=num_angles, tol=tol, seed=rng.integers(2**63)
-        )
-        items.append(
-            SuiteItem(
-                name=f"necessity:{tag}" + ("+affine" if affine else ""),
-                passed=not report.passed,
+                name=f"{prefix}:{tag}" + ("+affine" if affine else ""),
+                passed=report.passed == valid,
                 detail={"max_defect": report.max_support_defect},
             )
         )

@@ -26,16 +26,15 @@ from .matcore import (
     unvec,
 )
 from .maps import (
-    VARPHI_TAGS,
     CanonicalFormSpec,
     LinearMapMatrix,
+    _trace_slots,
+    _varphi_perm,
     apply_map_batch,
     build_canonical,
+    canonical_forms,
     choi_matrix,
-    compose,
     map_from_choi,
-    reflect_map,
-    varphi_map,
 )
 from .ranges import DEFAULT_NUM_ANGLES, DEFAULT_RTOL, _angle_grid, support_values_batch
 
@@ -160,13 +159,6 @@ def verify_preserver(
     )
 
 
-def _candidate_keys(shape: BipartiteShape) -> list[tuple[str, bool]]:
-    keys = [(tag, False) for tag in VARPHI_TAGS]
-    if shape.is_half:
-        keys += [(tag, True) for tag in VARPHI_TAGS]
-    return keys
-
-
 def _normalize_phase(u: np.ndarray) -> np.ndarray:
     """Make the first entry of largest modulus real positive."""
     idx = int(np.argmax(np.abs(u)))
@@ -182,23 +174,29 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     For each candidate (varphi, affine): Psi = (reflection if affine) o Phi o
     varphi^{-1} (each varphi is an involution) must be X -> U X U*. Its Choi
     matrix then is Hermitian PSD rank one with top eigenvalue mn; U is the
-    reshaped top eigenvector, phase-normalized. The candidate counts as a
-    match only if rebuilding the canonical map from the recovered U reproduces
-    Phi entrywise within tol, which is the same as agreeing on every matrix
-    unit tensor product (those are exactly the vec basis).
+    reshaped top eigenvector, phase-normalized. Psi is formed without a dense
+    product: composing with varphi permutes the columns of the map matrix and
+    the reflection is a rank-one update (see :mod:`knrange.maps`). The
+    candidate counts as a match only if rebuilding the canonical map from the
+    recovered U reproduces Phi entrywise within tol, which is the same as
+    agreeing on every matrix unit tensor product (those are exactly the vec
+    basis).
     """
     shape = phi.shape
     d = shape.dim
-    reflect = reflect_map(shape)
+    diag = _trace_slots(d)
     gaps: dict[str, float] = {}
     matches: list[CandidateMatch] = []
 
-    for tag, affine in _candidate_keys(shape):
+    for tag, affine in canonical_forms(shape):
         key = f"{tag}+affine" if affine else tag
-        psi = compose(phi, varphi_map(shape, tag))
+        psi = phi.matrix[:, _varphi_perm(shape, tag)]  # Phi o varphi
         if affine:
-            psi = compose(reflect, psi)
-        choi = choi_matrix(psi)
+            # (tr(.) / k) I - (.) applied after psi: a rank-one update
+            trace_row = psi[diag].sum(axis=0) / shape.k
+            psi = -psi
+            psi[diag] += trace_row
+        choi = choi_matrix(LinearMapMatrix(shape, psi))
         herm_defect = hermiticity_defect(choi)
         w, v = np.linalg.eigh((choi + choi.conj().T) / 2)
         gap = max(abs(float(w[-2])), abs(float(w[0]))) / d

@@ -11,6 +11,19 @@ with varphi one of: identity, full transpose, right partial transpose
 (A x B -> A x B^t), left partial transpose (A x B -> A^t x B). The partial
 transposes preserve W_k on tensor products exactly when min(m, n) <= 2; they
 stay constructible for larger factors so they can serve as negative witnesses.
+
+Every varphi only moves entries, so vec(varphi(X)) = vec(X)[pi] for an index
+permutation pi, and pi is its own inverse. With the vec-permutation identity
+vec(A X B) = (B^T x A) vec(X) (Henderson and Searle, 1981) the plain form is
+kron(conj(U), U) times the permutation matrix I[pi, :]; multiplying by that
+on the right permutes columns by pi^{-1} = pi, so
+
+    M = kron(conj(U), U)[:, pi].
+
+Since tr X = vec(I)^T vec(X), the trace term is the rank-one matrix
+vec(I) vec(I)^T / k: 1/k at the (diagonal, diagonal) positions, which are
+the vec indices (d + 1) * [0, ..., d - 1], and zero elsewhere. The affine
+form is that minus M.
 """
 
 from __future__ import annotations
@@ -32,6 +45,22 @@ from .matcore import (
 
 VARPHI_TAGS = ("id", "t", "pt_right", "pt_left")
 UNITARITY_TOL = 1e-10
+
+
+def preserves_on_tensors(tag: str, shape: BipartiteShape) -> bool:
+    """Whether U varphi(.) U* (and its affine variant) preserves W_k on tensor
+    products of this shape: always for id and t, for the partial transposes
+    only when one factor is at most 2x2."""
+    return tag in ("id", "t") or min(shape.m, shape.n) <= 2
+
+
+def canonical_forms(shape: BipartiteShape) -> list[tuple[str, bool]]:
+    """Every constructible (varphi, affine) pair: the four tags, then their
+    affine variants when mn = 2k."""
+    forms = [(tag, False) for tag in VARPHI_TAGS]
+    if shape.is_half:
+        forms += [(tag, True) for tag in VARPHI_TAGS]
+    return forms
 
 
 @dataclass(frozen=True)
@@ -59,12 +88,9 @@ class CanonicalFormSpec:
 
     @property
     def is_preserver_form(self) -> bool:
-        """Whether this form genuinely preserves W_k on tensor products.
-
-        Identity and full transpose always do; the partial transposes only
-        when one factor is at most 2x2.
-        """
-        return self.varphi in ("id", "t") or min(self.shape.m, self.shape.n) <= 2
+        """Whether this form genuinely preserves W_k on tensor products
+        (see :func:`preserves_on_tensors`)."""
+        return preserves_on_tensors(self.varphi, self.shape)
 
 
 @dataclass(frozen=True)
@@ -103,53 +129,51 @@ def affine_reflect(x, k: int) -> np.ndarray:
     return (np.trace(m) / k) * np.eye(m.shape[0], dtype=complex) - m
 
 
-def _map_from_images(image_of_basis, dim: int) -> np.ndarray:
-    """Assemble the map matrix column by column over the vec basis E_pq."""
-    mat = np.empty((dim * dim, dim * dim), dtype=complex)
-    basis = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim * dim):
-        p, q = col % dim, col // dim  # vec index q*dim + p addresses E_pq
-        basis[p, q] = 1.0
-        mat[:, col] = vec(image_of_basis(basis))
-        basis[p, q] = 0.0
+def _varphi_perm(shape: BipartiteShape, tag: str) -> np.ndarray:
+    """The index permutation pi with vec(varphi(X)) = vec(X)[pi].
+
+    Read off by applying varphi to the matrix of vec indices. Each varphi is
+    an involution, so pi is its own inverse.
+    """
+    d = shape.dim
+    index = np.arange(d * d).reshape(d, d, order="F")  # index[i, j] = j*d + i
+    return vec(apply_varphi(index, tag, shape)).real.astype(np.intp)
+
+
+def _trace_slots(dim: int) -> np.ndarray:
+    """Positions of the diagonal entries in vec(X), i.e. the support of vec(I)."""
+    return np.arange(dim) * (dim + 1)
+
+
+def _canonical_matrix(u: np.ndarray, shape: BipartiteShape, tag: str, affine: bool) -> np.ndarray:
+    """kron(conj U, U)[:, pi], and vec(I) vec(I)^T / k minus that if affine."""
+    mat = np.kron(u.conj(), u)[:, _varphi_perm(shape, tag)]
+    if affine:
+        mat = -mat
+        diag = _trace_slots(shape.dim)
+        mat[np.ix_(diag, diag)] += 1.0 / shape.k
     return mat
 
 
 def build_canonical(spec: CanonicalFormSpec) -> LinearMapMatrix:
-    """Map matrix of a canonical form, exact on every matrix unit by construction."""
-    u = as_matrix(spec.unitary)
-    uh = u.conj().T
-    k = spec.shape.k
-    eye = np.eye(spec.shape.dim, dtype=complex)
-
-    def image(x: np.ndarray) -> np.ndarray:
-        y = u @ apply_varphi(x, spec.varphi, spec.shape) @ uh
-        if spec.affine:
-            y = (np.trace(x) / k) * eye - y
-        return y
-
-    return LinearMapMatrix(shape=spec.shape, matrix=_map_from_images(image, spec.shape.dim))
+    """Map matrix of a canonical form, in closed form (module docstring)."""
+    return LinearMapMatrix(
+        shape=spec.shape,
+        matrix=_canonical_matrix(as_matrix(spec.unitary), spec.shape, spec.varphi, spec.affine),
+    )
 
 
 def varphi_map(shape: BipartiteShape, tag: str) -> LinearMapMatrix:
     """The bare varphi as a map matrix (U = I, no affine part)."""
-    return LinearMapMatrix(
-        shape=shape,
-        matrix=_map_from_images(lambda x: apply_varphi(x, tag, shape), shape.dim),
-    )
+    eye = np.eye(shape.dim, dtype=complex)
+    return LinearMapMatrix(shape, _canonical_matrix(eye, shape, tag, affine=False))
 
 
 def reflect_map(shape: BipartiteShape) -> LinearMapMatrix:
-    """X |-> (tr X / k) I - X as a map matrix (no mn = 2k gate: used as a
-    composition correction, not as a standalone canonical form)."""
-    return LinearMapMatrix(
-        shape=shape,
-        matrix=_map_from_images(lambda x: affine_reflect(x, shape.k), shape.dim),
-    )
-
-
-def identity_map(shape: BipartiteShape) -> LinearMapMatrix:
-    return LinearMapMatrix(shape=shape, matrix=np.eye(shape.dim ** 2, dtype=complex))
+    """X |-> (tr X / k) I - X as a map matrix. Not a canonical form on its
+    own, so there is no mn = 2k gate."""
+    eye = np.eye(shape.dim, dtype=complex)
+    return LinearMapMatrix(shape, _canonical_matrix(eye, shape, "id", affine=True))
 
 
 def apply_map(phi: LinearMapMatrix, x) -> np.ndarray:

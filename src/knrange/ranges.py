@@ -170,8 +170,15 @@ def support_values_batch(stack: np.ndarray, k: int, angles: np.ndarray) -> np.nd
     roundoff) skip the per-angle eigensolve.
     """
     stack = np.asarray(stack, dtype=complex)
+    if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"expected a (count, d, d) stack, count >= 1, got shape {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("stack entries must be finite")
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 1 or angles.size == 0 or not np.all(np.isfinite(angles)):
+        raise ValueError(f"angles must be a non-empty finite 1-D array, got shape {angles.shape}")
     _check_k(stack.shape[1], k)
-    w = _rotated_eigs(stack, np.asarray(angles, dtype=float))
+    w = _rotated_eigs(stack, angles)
     return w[:, :, -k:].sum(axis=2) / k
 
 

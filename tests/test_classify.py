@@ -17,7 +17,7 @@ from knrange.maps import (
     LinearMapMatrix,
     VARPHI_TAGS,
     build_canonical,
-    identity_map,
+    varphi_map,
 )
 from knrange.checks import counterexample_matrices
 
@@ -37,7 +37,7 @@ def buildable_forms(shape):
 class TestVerify:
     def test_identity_passes_exactly(self):
         shape = BipartiteShape(2, 3, 2)
-        report = verify_preserver(identity_map(shape), trials=10, num_angles=90, seed=1)
+        report = verify_preserver(varphi_map(shape, "id"), trials=10, num_angles=90, seed=1)
         assert report.passed
         assert report.max_support_defect <= 1e-12
         assert report.witnesses == []
@@ -65,12 +65,12 @@ class TestVerify:
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
-            verify_preserver(identity_map(BipartiteShape(2, 2, 1)), trials=0)
+            verify_preserver(varphi_map(BipartiteShape(2, 2, 1), "id"), trials=0)
 
     @pytest.mark.parametrize("num_angles", [3, 0])
     def test_num_angles_validation(self, num_angles):
         with pytest.raises(ValueError, match="num_angles must be >= 8"):
-            verify_preserver(identity_map(BipartiteShape(2, 2, 1)), num_angles=num_angles)
+            verify_preserver(varphi_map(BipartiteShape(2, 2, 1), "id"), num_angles=num_angles)
 
     def test_determinism(self):
         shape = BipartiteShape(2, 2, 2)

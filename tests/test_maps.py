@@ -14,6 +14,7 @@ from knrange.matcore import (
     random_hermitian,
     vec,
 )
+from knrange.checks import _invalid_forms, _valid_forms
 from knrange.maps import (
     CanonicalFormSpec,
     LinearMapMatrix,
@@ -30,6 +31,8 @@ from knrange.maps import (
     map_from_choi,
     map_from_payload,
     map_to_payload,
+    reflect_map,
+    varphi_map,
 )
 
 from conftest import SQRT_9_OVER_2, shift3, unit_matrix
@@ -107,7 +110,15 @@ class TestBuildCanonical:
         expected = np.sort([4.5, SQRT_9_OVER_2, 0.5, 0, 0, 0, -0.5, -SQRT_9_OVER_2, -4.5])
         np.testing.assert_allclose(w, expected, atol=1e-10)
 
-    @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 2), BipartiteShape(3, 2, 3)])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            BipartiteShape(2, 2, 2),
+            BipartiteShape(3, 2, 3),
+            BipartiteShape(3, 3, 4),
+            BipartiteShape(2, 4, 4),
+        ],
+    )
     def test_matches_direct_evaluation_on_matrix_units(self, shape):
         for tag, affine in all_buildable_forms(shape):
             spec = spec_for(shape, tag, seed=hash((tag, affine)) % 2**32, affine=affine)
@@ -122,6 +133,53 @@ class TestBuildCanonical:
                             if affine:
                                 direct = (np.trace(x) / shape.k) * np.eye(shape.dim) - direct
                             assert np.max(np.abs(apply_map(phi, x) - direct)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [BipartiteShape(2, 3, 2), BipartiteShape(3, 3, 4)])
+    def test_bare_maps_match_direct_evaluation_on_matrix_units(self, shape):
+        d = shape.dim
+        reflect = reflect_map(shape)
+        bare = {tag: varphi_map(shape, tag) for tag in VARPHI_TAGS}
+        for p in range(d):
+            for q in range(d):
+                x = unit_matrix(d, p, q)
+                np.testing.assert_array_equal(apply_map(reflect, x), affine_reflect(x, shape.k))
+                for tag, phi in bare.items():
+                    np.testing.assert_array_equal(apply_map(phi, x), apply_varphi(x, tag, shape))
+
+
+class TestFormLists:
+    """The checks battery's split of the constructible forms, in order."""
+
+    @pytest.mark.parametrize(
+        "shape,valid,invalid",
+        [
+            (
+                BipartiteShape(3, 3, 4),
+                [("id", False), ("t", False)],
+                [("pt_right", False), ("pt_left", False)],
+            ),
+            (
+                BipartiteShape(2, 4, 4),
+                [("id", False), ("t", False), ("pt_right", False), ("pt_left", False),
+                 ("id", True), ("t", True), ("pt_right", True), ("pt_left", True)],
+                [],
+            ),
+            (
+                BipartiteShape(2, 3, 3),
+                [("id", False), ("t", False), ("pt_right", False), ("pt_left", False),
+                 ("id", True), ("t", True), ("pt_right", True), ("pt_left", True)],
+                [],
+            ),
+            (
+                BipartiteShape(3, 4, 6),
+                [("id", False), ("t", False), ("id", True), ("t", True)],
+                [("pt_right", False), ("pt_left", False), ("pt_right", True), ("pt_left", True)],
+            ),
+        ],
+    )
+    def test_valid_and_invalid_forms(self, shape, valid, invalid):
+        assert _valid_forms(shape) == valid
+        assert _invalid_forms(shape) == invalid
 
 
 class TestApply:

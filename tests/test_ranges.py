@@ -129,6 +129,19 @@ class TestSupportValue:
         for t in range(4):
             np.testing.assert_allclose(batch[t], support_values(stack[t], 2, angles), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "stack,angles,match",
+        [
+            (np.zeros((2, 3, 3)), 0.5, "angles"),
+            (np.eye(3), np.zeros(8), "stack"),
+            (np.zeros((2, 3, 4)), np.zeros(8), "stack"),
+        ],
+        ids=["scalar-angles", "single-matrix", "non-square-stack"],
+    )
+    def test_batch_rejects_malformed_input(self, stack, angles, match):
+        with pytest.raises(ValueError, match=match):
+            support_values_batch(stack, 1, angles)
+
 
 class TestBoundaryPoint:
     def test_hermitian_endpoint(self, rng):
