@@ -5,8 +5,11 @@ Verification is statistical: random factor pairs (A, B), support functions of
 A x B and Phi(A x B) compared on a shared angle grid. Classification is exact
 up to tolerance: composing Phi with each candidate varphi (and the trace
 reflection for affine candidates) must yield a pure unitary conjugation, which
-is detected by its Choi matrix being Hermitian PSD of rank one; the conjugating
-unitary is read off the top eigenvector.
+is detected by its Choi matrix being Hermitian PSD of rank one. The gates read
+the Choi spectrum alone (`eigvalsh`); only a candidate that passes them pays
+for a full eigendecomposition, whose top eigenvector is the conjugating
+unitary. A map that fails every gate, as a random map does, computes no
+eigenvector at all.
 """
 
 from __future__ import annotations
@@ -36,7 +39,13 @@ from .maps import (
     choi_matrix,
     map_from_choi,
 )
-from .ranges import DEFAULT_NUM_ANGLES, DEFAULT_RTOL, _angle_grid, support_values_batch
+from .ranges import (
+    DEFAULT_NUM_ANGLES,
+    DEFAULT_RTOL,
+    _angle_grid,
+    _check_int,
+    support_values_batch,
+)
 
 DEFAULT_TRIALS = 50
 # Internal verification settings for the falsifier: random non-canonical maps
@@ -86,6 +95,11 @@ class ClassificationReport:
     choi_gaps: dict[str, float] = field(default_factory=dict)
 
 
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def _witness_pair(shape: BipartiteShape) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic first trial: the counterexample pair when both factors are
     at least 3x3 (it separates the partial transposes), else E_11 x E_11."""
@@ -125,8 +139,8 @@ def verify_preserver(
     over the angle grid of the support-function discrepancy, relative to
     1 + the larger support magnitude.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_int("trials", trials, 1)
+    _check_tol(tol)
     shape = phi.shape
     angles = _angle_grid(num_angles)
     pairs = _trial_pairs(shape, trials, seed)
@@ -173,7 +187,10 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
 
     For each candidate (varphi, affine): Psi = (reflection if affine) o Phi o
     varphi^{-1} (each varphi is an involution) must be X -> U X U*. Its Choi
-    matrix then is Hermitian PSD rank one with top eigenvalue mn; U is the
+    matrix then is Hermitian PSD rank one with top eigenvalue mn. The gates
+    (Hermiticity defect, spectral gap, top eigenvalue) use the eigenvalues of
+    the Hermitised Choi matrix only; a candidate that passes all three
+    decomposes that same matrix once more with eigenvectors, and U is the
     reshaped top eigenvector, phase-normalized. Psi is formed without a dense
     product: composing with varphi permutes the columns of the map matrix and
     the reflection is a rank-one update (see :mod:`knrange.maps`). The
@@ -182,6 +199,7 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     agreeing on every matrix unit tensor product (those are exactly the vec
     basis).
     """
+    _check_tol(tol)
     shape = phi.shape
     d = shape.dim
     diag = _trace_slots(d)
@@ -198,11 +216,13 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
             psi[diag] += trace_row
         choi = choi_matrix(LinearMapMatrix(shape, psi))
         herm_defect = hermiticity_defect(choi)
-        w, v = np.linalg.eigh((choi + choi.conj().T) / 2)
+        herm = (choi + choi.conj().T) / 2
+        w = np.linalg.eigvalsh(herm)
         gap = max(abs(float(w[-2])), abs(float(w[0]))) / d
         gaps[key] = gap
         if herm_defect > tol * d or gap > tol or abs(float(w[-1]) - d) > tol * d:
             continue
+        _, v = np.linalg.eigh(herm)  # eigenvectors only for a candidate past every gate
         u = _normalize_phase(unvec(v[:, -1], d) * np.sqrt(d))
         try:
             rebuilt = build_canonical(
@@ -300,8 +320,8 @@ def falsify_random(
     whether the passing map secretly classified as canonical or merely kept
     its defect below tol.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    _check_int("count", count, 0)
+    _check_tol(tol)
     rng = np.random.default_rng(seed)
     results: list[FalsifyResult] = []
     passes = 0

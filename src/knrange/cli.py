@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -52,8 +53,8 @@ class CliConfig:
     def __post_init__(self):
         if self.num_angles < 8:
             raise ValueError("--angles must be >= 8")
-        if self.tol <= 0:
-            raise ValueError("--tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"--tol must be finite and positive, got {self.tol}")
         if self.trials < 1:
             raise ValueError("--trials must be >= 1")
         if self.m is not None and self.n is not None and self.k is not None:

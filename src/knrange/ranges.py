@@ -64,16 +64,32 @@ class SupportProfile:
         return len(self.angles)
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    """Reject bool, non-integers (floats included) and values below `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def _check_k(dim: int, k: int) -> None:
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= dim - 1:
+    _check_int("k", k, 1)
+    if k > dim - 1:
         raise ValueError(f"k must satisfy 1 <= k <= dim-1 = {dim - 1}, got {k}")
 
 
+def _check_angles(angles) -> np.ndarray:
+    """`angles` as a float array, which must be non-empty, finite and 1-D."""
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 1 or angles.size == 0:
+        raise ValueError(f"angles must be a non-empty 1-D array, got shape {angles.shape}")
+    if not np.all(np.isfinite(angles)):
+        raise ValueError("angles must be finite")
+    return angles
+
+
 def _angle_grid(num_angles: int) -> np.ndarray:
-    if num_angles < 8:
-        raise ValueError(f"num_angles must be >= 8, got {num_angles}")
+    _check_int("num_angles", num_angles, 8)
     return 2.0 * np.pi * np.arange(num_angles) / num_angles
 
 
@@ -152,7 +168,7 @@ def support_values(a, k: int, angles: np.ndarray) -> np.ndarray:
     """h(theta) for every theta in `angles` (vectorized)."""
     m = as_matrix(a)
     _check_k(m.shape[0], k)
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    angles = _check_angles(np.atleast_1d(angles))
     w = _rotated_eigs(m[None], angles)[0]
     return w[:, -k:].sum(axis=1) / k
 
@@ -174,9 +190,7 @@ def support_values_batch(stack: np.ndarray, k: int, angles: np.ndarray) -> np.nd
         raise ValueError(f"expected a (count, d, d) stack, count >= 1, got shape {stack.shape}")
     if not np.all(np.isfinite(stack)):
         raise ValueError("stack entries must be finite")
-    angles = np.asarray(angles, dtype=float)
-    if angles.ndim != 1 or angles.size == 0 or not np.all(np.isfinite(angles)):
-        raise ValueError(f"angles must be a non-empty finite 1-D array, got shape {angles.shape}")
+    angles = _check_angles(angles)
     _check_k(stack.shape[1], k)
     w = _rotated_eigs(stack, angles)
     return w[:, :, -k:].sum(axis=2) / k
@@ -192,7 +206,7 @@ def boundary_point(a, k: int, theta: float) -> complex:
     """
     m = as_matrix(a)
     _check_k(m.shape[0], k)
-    _, v = _rotated_eigs(m[None], np.array([float(theta)]), vectors=True)
+    _, v = _rotated_eigs(m[None], _check_angles([float(theta)]), vectors=True)
     vk = v[0, 0, :, -k:]
     return complex(np.einsum("is,ij,js->", vk.conj(), m, vk) / k)
 
@@ -246,8 +260,7 @@ def sample_points(a, k: int, count: int, seed) -> np.ndarray:
     """
     m = as_matrix(a)
     _check_k(m.shape[0], k)
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_int("count", count, 1)
     d = m.shape[0]
     rng = np.random.default_rng(seed)
     g = (rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))) / np.sqrt(2.0)

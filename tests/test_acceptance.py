@@ -9,6 +9,7 @@ lines as they complete.
 import time
 
 import numpy as np
+import pytest
 
 from knrange.checks import (
     check_block_split,
@@ -73,6 +74,7 @@ def test_criterion_2_counterexample_gaps():
     _report(2, min_gap > 1e-6, f"min |hi gap| + |lo gap| over all shapes/k = {min_gap:.3e}")
 
 
+@pytest.mark.slow
 def test_criterion_3_range_property_suite():
     rng = np.random.default_rng(314159)
     worst = {
@@ -155,6 +157,7 @@ def test_criterion_4_complement_identity():
     _report(4, worst <= 1e-10, f"worst endpoint mismatch {worst:.3e}")
 
 
+@pytest.mark.slow
 def test_criterion_5_sufficiency_sweep():
     rng = np.random.default_rng(161803)
     t0 = time.perf_counter()
@@ -181,6 +184,7 @@ def test_criterion_5_sufficiency_sweep():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_necessity():
     # partial transposes fail deterministically whenever both factors are >= 3
     failing_ok = True
@@ -222,6 +226,7 @@ def test_criterion_6_necessity():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_classifier_round_trip():
     rng = np.random.default_rng(577215)
     worst_residual = 0.0

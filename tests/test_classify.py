@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from knrange.classify import (
+    _random_constrained_map,
     classification_to_payload,
     classify_preserver,
     falsify_random,
@@ -17,6 +18,7 @@ from knrange.maps import (
     LinearMapMatrix,
     VARPHI_TAGS,
     build_canonical,
+    canonical_forms,
     varphi_map,
 )
 from knrange.checks import counterexample_matrices
@@ -25,6 +27,23 @@ from knrange.checks import counterexample_matrices
 def canonical(shape, tag, seed, affine=False):
     u = random_haar_unitary(shape.dim, seed)
     return build_canonical(CanonicalFormSpec(tag, u, affine, shape)), u
+
+
+def counting_solvers(monkeypatch):
+    """Patch numpy's Hermitian eigensolvers to record how often each runs."""
+    calls = {"eigvalsh": 0, "eigh": 0}
+
+    def counting(name):
+        solver = getattr(np.linalg, name)
+
+        def wrapper(x, *args, **kwargs):
+            calls[name] += 1
+            return solver(x, *args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls
 
 
 def buildable_forms(shape):
@@ -66,6 +85,20 @@ class TestVerify:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             verify_preserver(varphi_map(BipartiteShape(2, 2, 1), "id"), trials=0)
+
+    @pytest.mark.parametrize("trials", [True, 2.0])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            verify_preserver(varphi_map(BipartiteShape(2, 2, 1), "id"), trials=trials)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        phi = varphi_map(BipartiteShape(2, 2, 1), "id")
+        for call in (lambda: verify_preserver(phi, trials=2, num_angles=8, tol=tol),
+                     lambda: classify_preserver(phi, tol=tol),
+                     lambda: falsify_random(phi.shape, 1, tol=tol)):
+            with pytest.raises(ValueError, match="tol must be finite and > 0"):
+                call()
 
     @pytest.mark.parametrize("num_angles", [3, 0])
     def test_num_angles_validation(self, num_angles):
@@ -142,6 +175,57 @@ class TestClassify:
         json.dumps(classification_to_payload(report))
 
 
+class TestChoiSolves:
+    """The Choi gates read eigenvalues only; eigenvectors are computed for a
+    candidate only once it has passed every gate."""
+
+    @pytest.mark.parametrize(
+        "shape,tag,affine",
+        [(BipartiteShape(3, 3, 4), "t", False), (BipartiteShape(2, 2, 2), "pt_left", True)],
+    )
+    def test_one_eigh_for_a_canonical_map(self, monkeypatch, shape, tag, affine):
+        phi, _ = canonical(shape, tag, seed=3, affine=affine)
+        calls = counting_solvers(monkeypatch)
+        report = classify_preserver(phi)
+        assert report.verdict == "classified"
+        assert (report.matched.varphi, report.matched.affine) == (tag, affine)
+        assert calls == {"eigvalsh": len(canonical_forms(shape)), "eigh": 1}
+
+    def test_no_eigh_for_a_random_map(self, monkeypatch):
+        shape = BipartiteShape(2, 3, 3)
+        phi = _random_constrained_map(shape, np.random.default_rng(5))
+        calls = counting_solvers(monkeypatch)
+        assert classify_preserver(phi).verdict == "not_a_preserver"
+        assert calls == {"eigvalsh": len(canonical_forms(shape)), "eigh": 0}
+
+    @pytest.mark.parametrize(
+        "shape",
+        [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3), BipartiteShape(3, 3, 4),
+         BipartiteShape(2, 4, 4)],
+    )
+    def test_matches_full_eigh_reference(self, monkeypatch, shape):
+        maps = [canonical(shape, tag, seed=40 + i, affine=affine)[0]
+                for i, (tag, affine) in enumerate(canonical_forms(shape))]
+        maps.append(_random_constrained_map(shape, np.random.default_rng(6)))
+        fast = [classify_preserver(phi) for phi in maps]
+        # Reference: gate on the eigenvalues of a full eigh, as a classifier
+        # that decomposes every candidate would.
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: eigh(x)[0])
+        reference = [classify_preserver(phi) for phi in maps]
+        for got, ref in zip(fast, reference):
+            assert got.verdict == ref.verdict
+            assert ([(m.varphi, m.affine) for m in got.all_matches]
+                    == [(r.varphi, r.affine) for r in ref.all_matches])
+            for m, r in zip(got.all_matches, ref.all_matches):
+                assert m.unitary.tobytes() == r.unitary.tobytes()
+                assert m.residual == r.residual
+            assert got.choi_gaps.keys() == ref.choi_gaps.keys()
+            for k in got.choi_gaps:
+                assert abs(got.choi_gaps[k] - ref.choi_gaps[k]) <= 1e-12
+        assert [r.verdict for r in fast] == ["classified"] * (len(maps) - 1) + ["not_a_preserver"]
+
+
 class TestFalsify:
     def test_zero_passes(self):
         summary = falsify_random(BipartiteShape(2, 2, 2), count=20, seed=8)
@@ -164,6 +248,10 @@ class TestFalsify:
         h = random_hermitian(6, rng)
         image = apply_map(phi, h)
         assert np.max(np.abs(image - image.conj().T)) <= 1e-12  # Hermiticity-preserving
+
+    def test_count_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            falsify_random(BipartiteShape(2, 2, 2), True)
 
     def test_empty_summary(self):
         summary = falsify_random(BipartiteShape(2, 2, 2), count=0, seed=0)

@@ -143,6 +143,16 @@ class TestVerifyCommand:
         with pytest.raises(KeyError):
             cli.main(["verify", str(dpath), "--m", "2", "--n", "2", "--k", "2"])
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_or_non_positive_tol_exit_2(self, tmp_path, tol):
+        dpath = tmp_path / "desc.json"
+        write_json(dpath, {"varphi": "id", "affine": False, "unitary": "identity"})
+        out = tmp_path / "report.json"
+        rc = cli.main(["verify", str(dpath), "--m", "2", "--n", "2", "--k", "2",
+                       "--tol", tol, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     def test_descriptor_needs_shape(self, tmp_path):
         dpath = tmp_path / "desc.json"
         write_json(dpath, {"varphi": "id", "affine": False, "unitary": "identity"})

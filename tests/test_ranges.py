@@ -142,6 +142,28 @@ class TestSupportValue:
         with pytest.raises(ValueError, match=match):
             support_values_batch(stack, 1, angles)
 
+    @pytest.mark.parametrize(
+        "angles",
+        [np.nan, np.inf, np.array([0.0, -np.inf]), np.array([]), np.zeros((2, 2))],
+        ids=["nan", "inf", "minus-inf-entry", "empty", "2-d"],
+    )
+    def test_malformed_angles_rejected(self, angles):
+        a = shift3()
+        for call in (lambda: support_values(a, 1, angles),
+                     lambda: support_values_batch(a[None], 1, angles)):
+            with pytest.raises(ValueError, match="angles"):
+                call()
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf])
+    def test_boundary_point_rejects_non_finite_theta(self, theta):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            boundary_point(shift3(), 1, theta)
+
+    def test_scalar_angle_accepted(self):
+        a = shift3()
+        assert support_values(a, 1, 0.5).shape == (1,)
+        assert support_values(a, 1, 0.5)[0] == support_value(a, 1, 0.5)
+
 
 class TestBoundaryPoint:
     def test_hermitian_endpoint(self, rng):
@@ -417,6 +439,21 @@ class TestRotatedEigs:
                 solved.clear()
                 call()
                 assert sum(solved) == general_solves
+
+    @pytest.mark.parametrize("bad", [True, 8.5, 360.0, np.int64(8)],
+                             ids=["bool", "fraction", "whole-float", "numpy-int"])
+    def test_rejects_non_integer_num_angles(self, bad):
+        a = random_complex(3, np.random.default_rng(0))
+        for call in (lambda: krange_profile(a, 1, bad),
+                     lambda: k_numerical_radius(a, 1, bad),
+                     lambda: _angle_grid(bad)):
+            with pytest.raises(ValueError, match="num_angles must be an integer"):
+                call()
+
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_sample_points_rejects_non_integer_count(self, bad):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            sample_points(shift3(), 1, bad, 0)
 
     def test_rejects_bool_k(self):
         a = np.diag([1.0, 2.0, 3.0]) + 0.5j * unit_matrix(3, 0, 1)
