@@ -17,7 +17,7 @@ import sys
 
 from knrange.checks import counterexample_matrices
 from knrange.matcore import kron
-from knrange.ranges import krange_profile, write_profile_csv, write_profile_svg
+from knrange.ranges import DEFAULT_NUM_ANGLES, krange_profile, write_profile_csv, write_profile_svg
 
 
 def main() -> int:
@@ -26,7 +26,7 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=3)
     parser.add_argument("--k", type=int, nargs="*", default=None,
                         help="k values to render (default: all of 1..mn-1)")
-    parser.add_argument("--angles", type=int, default=360)
+    parser.add_argument("--angles", type=int, default=DEFAULT_NUM_ANGLES)
     parser.add_argument("--out", default="counterexample_out")
     args = parser.parse_args()
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import classify
 from .matcore import (
+    HERMITICITY_RTOL,
     BipartiteShape,
     as_matrix,
     hermiticity_defect,
@@ -42,6 +43,8 @@ from .maps import (
     preserves_on_tensors,
 )
 from .ranges import (
+    DEFAULT_NUM_ANGLES,
+    DEFAULT_RTOL,
     boundary_point,
     krange_hermitian,
     krange_profile,
@@ -51,6 +54,9 @@ from .ranges import (
 
 GAP_THRESHOLD = 1e-6
 SPECTRUM_TOL = 1e-10
+DEFAULT_SUITE_TRIALS = 20
+# Random matrices drawn by each range-property and complement check.
+PROPERTY_DRAWS = 20
 
 
 def counterexample_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +145,7 @@ class ImplicationCheck:
         return self.vacuous or bool(self.conclusion_holds)
 
 
-def check_block_split(h, k: int, tol: float = 1e-8) -> ImplicationCheck:
+def check_block_split(h, k: int, tol: float = DEFAULT_RTOL) -> ImplicationCheck:
     """If the first k diagonal entries of a Hermitian matrix sum to the sum of
     its k largest eigenvalues, the matrix splits as A_1 (+) A_2 with A_1 of
     size k carrying exactly those eigenvalues."""
@@ -161,7 +167,7 @@ def check_block_split(h, k: int, tol: float = 1e-8) -> ImplicationCheck:
     return ImplicationCheck(hypothesis_holds=True, conclusion_holds=conclusion)
 
 
-def check_orthogonality_criterion(a, b, k: int, tol: float = 1e-8) -> ImplicationCheck:
+def check_orthogonality_criterion(a, b, k: int, tol: float = DEFAULT_RTOL) -> ImplicationCheck:
     """For PSD A, B: if tr(A)/k equals the top of W_k(A - B), then A and B are
     orthogonal (AB* = A*B = 0)."""
     ma, mb = as_matrix(a), as_matrix(b)
@@ -211,7 +217,7 @@ def _range_property_items(shape: BipartiteShape, rng: np.random.Generator) -> li
         "detection_errors": 0.0,
     }
     detection_ok = True
-    for _ in range(20):
+    for _ in range(PROPERTY_DRAWS):
         h = random_hermitian(d, rng)
         interval = krange_hermitian(h, k)
         pts = sample_points(h, k, 200, rng)
@@ -245,15 +251,15 @@ def _range_property_items(shape: BipartiteShape, rng: np.random.Generator) -> li
         hs = support_values(v @ c @ v.conj().T, k, p1.angles)
         worst["compression"] = max(worst["compression"], float(np.max(hs - p1.support)))
         herm_profile = krange_profile(h, k, 90)
-        if float(np.max(np.abs(herm_profile.boundary.imag))) > 1e-9 * (1 + max_abs(h)):
+        if float(np.max(np.abs(herm_profile.boundary.imag))) > HERMITICITY_RTOL * (1 + max_abs(h)):
             detection_ok = False
-        if float(np.max(np.abs(p1.boundary.imag))) <= 1e-9 * (1 + max_abs(c)):
+        if float(np.max(np.abs(p1.boundary.imag))) <= HERMITICITY_RTOL * (1 + max_abs(c)):
             detection_ok = False  # a Ginibre draw is never Hermitian
     passed = (
         worst["sample_containment"] <= 1e-9
         and worst["endpoint_attainment"] <= 1e-9
         and worst["affine_covariance"] <= 1e-10
-        and worst["unitary_invariance"] <= 1e-8
+        and worst["unitary_invariance"] <= DEFAULT_RTOL
         and worst["compression"] <= 1e-9
         and detection_ok
     )
@@ -266,7 +272,7 @@ def _complement_item(shape: BipartiteShape, rng: np.random.Generator) -> SuiteIt
     """(d-k) W_{d-k}(A) = tr(A) - k W_k(A) for Hermitian A, as intervals."""
     d = shape.dim
     worst = 0.0
-    for _ in range(20):
+    for _ in range(PROPERTY_DRAWS):
         h = random_hermitian(d, rng)
         tr = float(np.trace(h).real)
         for k in range(1, d):
@@ -285,9 +291,9 @@ def _complement_item(shape: BipartiteShape, rng: np.random.Generator) -> SuiteIt
 def preserver_suite(
     shape: BipartiteShape,
     seed=0,
-    trials: int = 20,
-    num_angles: int = 360,
-    tol: float = 1e-8,
+    trials: int = DEFAULT_SUITE_TRIALS,
+    num_angles: int = DEFAULT_NUM_ANGLES,
+    tol: float = DEFAULT_RTOL,
 ) -> list[SuiteItem]:
     """Run the whole battery for one shape; deterministic given the seed."""
     rng = np.random.default_rng(seed)

@@ -205,6 +205,7 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     diag = _trace_slots(d)
     gaps: dict[str, float] = {}
     matches: list[CandidateMatch] = []
+    rebuilds: list[np.ndarray] = []  # the canonical map of each match
 
     for tag, affine in canonical_forms(shape):
         key = f"{tag}+affine" if affine else tag
@@ -233,23 +234,17 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
         residual = max_abs(rebuilt.matrix - phi.matrix)
         if residual <= tol:
             matches.append(CandidateMatch(varphi=tag, affine=affine, unitary=u, residual=residual))
+            rebuilds.append(rebuilt.matrix)
 
     if not matches:
         return ClassificationReport(verdict="not_a_preserver", matched=None, choi_gaps=gaps)
     # Matches all rebuild to within tol of phi; call the result ambiguous only
     # if two matched rebuilds disagree with each other beyond tol.
     verdict = "classified"
-    if len(matches) > 1:
-        rebuilt = [
-            build_canonical(
-                CanonicalFormSpec(varphi=m.varphi, unitary=m.unitary, affine=m.affine, shape=shape)
-            ).matrix
-            for m in matches
-        ]
-        for i in range(len(rebuilt)):
-            for j in range(i + 1, len(rebuilt)):
-                if max_abs(rebuilt[i] - rebuilt[j]) > tol:
-                    verdict = "ambiguous"
+    for i in range(len(rebuilds)):
+        for j in range(i + 1, len(rebuilds)):
+            if max_abs(rebuilds[i] - rebuilds[j]) > tol:
+                verdict = "ambiguous"
     return ClassificationReport(
         verdict=verdict, matched=matches[0], all_matches=matches, choi_gaps=gaps
     )

@@ -107,6 +107,7 @@ class LinearMapMatrix:
                 f"map matrix must be {self.shape.dim ** 2} x {self.shape.dim ** 2}, "
                 f"got {m.shape}"
             )
+        object.__setattr__(self, "matrix", m)  # nested lists become the checked array
 
 
 def apply_varphi(x, tag: str, shape: BipartiteShape) -> np.ndarray:
@@ -198,6 +199,11 @@ def compose(outer: LinearMapMatrix, inner: LinearMapMatrix) -> LinearMapMatrix:
     return LinearMapMatrix(shape=outer.shape, matrix=outer.matrix @ inner.matrix)
 
 
+def _reshuffle(mat: np.ndarray, d: int) -> np.ndarray:
+    """The map-matrix <-> Choi-matrix index reshuffle; an involution."""
+    return mat.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d).copy()
+
+
 def choi_matrix(phi: LinearMapMatrix) -> np.ndarray:
     """sum_{p,q} E_pq x Phi(E_pq), as a (mn)^2 x (mn)^2 matrix.
 
@@ -207,9 +213,7 @@ def choi_matrix(phi: LinearMapMatrix) -> np.ndarray:
     j*d+i and column index q*d+p, M[(j,i),(q,p)] = Phi(E_pq)[i,j] while the
     Choi entry C[(p,i),(q,j)] equals the same value.
     """
-    d = phi.shape.dim
-    m4 = phi.matrix.reshape(d, d, d, d)
-    return m4.transpose(3, 1, 2, 0).reshape(d * d, d * d).copy()
+    return _reshuffle(phi.matrix, phi.shape.dim)
 
 
 def map_from_choi(choi: np.ndarray, shape: BipartiteShape) -> LinearMapMatrix:
@@ -218,8 +222,7 @@ def map_from_choi(choi: np.ndarray, shape: BipartiteShape) -> LinearMapMatrix:
     c = as_matrix(choi)
     if c.shape[0] != d * d:
         raise ValueError(f"Choi matrix must be {d * d} x {d * d}, got {c.shape}")
-    c4 = c.reshape(d, d, d, d)
-    return LinearMapMatrix(shape=shape, matrix=c4.transpose(3, 1, 2, 0).reshape(d * d, d * d).copy())
+    return LinearMapMatrix(shape=shape, matrix=_reshuffle(c, d))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +265,11 @@ def descriptor_to_payload(spec: CanonicalFormSpec) -> dict:
 
 def descriptor_from_payload(payload: dict, shape: BipartiteShape) -> CanonicalFormSpec:
     try:
-        raw, varphi, affine = payload["unitary"], payload["varphi"], bool(payload["affine"])
+        raw, varphi, affine = payload["unitary"], payload["varphi"], payload["affine"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed canonical descriptor: {exc!r}") from exc
+    if not isinstance(affine, bool):
+        raise ValueError(f"descriptor 'affine' must be a JSON bool, got {affine!r}")
     if raw == "identity":
         unitary = np.eye(shape.dim, dtype=complex)
     else:

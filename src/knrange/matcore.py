@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative tolerance for "is this matrix Hermitian" gates.
+# The one "is this matrix Hermitian" decision (see :func:`is_hermitian`):
+# relative to 1 + max|entry| of the matrix under test.
 HERMITICITY_RTOL = 1e-10
-# Relative tolerance on the eigendecomposition reconstruction contract.
-RECONSTRUCTION_RTOL = 1e-9
 
 
 def as_matrix(a) -> np.ndarray:
@@ -42,8 +41,16 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return max_abs(a - a.conj().T)
 
 
-def is_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
-    return hermiticity_defect(a) <= rtol * (1.0 + max_abs(a))
+def is_hermitian(a: np.ndarray):
+    """max|A - A*| <= HERMITICITY_RTOL * (1 + max|A|), entrywise moduli.
+
+    Applied per matrix over the last two axes: a bool for one matrix, a bool
+    array of shape (count,) for a (count, d, d) stack.
+    """
+    a = np.asarray(a)
+    defect = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    ok = defect <= HERMITICITY_RTOL * (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0))
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 @dataclass(frozen=True)
@@ -60,7 +67,7 @@ class BipartiteShape:
 
     def __post_init__(self):
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in (self.m, self.n, self.k)):
-            raise ValueError("m, n, k must be integers")
+            raise ValueError(f"m, n, k must be integers, got {self.m!r}, {self.n!r}, {self.k!r}")
         if self.m < 2 or self.n < 2:
             raise ValueError(f"factor dimensions must be >= 2, got m={self.m}, n={self.n}")
         if not 1 <= self.k <= self.m * self.n - 1:

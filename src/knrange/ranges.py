@@ -106,10 +106,10 @@ def _rotated_eigs(stack: np.ndarray, angles: np.ndarray, vectors: bool = False):
 
     Returns w of shape (count, len(angles), d) and, with vectors=True, also the
     eigenvector frames v of shape (count, len(angles), d, d) (columns in the
-    order of w). Rows that are Hermitian within 1e-12 * (1 + max|H|) take one
-    eigendecomposition: their rotated Hermitian part is cos(theta) times the
-    matrix. On an even uniform grid only the first half of the angles is
-    solved; see the module docstring.
+    order of w). Rows that `is_hermitian` accepts take one eigendecomposition
+    of their Hermitian part H: the rotated Hermitian part is then cos(theta) H.
+    On an even uniform grid only the first half of the angles is solved; see
+    the module docstring.
     """
     count, d = stack.shape[0], stack.shape[1]
     n = len(angles)
@@ -119,8 +119,7 @@ def _rotated_eigs(stack: np.ndarray, angles: np.ndarray, vectors: bool = False):
     adj = stack.conj().transpose(0, 2, 1)
     h = (stack + adj) / 2
     kk = -0.5j * (stack - adj)
-    herm = (np.abs(kk).reshape(count, -1).max(axis=1)
-            <= 1e-12 * (1.0 + np.abs(h).reshape(count, -1).max(axis=1)))
+    herm = is_hermitian(stack)
 
     w = np.empty((count, half, d))
     v = np.empty((count, half, d, d), dtype=complex) if vectors else None
@@ -182,8 +181,8 @@ def support_value(a, k: int, theta: float) -> float:
 def support_values_batch(stack: np.ndarray, k: int, angles: np.ndarray) -> np.ndarray:
     """Support grids for a (count, d, d) stack of matrices at once.
 
-    Returns shape (count, len(angles)). Rows that are Hermitian (within
-    roundoff) skip the per-angle eigensolve.
+    Returns shape (count, len(angles)). Rows that `is_hermitian` accepts skip
+    the per-angle eigensolve.
     """
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[1] != stack.shape[2]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import knrange
-from knrange import classify, cli
+from knrange import checks, classify, cli, ranges
 from knrange.classify import _random_constrained_map
 from knrange.checks import counterexample_matrices
 from knrange.maps import map_to_payload
@@ -153,6 +153,25 @@ class TestVerifyCommand:
         assert rc == 2
         assert not out.exists()
 
+    def test_descriptor_affine_string_exit_2(self, tmp_path):
+        dpath = tmp_path / "desc.json"
+        write_json(dpath, {"varphi": "id", "affine": "false", "unitary": "identity"})
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", str(dpath), "--m", "2", "--n", "2", "--k", "2",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_defaults_are_the_library_constants(self, tmp_path):
+        dpath = tmp_path / "desc.json"
+        write_json(dpath, {"varphi": "id", "affine": False, "unitary": "identity"})
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", str(dpath), "--m", "2", "--n", "2", "--k", "1",
+                         "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["verification"]
+        assert report["num_angles"] == ranges.DEFAULT_NUM_ANGLES
+        assert report["tol"] == ranges.DEFAULT_RTOL
+        assert report["trials"] == classify.DEFAULT_TRIALS
+
     def test_descriptor_needs_shape(self, tmp_path):
         dpath = tmp_path / "desc.json"
         write_json(dpath, {"varphi": "id", "affine": False, "unitary": "identity"})
@@ -187,6 +206,46 @@ class TestSuiteCommand:
 
     def test_missing_subcommand_exit_2(self):
         assert cli.main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "DESC", "--m", "2", "--n", "2", "--k", "2", "--angles", "4"],
+     ["verify", "DESC", "--m", "2", "--n", "2", "--k", "2", "--trials", "0"],
+     ["suite", "--m", "2", "--n", "2", "--k", "2", "--trials", "0"],
+     ["range", "MATRIX", "--k", "1", "--angles", "4"]],
+    ids=["verify-angles", "verify-trials", "suite-trials", "range-angles"],
+)
+def test_bad_run_settings_exit_2_without_output(tmp_path, argv):
+    dpath, mpath = tmp_path / "desc.json", tmp_path / "m.json"
+    write_json(dpath, {"varphi": "id", "affine": False, "unitary": "identity"})
+    save_matrix(np.eye(3, dtype=complex), mpath)
+    out = tmp_path / "out"
+    argv = [{"DESC": str(dpath), "MATRIX": str(mpath)}.get(a, a) for a in argv]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_suite_default_trials_is_the_library_constant():
+    suite = cli._build_parser().parse_args(["suite", "--m", "2", "--n", "2", "--k", "2"])
+    assert suite.trials == checks.DEFAULT_SUITE_TRIALS
+    assert (suite.angles, suite.tol) == (ranges.DEFAULT_NUM_ANGLES, ranges.DEFAULT_RTOL)
+
+
+def test_render_counterexample_script(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = os.path.join(root, "scripts", "render_counterexample.py")
+    src = os.path.join(root, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "render"
+    result = subprocess.run(
+        [sys.executable, script, "--m", "3", "--n", "3", "--k", "1", "--angles", "8",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert sorted(os.listdir(out)) == ["ab_k1.csv", "ab_k1.svg", "abt_k1.csv", "abt_k1.svg"]
+    assert "k=1: support gap at angle 0" in result.stdout
 
 
 def test_flags_are_deterministic(tmp_path):

@@ -15,6 +15,12 @@ from knrange.matcore import (
     vec,
 )
 from knrange.checks import _invalid_forms, _valid_forms
+from knrange.classify import (
+    classification_to_payload,
+    classify_preserver,
+    verification_to_payload,
+    verify_preserver,
+)
 from knrange.maps import (
     CanonicalFormSpec,
     LinearMapMatrix,
@@ -334,3 +340,21 @@ class TestMapIO:
         shape = BipartiteShape(2, 3, 2)
         spec = descriptor_from_payload({"varphi": "id", "affine": False, "unitary": "identity"}, shape)
         np.testing.assert_array_equal(spec.unitary, np.eye(6))
+
+    @pytest.mark.parametrize("affine", ["false", "true", 0, 1, None])
+    def test_descriptor_affine_must_be_a_bool(self, affine):
+        payload = {"varphi": "id", "affine": affine, "unitary": "identity"}
+        with pytest.raises(ValueError, match="affine"):
+            descriptor_from_payload(payload, BipartiteShape(2, 2, 2))
+
+    def test_nested_list_map_matches_its_array(self):
+        shape = BipartiteShape(2, 2, 2)
+        phi = build_canonical(spec_for(shape, "pt_left", seed=5, affine=True))
+        listed = LinearMapMatrix(shape, phi.matrix.tolist())
+        assert isinstance(listed.matrix, np.ndarray)
+        np.testing.assert_array_equal(listed.matrix, phi.matrix)
+        reports = [verify_preserver(m, trials=6, num_angles=90, seed=2) for m in (phi, listed)]
+        assert verification_to_payload(reports[0]) == verification_to_payload(reports[1])
+        classes = [classification_to_payload(classify_preserver(m)) for m in (phi, listed)]
+        assert classes[0] == classes[1]
+        assert classes[0]["verdict"] == "classified"

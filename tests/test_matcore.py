@@ -11,6 +11,7 @@ from knrange.matcore import (
     adjoint,
     eig_hermitian,
     hermitian_part,
+    is_hermitian,
     is_orthogonal_pair,
     kron,
     matrix_from_payload,
@@ -160,6 +161,20 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self, rng):
         with pytest.raises(ValueError, match="Hermitian"):
             eig_hermitian(random_complex(4, rng))
+
+
+class TestIsHermitian:
+    def test_stack_is_decided_per_matrix(self, rng):
+        stack = np.stack([random_hermitian(4, rng), random_complex(4, rng), np.eye(4)])
+        np.testing.assert_array_equal(is_hermitian(stack), [True, False, True])
+        assert [is_hermitian(x) for x in stack] == [True, False, True]
+
+    def test_scale_is_one_plus_max_entry(self):
+        big = np.diag([1e6, -1e6]).astype(complex)
+        big[0, 1] = 1e-5  # defect 1e-5 <= 1e-10 * (1 + 1e6)
+        assert is_hermitian(big)
+        big[0, 1] = 1e-3
+        assert not is_hermitian(big)
 
 
 class TestRandomSampling:

@@ -1,4 +1,6 @@
+from contextlib import contextmanager
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knrange.matcore import (
+    HERMITICITY_RTOL,
     BipartiteShape,
     hermitian_part,
+    is_hermitian,
     kron,
     max_abs,
     random_complex,
@@ -55,6 +59,22 @@ def direct_support_and_boundary(a, k, angles):
     w, v = direct_eigh(a, angles)
     vk = v[:, :, -k:]
     return w[:, -k:].sum(axis=1) / k, np.einsum("jis,jis->j", vk.conj(), a @ vk) / k
+
+
+@contextmanager
+def counted_solves():
+    """Record the number of matrices each Hermitian eigensolver call factors."""
+    solved = []
+
+    def counting(solver):
+        def wrapper(x, *args, **kwargs):
+            solved.append(int(np.prod(np.shape(x)[:-2])))
+            return solver(x, *args, **kwargs)
+        return wrapper
+
+    with mock.patch.object(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh)), \
+            mock.patch.object(np.linalg, "eigh", counting(np.linalg.eigh)):
+        yield solved
 
 
 class TestHermitianInterval:
@@ -416,28 +436,18 @@ class TestRotatedEigs:
         np.testing.assert_allclose(profile.support, ref_support, rtol=0, atol=tol)
         np.testing.assert_allclose(profile.boundary, ref_boundary, rtol=0, atol=tol)
 
-    def test_general_row_solves_half_of_an_even_grid(self, rng, monkeypatch):
-        solved = []
-
-        def counting(solver):
-            def wrapper(x, *args, **kwargs):
-                solved.append(int(np.prod(np.shape(x)[:-2])))
-                return solver(x, *args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
-        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    def test_general_row_solves_half_of_an_even_grid(self, rng):
         general, herm = random_complex(4, rng), random_hermitian(4, rng)
         for num_angles, general_solves in ((360, 180), (8, 4), (361, 361), (9, 9)):
             angles = _angle_grid(num_angles)
-            solved.clear()
-            support_values_batch(np.stack([general, herm]), 2, angles)
+            with counted_solves() as solved:
+                support_values_batch(np.stack([general, herm]), 2, angles)
             assert sum(solved) == general_solves + 1  # the Hermitian row: one solve
             for call in (lambda: krange_profile(general, 2, num_angles),
                          lambda: support_values(general, 2, angles),
                          lambda: k_numerical_radius(general, 2, num_angles)):
-                solved.clear()
-                call()
+                with counted_solves() as solved:
+                    call()
                 assert sum(solved) == general_solves
 
     @pytest.mark.parametrize("bad", [True, 8.5, 360.0, np.int64(8)],
@@ -463,3 +473,47 @@ class TestRotatedEigs:
                      lambda: boundary_point(a, True, 0.0)):
             with pytest.raises(ValueError, match="integer"):
                 call()
+
+
+def near_hermitian(seed: int, d: int, factor: float) -> np.ndarray:
+    """A Hermitian matrix plus a skew-Hermitian part whose defect max|A - A*|
+    is `factor` times the threshold HERMITICITY_RTOL * (1 + max|A|)."""
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(d, rng)
+    g = random_complex(d, rng)
+    skew = (g - g.conj().T) / max_abs(g - g.conj().T)  # max|skew - skew*| = 2
+    return h + (factor * HERMITICITY_RTOL * (1 + max_abs(h)) / 2) * skew
+
+
+class TestHermiticityThreshold:
+    """`matcore.is_hermitian` is the kernel's fast-path gate; probe it just
+    inside (0.5x) and just outside (2x) its threshold."""
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_is_hermitian_at_the_threshold(self, seed, d):
+        inside, outside = near_hermitian(seed, d, 0.5), near_hermitian(seed, d, 2.0)
+        assert is_hermitian(inside) is True
+        assert is_hermitian(outside) is False
+        np.testing.assert_array_equal(is_hermitian(np.stack([inside, outside])), [True, False])
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8),
+           num_angles=st.sampled_from([8, 90, 360]))
+    @settings(max_examples=25, deadline=None)
+    def test_fast_path_follows_is_hermitian(self, seed, d, num_angles):
+        angles = _angle_grid(num_angles)
+        for factor, solves in ((0.5, 1), (2.0, num_angles // 2)):
+            with counted_solves() as solved:
+                _rotated_eigs(near_hermitian(seed, d, factor)[None], angles)
+            assert sum(solved) == solves
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_fast_path_support_within_threshold(self, seed, d):
+        a = near_hermitian(seed, d, 0.5)
+        angles = _angle_grid(90)
+        ref_w, _ = direct_eigh(a, angles)
+        tol = d * HERMITICITY_RTOL * (1 + max_abs(a))
+        for k in range(1, d):
+            ref_support = ref_w[:, -k:].sum(axis=1) / k
+            np.testing.assert_allclose(support_values(a, k, angles), ref_support, rtol=0, atol=tol)
