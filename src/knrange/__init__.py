@@ -5,9 +5,6 @@ and executable checks of the underlying facts."""
 
 from .matcore import (
     BipartiteShape,
-    HermitianSpectrum,
-    adjoint,
-    eig_hermitian,
     hermitian_part,
     is_orthogonal_pair,
     kron,
@@ -15,7 +12,6 @@ from .matcore import (
     random_complex,
     random_haar_unitary,
     random_hermitian,
-    transpose,
 )
 from .ranges import (
     KInterval,
@@ -55,12 +51,10 @@ __all__ = [
     "BipartiteShape",
     "CanonicalFormSpec",
     "ClassificationReport",
-    "HermitianSpectrum",
     "KInterval",
     "LinearMapMatrix",
     "SupportProfile",
     "VerificationReport",
-    "adjoint",
     "affine_reflect",
     "apply_map",
     "boundary_point",
@@ -71,7 +65,6 @@ __all__ = [
     "choi_matrix",
     "classify_preserver",
     "counterexample_matrices",
-    "eig_hermitian",
     "falsify_random",
     "hermitian_part",
     "is_orthogonal_pair",
@@ -87,7 +80,6 @@ __all__ = [
     "ranges_equal",
     "sample_points",
     "support_value",
-    "transpose",
     "verify_preserver",
 ]
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classify
+from .classify import counterexample_matrices
 from .matcore import (
     HERMITICITY_RTOL,
     BipartiteShape,
@@ -57,18 +58,6 @@ SPECTRUM_TOL = 1e-10
 DEFAULT_SUITE_TRIALS = 20
 # Random matrices drawn by each range-property and complement check.
 PROPERTY_DRAWS = 20
-
-
-def counterexample_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (A, B): weighted shift X zero-padded to m x m and n x n."""
-    if m < 3 or n < 3:
-        raise ValueError(f"counterexample needs m, n >= 3, got ({m}, {n})")
-    x = np.array([[0, 3, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
-    a = np.zeros((m, m), dtype=complex)
-    b = np.zeros((n, n), dtype=complex)
-    a[:3, :3] = x
-    b[:3, :3] = x
-    return a, b
 
 
 @dataclass(frozen=True)

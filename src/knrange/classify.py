@@ -89,9 +89,8 @@ class CandidateMatch:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    verdict: str  # "classified" | "not_a_preserver" | "ambiguous"
+    verdict: str  # "classified" | "not_a_preserver"
     matched: CandidateMatch | None
-    all_matches: list[CandidateMatch] = field(default_factory=list)
     choi_gaps: dict[str, float] = field(default_factory=dict)
 
 
@@ -100,12 +99,23 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
 
+def counterexample_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (A, B): weighted shift X = [[0,3,0],[0,0,1],[0,0,0]] zero-padded
+    to m x m and n x n (see :mod:`knrange.checks` for its closed-form spectra)."""
+    if m < 3 or n < 3:
+        raise ValueError(f"counterexample needs m, n >= 3, got ({m}, {n})")
+    x = np.array([[0, 3, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
+    a = np.zeros((m, m), dtype=complex)
+    b = np.zeros((n, n), dtype=complex)
+    a[:3, :3] = x
+    b[:3, :3] = x
+    return a, b
+
+
 def _witness_pair(shape: BipartiteShape) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic first trial: the counterexample pair when both factors are
     at least 3x3 (it separates the partial transposes), else E_11 x E_11."""
     if shape.m >= 3 and shape.n >= 3:
-        from .checks import counterexample_matrices  # deferred: checks imports classify
-
         return counterexample_matrices(shape.m, shape.n)
     a = np.zeros((shape.m, shape.m), dtype=complex)
     b = np.zeros((shape.n, shape.n), dtype=complex)
@@ -198,14 +208,20 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     recovered U reproduces Phi entrywise within tol, which is the same as
     agreeing on every matrix unit tensor product (those are exactly the vec
     basis).
+
+    At most one candidate can match. Two matches of the same kind (the
+    reflection is invertible) would make the product of two distinct varphi a
+    unitary similarity, which none is. A plain plus an affine match would give
+    the image of E_11 the spectra {1, 0, ...} and {1/k - 1, 1/k, ...}, equal
+    only at mn = 2. Every candidate is still gated, so choi_gaps has one entry
+    per candidate.
     """
     _check_tol(tol)
     shape = phi.shape
     d = shape.dim
     diag = _trace_slots(d)
     gaps: dict[str, float] = {}
-    matches: list[CandidateMatch] = []
-    rebuilds: list[np.ndarray] = []  # the canonical map of each match
+    matched: CandidateMatch | None = None
 
     for tag, affine in canonical_forms(shape):
         key = f"{tag}+affine" if affine else tag
@@ -233,21 +249,10 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
             continue  # recovered matrix not unitary enough: near-miss, no match
         residual = max_abs(rebuilt.matrix - phi.matrix)
         if residual <= tol:
-            matches.append(CandidateMatch(varphi=tag, affine=affine, unitary=u, residual=residual))
-            rebuilds.append(rebuilt.matrix)
+            matched = CandidateMatch(varphi=tag, affine=affine, unitary=u, residual=residual)
 
-    if not matches:
-        return ClassificationReport(verdict="not_a_preserver", matched=None, choi_gaps=gaps)
-    # Matches all rebuild to within tol of phi; call the result ambiguous only
-    # if two matched rebuilds disagree with each other beyond tol.
-    verdict = "classified"
-    for i in range(len(rebuilds)):
-        for j in range(i + 1, len(rebuilds)):
-            if max_abs(rebuilds[i] - rebuilds[j]) > tol:
-                verdict = "ambiguous"
-    return ClassificationReport(
-        verdict=verdict, matched=matches[0], all_matches=matches, choi_gaps=gaps
-    )
+    verdict = "not_a_preserver" if matched is None else "classified"
+    return ClassificationReport(verdict=verdict, matched=matched, choi_gaps=gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +379,15 @@ def verification_to_payload(report: VerificationReport) -> dict:
 
 
 def classification_to_payload(report: ClassificationReport) -> dict:
-    def match_payload(m: CandidateMatch) -> dict:
-        return {
+    m = report.matched
+    return {
+        "verdict": report.verdict,
+        "matched": None if m is None else {
             "varphi": m.varphi,
             "affine": m.affine,
             "residual": m.residual,
             "unitary": matrix_to_payload(m.unitary),
-        }
-
-    return {
-        "verdict": report.verdict,
-        "matched": match_payload(report.matched) if report.matched else None,
-        "all_matches": [match_payload(m) for m in report.all_matches],
+        },
         "choi_gaps": dict(sorted(report.choi_gaps.items())),
     }
 

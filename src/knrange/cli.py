@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands:
-  range    compute the W_k support profile of a matrix file (CSV/SVG/JSON)
+  range    compute the W_k support profile of a matrix file (CSV/SVG/JSON);
+           for a Hermitian input the W_k interval goes to stderr, so stdout
+           carries only the profile
   verify   verify a linear map (map file or canonical descriptor) and, on
            pass, classify it, printing the report JSON
   suite    run the full check battery for a shape and write artifacts
@@ -49,7 +51,10 @@ def _cmd_range(args) -> int:
     profile = krange_profile(matrix, args.k, args.angles)
     if is_hermitian(matrix):
         interval = krange_hermitian(matrix, args.k)
-        print(f"Hermitian input: W_{args.k} = [{interval.lo:.12g}, {interval.hi:.12g}]")
+        print(
+            f"Hermitian input: W_{args.k} = [{interval.lo:.12g}, {interval.hi:.12g}]",
+            file=sys.stderr,
+        )
     if args.format == "csv":
         _write_or_print(profile_csv(profile), args.out)
     elif args.format == "svg":

@@ -86,12 +86,6 @@ class CanonicalFormSpec:
                 f"affine form requires mn = 2k, got mn={self.shape.dim}, k={self.shape.k}"
             )
 
-    @property
-    def is_preserver_form(self) -> bool:
-        """Whether this form genuinely preserves W_k on tensor products
-        (see :func:`preserves_on_tensors`)."""
-        return preserves_on_tensors(self.varphi, self.shape)
-
 
 @dataclass(frozen=True)
 class LinearMapMatrix:

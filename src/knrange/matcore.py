@@ -1,5 +1,5 @@
-"""Dense complex matrix primitives: Kronecker products, transposition variants,
-Hermitian eigendecomposition, seeded random sampling, and the matrix JSON format.
+"""Dense complex matrix primitives: Kronecker products, Hermitian parts and
+partial transposes, seeded random sampling, and the matrix JSON format.
 
 Convention fixed here once and relied on everywhere else (in particular by the
 map-matrix machinery in :mod:`knrange.maps`):
@@ -83,29 +83,9 @@ class BipartiteShape:
         return self.m * self.n == 2 * self.k
 
 
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Eigenvalues sorted descending plus the matching orthonormal eigenvector frame.
-
-    frame[:, i] is the unit eigenvector for eigenvalues[i]; the frame is unitary
-    and frame @ diag(eigenvalues) @ frame* reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    frame: np.ndarray
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product: (A x B)[i*n+p, j*n+q] = A[i,j] * B[p,q]."""
     return np.kron(as_matrix(a), as_matrix(b))
-
-
-def transpose(a) -> np.ndarray:
-    return as_matrix(a).T.copy()
-
-
-def adjoint(a) -> np.ndarray:
-    return as_matrix(a).conj().T.copy()
 
 
 def hermitian_part(a) -> np.ndarray:
@@ -137,21 +117,6 @@ def partial_transpose(x, shape: BipartiteShape, side: str) -> np.ndarray:
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return t.reshape(shape.dim, shape.dim).copy()
-
-
-def eig_hermitian(h) -> HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Rejects inputs whose hermiticity defect exceeds the module gate. Equal
-    eigenvalues keep the (deterministic) LAPACK ordering, reversed.
-    """
-    m = as_matrix(h)
-    if not is_hermitian(m):
-        raise ValueError(
-            f"matrix is not Hermitian within tolerance (defect {hermiticity_defect(m):.3e})"
-        )
-    w, v = np.linalg.eigh(m)
-    return HermitianSpectrum(eigenvalues=w[::-1].copy(), frame=v[:, ::-1].copy())
 
 
 def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:

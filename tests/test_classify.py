@@ -175,15 +175,27 @@ class TestClassify:
         json.dumps(classification_to_payload(report))
 
 
+CHOI_SHAPES = [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3), BipartiteShape(3, 3, 4),
+               BipartiteShape(2, 4, 4)]
+# Every canonical form at each of CHOI_SHAPES. The two leading cases keep the
+# test ids [shape0-t-False] and [shape1-pt_left-True] stable.
+_FIRST_CASES = [(BipartiteShape(3, 3, 4), "t", False), (BipartiteShape(2, 2, 2), "pt_left", True)]
+ONE_EIGH_CASES = _FIRST_CASES + [
+    (shape, tag, affine)
+    for shape in CHOI_SHAPES
+    for tag, affine in canonical_forms(shape)
+    if (shape, tag, affine) not in _FIRST_CASES
+]
+
+
 class TestChoiSolves:
     """The Choi gates read eigenvalues only; eigenvectors are computed for a
     candidate only once it has passed every gate."""
 
-    @pytest.mark.parametrize(
-        "shape,tag,affine",
-        [(BipartiteShape(3, 3, 4), "t", False), (BipartiteShape(2, 2, 2), "pt_left", True)],
-    )
+    @pytest.mark.parametrize("shape,tag,affine", ONE_EIGH_CASES)
     def test_one_eigh_for_a_canonical_map(self, monkeypatch, shape, tag, affine):
+        """One eigh means exactly one candidate passes the gates, and the match
+        is the form that was built: the classifier never meets a second match."""
         phi, _ = canonical(shape, tag, seed=3, affine=affine)
         calls = counting_solvers(monkeypatch)
         report = classify_preserver(phi)
@@ -198,11 +210,7 @@ class TestChoiSolves:
         assert classify_preserver(phi).verdict == "not_a_preserver"
         assert calls == {"eigvalsh": len(canonical_forms(shape)), "eigh": 0}
 
-    @pytest.mark.parametrize(
-        "shape",
-        [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3), BipartiteShape(3, 3, 4),
-         BipartiteShape(2, 4, 4)],
-    )
+    @pytest.mark.parametrize("shape", CHOI_SHAPES)
     def test_matches_full_eigh_reference(self, monkeypatch, shape):
         maps = [canonical(shape, tag, seed=40 + i, affine=affine)[0]
                 for i, (tag, affine) in enumerate(canonical_forms(shape))]
@@ -215,9 +223,10 @@ class TestChoiSolves:
         reference = [classify_preserver(phi) for phi in maps]
         for got, ref in zip(fast, reference):
             assert got.verdict == ref.verdict
-            assert ([(m.varphi, m.affine) for m in got.all_matches]
-                    == [(r.varphi, r.affine) for r in ref.all_matches])
-            for m, r in zip(got.all_matches, ref.all_matches):
+            assert (got.matched is None) == (ref.matched is None)
+            if got.matched is not None:
+                m, r = got.matched, ref.matched
+                assert (m.varphi, m.affine) == (r.varphi, r.affine)
                 assert m.unitary.tobytes() == r.unitary.tobytes()
                 assert m.residual == r.residual
             assert got.choi_gaps.keys() == ref.choi_gaps.keys()

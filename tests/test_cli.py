@@ -11,7 +11,7 @@ from knrange import checks, classify, cli, ranges
 from knrange.classify import _random_constrained_map
 from knrange.checks import counterexample_matrices
 from knrange.maps import map_to_payload
-from knrange.matcore import BipartiteShape, kron, save_matrix
+from knrange.matcore import BipartiteShape, kron, random_hermitian, save_matrix
 
 from conftest import shift3
 
@@ -27,11 +27,24 @@ class TestRangeCommand:
         save_matrix(np.eye(4, dtype=complex), mpath)
         out = tmp_path / "profile.csv"
         assert cli.main(["range", str(mpath), "--k", "2", "--out", str(out)]) == 0
-        assert "W_2 = [1, 1]" in capsys.readouterr().out
+        assert "W_2 = [1, 1]" in capsys.readouterr().err
         rows = out.read_text().splitlines()[1:]
         values = np.array([[float(v) for v in row.split(",")] for row in rows])
         np.testing.assert_allclose(values[:, 2], 1.0, atol=1e-12)  # boundary_re
         np.testing.assert_allclose(values[:, 3], 0.0, atol=1e-12)  # boundary_im
+
+    def test_hermitian_json_to_stdout_parses(self, tmp_path, capsys):
+        mpath = tmp_path / "herm.json"
+        save_matrix(random_hermitian(5, 3), mpath)
+        args = ["range", str(mpath), "--k", "2", "--format", "json"]
+        assert cli.main(args) == 0
+        captured = capsys.readouterr()
+        json.loads(captured.out)
+        assert "Hermitian input: W_2 = [" in captured.err
+        out = tmp_path / "profile.json"
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert captured.out == out.read_text()
+        assert capsys.readouterr().out == ""
 
     def test_counterexample_product_max_support(self, tmp_path):
         x = shift3()

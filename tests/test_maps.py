@@ -37,6 +37,7 @@ from knrange.maps import (
     map_from_choi,
     map_from_payload,
     map_to_payload,
+    preserves_on_tensors,
     reflect_map,
     varphi_map,
 )
@@ -85,9 +86,7 @@ class TestFormSpec:
         ],
     )
     def test_preserver_form_flag(self, m, n, tag, expected):
-        shape = BipartiteShape(m, n, 2)
-        spec = CanonicalFormSpec(tag, np.eye(shape.dim, dtype=complex), False, shape)
-        assert spec.is_preserver_form is expected
+        assert preserves_on_tensors(tag, BipartiteShape(m, n, 2)) is expected
 
 
 class TestBuildCanonical:
