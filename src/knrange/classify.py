@@ -5,11 +5,12 @@ Verification is statistical: random factor pairs (A, B), support functions of
 A x B and Phi(A x B) compared on a shared angle grid. Classification is exact
 up to tolerance: composing Phi with each candidate varphi (and the trace
 reflection for affine candidates) must yield a pure unitary conjugation, which
-is detected by its Choi matrix being Hermitian PSD of rank one. The gates read
-the Choi spectrum alone (`eigvalsh`); only a candidate that passes them pays
-for a full eigendecomposition, whose top eigenvector is the conjugating
-unitary. A map that fails every gate, as a random map does, computes no
-eigenvector at all.
+is detected by its Choi matrix being Hermitian PSD of rank one. The gates
+read the Choi spectrum alone (`eigvalsh`), one solve per varphi: an affine
+candidate of a trace-preserving map reuses the spectrum of its plain twin
+(see :func:`classify_preserver`). The unitary of a candidate that passes
+every gate is read off its rank-one Choi matrix by one matrix-vector
+product, so no full eigendecomposition is ever computed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .matcore import (
     BipartiteShape,
+    hermitian_part,
     hermiticity_defect,
     kron,
     matrix_to_payload,
@@ -53,6 +55,9 @@ DEFAULT_TRIALS = 50
 FALSIFY_TRIALS = 8
 FALSIFY_NUM_ANGLES = 120
 FALSIFY_REJECT_TOL = 1e-6
+# Largest max|T - I| over the trace form T_pq = tr Phi(E_pq) at which an
+# affine candidate takes its spectrum from its plain twin (classify_preserver).
+TRACE_FORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -192,22 +197,47 @@ def _normalize_phase(u: np.ndarray) -> np.ndarray:
     return u * (abs(pivot) / pivot)
 
 
+def _rank_one_vector(herm: np.ndarray) -> np.ndarray:
+    """Unit top eigenvector, up to phase, of a Hermitian herm = c vv* + E with
+    c > 0 and E small: one power step, herm times its column of largest
+    diagonal entry. That column is c conj(v_j) v plus a column of E, and the
+    step squares the ratio of the E part to the v part."""
+    j = int(np.argmax(herm.diagonal().real))
+    x = herm @ herm[:, j]
+    return x / np.linalg.norm(x)
+
+
 def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> ClassificationReport:
     """Identify the canonical form of a map and recover its unitary.
 
     For each candidate (varphi, affine): Psi = (reflection if affine) o Phi o
     varphi^{-1} (each varphi is an involution) must be X -> U X U*. Its Choi
-    matrix then is Hermitian PSD rank one with top eigenvalue mn. The gates
-    (Hermiticity defect, spectral gap, top eigenvalue) use the eigenvalues of
-    the Hermitised Choi matrix only; a candidate that passes all three
-    decomposes that same matrix once more with eigenvectors, and U is the
-    reshaped top eigenvector, phase-normalized. Psi is formed without a dense
-    product: composing with varphi permutes the columns of the map matrix and
-    the reflection is a rank-one update (see :mod:`knrange.maps`). The
-    candidate counts as a match only if rebuilding the canonical map from the
-    recovered U reproduces Phi entrywise within tol, which is the same as
-    agreeing on every matrix unit tensor product (those are exactly the vec
-    basis).
+    matrix then is Hermitian PSD rank one, vec(U) vec(U)*, with top eigenvalue
+    d = mn. The gates (Hermiticity defect, spectral gap, top eigenvalue) use
+    the eigenvalues of the Hermitised Choi matrix only. Psi is formed without
+    a dense product: composing with varphi permutes the columns of the map
+    matrix and the reflection is a rank-one update (see :mod:`knrange.maps`).
+
+    Affine candidates need no solve of their own when Phi preserves traces.
+    With C the Choi matrix of Phi o varphi and T_pq = tr Phi(varphi(E_pq)) its
+    trace form, the reflected candidate's Choi matrix is (T x I) / k - C. Each
+    varphi permutes the matrix units and fixes the diagonal ones, so
+    max|T - I| is the same for every varphi and is read once off the map
+    matrix. When it is at most TRACE_FORM_TOL the affine spectrum is taken as
+    1/k - w[::-1], with w the plain candidate's ascending spectrum; by Weyl's
+    inequality that is off by at most d max|T - I| / k per eigenvalue (the
+    spectral norm of T - I is at most d times its largest entry). Otherwise,
+    as for a map that does not preserve traces, the affine Choi matrix is
+    solved directly. The Hermiticity defect is always that of the candidate's
+    own Choi matrix.
+
+    A candidate that passes the gates has a Hermitised Choi matrix
+    d vv* + E, ||E|| <= tol d, and vec(U) / sqrt(d) is v up to phase: it is
+    read off by one power step from the column with the largest diagonal
+    entry, reshaped and phase-normalized. The candidate counts as a match only
+    if U is unitary within maps.UNITARITY_TOL and rebuilding the canonical map
+    from it reproduces Phi entrywise within tol, which is the same as agreeing
+    on every matrix unit tensor product (those are exactly the vec basis).
 
     At most one candidate can match. Two matches of the same kind (the
     reflection is invertible) would make the product of two distinct varphi a
@@ -220,6 +250,10 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     shape = phi.shape
     d = shape.dim
     diag = _trace_slots(d)
+    trace_defect = phi.matrix[diag].sum(axis=0)  # vec(T), T_pq = tr Phi(E_pq)
+    trace_defect[diag] -= 1.0  # vec(T - I)
+    reuse_spectrum = max_abs(trace_defect) <= TRACE_FORM_TOL
+    spectra: dict[str, np.ndarray] = {}
     gaps: dict[str, float] = {}
     matched: CandidateMatch | None = None
 
@@ -233,14 +267,16 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
             psi[diag] += trace_row
         choi = choi_matrix(LinearMapMatrix(shape, psi))
         herm_defect = hermiticity_defect(choi)
-        herm = (choi + choi.conj().T) / 2
-        w = np.linalg.eigvalsh(herm)
+        if affine and reuse_spectrum:
+            w = 1.0 / shape.k - spectra[tag][::-1]  # the plain twin's, reflected
+        else:
+            w = np.linalg.eigvalsh(hermitian_part(choi))
+        spectra[key] = w
         gap = max(abs(float(w[-2])), abs(float(w[0]))) / d
         gaps[key] = gap
         if herm_defect > tol * d or gap > tol or abs(float(w[-1]) - d) > tol * d:
             continue
-        _, v = np.linalg.eigh(herm)  # eigenvectors only for a candidate past every gate
-        u = _normalize_phase(unvec(v[:, -1], d) * np.sqrt(d))
+        u = _normalize_phase(unvec(_rank_one_vector(hermitian_part(choi)), d) * np.sqrt(d))
         try:
             rebuilt = build_canonical(
                 CanonicalFormSpec(varphi=tag, unitary=u, affine=affine, shape=shape)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -195,6 +196,9 @@ def matrix_from_payload(payload: dict) -> np.ndarray:
         if len(entries) != d * d:
             raise ValueError(f"expected {d * d} entries, got {len(entries)}")
         flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+        # complex() rejects strings, null and lists, but reads true/false as 1/0
+        if {bool, np.bool_} & set(map(type, chain.from_iterable(entries))):
+            raise ValueError("matrix entries must be numbers, got a boolean")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix payload: {exc!r}") from exc
     return as_matrix(flat.reshape(d, d))

@@ -1,3 +1,6 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -19,3 +22,35 @@ def unit_matrix(dim: int, i: int, j: int) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+class SolverLog(list):
+    """One (solver name, matrices solved) entry per call of numpy's Hermitian
+    eigensolvers; a (count, d, d) stack counts as count matrices."""
+
+    def matrices(self) -> int:
+        return sum(solved for _, solved in self)
+
+    def calls(self) -> dict[str, int]:
+        counts = {"eigvalsh": 0, "eigh": 0}
+        for name, _ in self:
+            counts[name] += 1
+        return counts
+
+
+@contextmanager
+def solver_log():
+    """Record every np.linalg.eigvalsh and np.linalg.eigh call in the block."""
+    log = SolverLog()
+
+    def counting(name):
+        solver = getattr(np.linalg, name)
+
+        def wrapper(x, *args, **kwargs):
+            log.append((name, int(np.prod(np.shape(x)[:-2]))))
+            return solver(x, *args, **kwargs)
+        return wrapper
+
+    with mock.patch.object(np.linalg, "eigvalsh", counting("eigvalsh")), \
+            mock.patch.object(np.linalg, "eigh", counting("eigh")):
+        yield log

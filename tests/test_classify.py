@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from knrange.classify import (
+    TRACE_FORM_TOL,
     _random_constrained_map,
     classification_to_payload,
     classify_preserver,
@@ -12,38 +13,26 @@ from knrange.classify import (
     verification_to_payload,
     verify_preserver,
 )
-from knrange.matcore import BipartiteShape, random_haar_unitary
+from knrange.matcore import BipartiteShape, max_abs, random_complex, random_haar_unitary, unvec
 from knrange.maps import (
     CanonicalFormSpec,
     LinearMapMatrix,
     VARPHI_TAGS,
     build_canonical,
     canonical_forms,
+    choi_matrix,
+    compose,
+    reflect_map,
     varphi_map,
 )
 from knrange.checks import counterexample_matrices
+
+from conftest import solver_log
 
 
 def canonical(shape, tag, seed, affine=False):
     u = random_haar_unitary(shape.dim, seed)
     return build_canonical(CanonicalFormSpec(tag, u, affine, shape)), u
-
-
-def counting_solvers(monkeypatch):
-    """Patch numpy's Hermitian eigensolvers to record how often each runs."""
-    calls = {"eigvalsh": 0, "eigh": 0}
-
-    def counting(name):
-        solver = getattr(np.linalg, name)
-
-        def wrapper(x, *args, **kwargs):
-            calls[name] += 1
-            return solver(x, *args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counting(name))
-    return calls
 
 
 def buildable_forms(shape):
@@ -189,26 +178,28 @@ ONE_EIGH_CASES = _FIRST_CASES + [
 
 
 class TestChoiSolves:
-    """The Choi gates read eigenvalues only; eigenvectors are computed for a
-    candidate only once it has passed every gate."""
+    """The Choi gates read eigenvalues only, one eigvalsh per varphi: an affine
+    candidate of a trace-preserving map reuses its plain twin's spectrum. The
+    unitary of the candidate that passes is read off without an eigh."""
 
     @pytest.mark.parametrize("shape,tag,affine", ONE_EIGH_CASES)
-    def test_one_eigh_for_a_canonical_map(self, monkeypatch, shape, tag, affine):
-        """One eigh means exactly one candidate passes the gates, and the match
-        is the form that was built: the classifier never meets a second match."""
+    def test_one_eigh_for_a_canonical_map(self, shape, tag, affine):
+        """Exactly one candidate passes the gap gate, and the match is the
+        form that was built: the classifier never meets a second match."""
         phi, _ = canonical(shape, tag, seed=3, affine=affine)
-        calls = counting_solvers(monkeypatch)
-        report = classify_preserver(phi)
+        with solver_log() as log:
+            report = classify_preserver(phi)
         assert report.verdict == "classified"
         assert (report.matched.varphi, report.matched.affine) == (tag, affine)
-        assert calls == {"eigvalsh": len(canonical_forms(shape)), "eigh": 1}
+        assert sum(gap <= 1e-8 for gap in report.choi_gaps.values()) == 1
+        assert log.calls() == {"eigvalsh": len(VARPHI_TAGS), "eigh": 0}
 
-    def test_no_eigh_for_a_random_map(self, monkeypatch):
+    def test_no_eigh_for_a_random_map(self):
         shape = BipartiteShape(2, 3, 3)
         phi = _random_constrained_map(shape, np.random.default_rng(5))
-        calls = counting_solvers(monkeypatch)
-        assert classify_preserver(phi).verdict == "not_a_preserver"
-        assert calls == {"eigvalsh": len(canonical_forms(shape)), "eigh": 0}
+        with solver_log() as log:
+            assert classify_preserver(phi).verdict == "not_a_preserver"
+        assert log.calls() == {"eigvalsh": len(VARPHI_TAGS), "eigh": 0}
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES)
     def test_matches_full_eigh_reference(self, monkeypatch, shape):
@@ -233,6 +224,102 @@ class TestChoiSolves:
             for k in got.choi_gaps:
                 assert abs(got.choi_gaps[k] - ref.choi_gaps[k]) <= 1e-12
         assert [r.verdict for r in fast] == ["classified"] * (len(maps) - 1) + ["not_a_preserver"]
+
+
+def eigh_classifier(phi, tol=1e-8):
+    """Oracle: every candidate composed by dense map products and its Choi
+    matrix solved with eigh; the unitary is the top eigenvector. Same gates,
+    phase rule and rebuild check as classify_preserver."""
+    shape, d = phi.shape, phi.shape.dim
+    gaps, matched = {}, None
+    for tag, affine in canonical_forms(shape):
+        psi = compose(phi, varphi_map(shape, tag))
+        if affine:
+            psi = compose(reflect_map(shape), psi)
+        choi = choi_matrix(psi)
+        herm = (choi + choi.conj().T) / 2
+        w, v = np.linalg.eigh(herm)
+        gap = max(abs(w[-2]), abs(w[0])) / d
+        gaps[f"{tag}+affine" if affine else tag] = gap
+        if max_abs(choi - choi.conj().T) > tol * d or gap > tol or abs(w[-1] - d) > tol * d:
+            continue
+        u = unvec(v[:, -1], d) * np.sqrt(d)
+        pivot = u.flat[np.argmax(np.abs(u))]
+        u = u * (abs(pivot) / pivot)
+        try:
+            rebuilt = build_canonical(CanonicalFormSpec(tag, u, affine, shape))
+        except ValueError:
+            continue
+        if max_abs(rebuilt.matrix - phi.matrix) <= tol:
+            matched = (tag, affine, u)
+    return gaps, matched
+
+
+def oracle_maps(shape):
+    rng = np.random.default_rng(shape.dim)
+    maps = [canonical(shape, tag, seed=70 + i, affine=affine)[0]
+            for i, (tag, affine) in enumerate(canonical_forms(shape))]
+    maps.append(_random_constrained_map(shape, rng))  # a falsifier draw
+    maps.append(LinearMapMatrix(shape, random_complex(shape.dim ** 2, rng)))
+    return maps
+
+
+class TestAgainstEighOracle:
+    @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
+    def test_same_verdicts_gaps_and_unitaries(self, shape):
+        verdicts = []
+        for phi in oracle_maps(shape):
+            report = classify_preserver(phi)
+            verdicts.append(report.verdict)
+            gaps, matched = eigh_classifier(phi)
+            assert report.verdict == ("not_a_preserver" if matched is None else "classified")
+            assert report.choi_gaps.keys() == gaps.keys()
+            for key, gap in gaps.items():
+                assert abs(report.choi_gaps[key] - gap) <= 1e-12
+            if matched is not None:
+                got = report.matched
+                assert (got.varphi, got.affine) == matched[:2]
+                assert max_abs(got.unitary - matched[2]) <= 1e-12
+        forms = len(canonical_forms(shape))
+        assert verdicts == ["classified"] * forms + ["not_a_preserver"] * 2
+
+    @pytest.mark.parametrize("shape,tag,affine", [(BipartiteShape(2, 4, 4), "t", True),
+                                                  (BipartiteShape(3, 3, 4), "id", False)])
+    def test_read_off_matches_eigh_near_rank_one(self, shape, tag, affine):
+        """Noise of 1e-10 on the map: the power step still agrees with eigh's
+        top eigenvector to rounding (the bare column would be off by ~3e-10
+        and fail the unitarity check)."""
+        phi, _ = canonical(shape, tag, seed=5, affine=affine)
+        noise = random_complex(shape.dim ** 2, np.random.default_rng(2))
+        noisy = LinearMapMatrix(shape, phi.matrix + 1e-10 * noise)
+        report = classify_preserver(noisy)
+        _, matched = eigh_classifier(noisy)
+        assert report.verdict == "classified" and matched is not None
+        assert max_abs(report.matched.unitary - matched[2]) <= 1e-12
+
+    def test_random_dense_map_solves_every_candidate(self):
+        shape = BipartiteShape(2, 4, 4)
+        phi = LinearMapMatrix(shape, random_complex(64, np.random.default_rng(1)))
+        with solver_log() as log:
+            assert classify_preserver(phi).verdict == "not_a_preserver"
+        assert log.calls() == {"eigvalsh": len(canonical_forms(shape)), "eigh": 0}
+
+    @pytest.mark.parametrize("scale,solves", [(1.01, 8), (0.99, 4)], ids=["outside", "inside"])
+    def test_trace_form_threshold(self, scale, solves):
+        shape = BipartiteShape(2, 2, 2)
+        phi, _ = canonical(shape, "t", seed=11)
+        size = scale * TRACE_FORM_TOL
+        matrix = phi.matrix.copy()
+        matrix[0, 1] += size  # row 0 is the (0, 0) slot: tr Phi(E_10) moves by size
+        perturbed = LinearMapMatrix(shape, matrix)
+        with solver_log() as log:
+            report = classify_preserver(perturbed)
+        assert log.calls() == {"eigvalsh": solves, "eigh": 0}
+        # Weyl: each reused affine eigenvalue is within d max|T - I| / k of a
+        # direct solve, so each gap (a spectrum entry over d) within size / k.
+        gaps, _ = eigh_classifier(perturbed)
+        for key, gap in gaps.items():
+            assert abs(report.choi_gaps[key] - gap) <= size / shape.k + 1e-14
 
 
 class TestFalsify:

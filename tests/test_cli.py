@@ -239,6 +239,24 @@ def test_bad_run_settings_exit_2_without_output(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["range", "verify"])
+def test_boolean_entries_exit_2_without_output(tmp_path, capsys, command):
+    """JSON true/false are not matrix entries, though complex() reads them as 1/0."""
+    if command == "range":
+        payload = {"dim": 2, "entries": [[True, False], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+        argv = ["--k", "1"]
+    else:
+        payload = map_to_payload(_random_constrained_map(BipartiteShape(2, 2, 2),
+                                                         np.random.default_rng(12)))
+        payload["entries"][5] = [False, 0.0]
+        argv = ["--trials", "2", "--angles", "8"]
+    path, out = tmp_path / "input.json", tmp_path / "out"
+    write_json(path, payload)
+    assert cli.main([command, str(path)] + argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
 def test_suite_default_trials_is_the_library_constant():
     suite = cli._build_parser().parse_args(["suite", "--m", "2", "--n", "2", "--k", "2"])
     assert suite.trials == checks.DEFAULT_SUITE_TRIALS

@@ -235,6 +235,8 @@ class TestMatrixFile:
         {"dim": 1, "entries": 5},
         {"dim": 1, "entries": [["1", 0.0]]},
         [1, 2, 3],
+        {"dim": 2, "entries": [[True, False], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+        {"dim": 1, "entries": [[1.0, np.True_]]},
     ])
     def test_malformed_payload_is_value_error(self, payload):
         with pytest.raises(ValueError):

@@ -1,6 +1,4 @@
-from contextlib import contextmanager
 from itertools import combinations
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +32,7 @@ from knrange.ranges import (
     support_values_batch,
 )
 
-from conftest import SQRT_41_OVER_2, SQRT_9_OVER_2, shift3, unit_matrix
+from conftest import SQRT_41_OVER_2, SQRT_9_OVER_2, shift3, solver_log, unit_matrix
 
 
 def interval_by_enumeration(diag_values, k):
@@ -59,22 +57,6 @@ def direct_support_and_boundary(a, k, angles):
     w, v = direct_eigh(a, angles)
     vk = v[:, :, -k:]
     return w[:, -k:].sum(axis=1) / k, np.einsum("jis,jis->j", vk.conj(), a @ vk) / k
-
-
-@contextmanager
-def counted_solves():
-    """Record the number of matrices each Hermitian eigensolver call factors."""
-    solved = []
-
-    def counting(solver):
-        def wrapper(x, *args, **kwargs):
-            solved.append(int(np.prod(np.shape(x)[:-2])))
-            return solver(x, *args, **kwargs)
-        return wrapper
-
-    with mock.patch.object(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh)), \
-            mock.patch.object(np.linalg, "eigh", counting(np.linalg.eigh)):
-        yield solved
 
 
 class TestHermitianInterval:
@@ -440,15 +422,15 @@ class TestRotatedEigs:
         general, herm = random_complex(4, rng), random_hermitian(4, rng)
         for num_angles, general_solves in ((360, 180), (8, 4), (361, 361), (9, 9)):
             angles = _angle_grid(num_angles)
-            with counted_solves() as solved:
+            with solver_log() as solved:
                 support_values_batch(np.stack([general, herm]), 2, angles)
-            assert sum(solved) == general_solves + 1  # the Hermitian row: one solve
+            assert solved.matrices() == general_solves + 1  # the Hermitian row: one solve
             for call in (lambda: krange_profile(general, 2, num_angles),
                          lambda: support_values(general, 2, angles),
                          lambda: k_numerical_radius(general, 2, num_angles)):
-                with counted_solves() as solved:
+                with solver_log() as solved:
                     call()
-                assert sum(solved) == general_solves
+                assert solved.matrices() == general_solves
 
     @pytest.mark.parametrize("bad", [True, 8.5, 360.0, np.int64(8)],
                              ids=["bool", "fraction", "whole-float", "numpy-int"])
@@ -503,9 +485,9 @@ class TestHermiticityThreshold:
     def test_fast_path_follows_is_hermitian(self, seed, d, num_angles):
         angles = _angle_grid(num_angles)
         for factor, solves in ((0.5, 1), (2.0, num_angles // 2)):
-            with counted_solves() as solved:
+            with solver_log() as solved:
                 _rotated_eigs(near_hermitian(seed, d, factor)[None], angles)
-            assert sum(solved) == solves
+            assert solved.matrices() == solves
 
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8))
     @settings(max_examples=25, deadline=None)
