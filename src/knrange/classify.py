@@ -11,6 +11,11 @@ candidate of a trace-preserving map reuses the spectrum of its plain twin
 (see :func:`classify_preserver`). The unitary of a candidate that passes
 every gate is read off its rank-one Choi matrix by one matrix-vector
 product, so no full eigendecomposition is ever computed.
+
+The random falsifier keeps a draw without any Choi solve when the Frobenius
+norm of its Hermitised Choi matrix, which every candidate shares, is too
+small for any candidate to reach the top-eigenvalue gate (see
+:func:`_excludes_every_candidate`).
 """
 
 from __future__ import annotations
@@ -207,6 +212,21 @@ def _rank_one_vector(herm: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
+def _candidate_choi(phi: LinearMapMatrix, tag: str, affine: bool) -> np.ndarray:
+    """Choi matrix of (reflection if affine) o Phi o varphi, without a dense
+    product: varphi permutes the columns of the map matrix and the reflection
+    is a rank-one update (see :mod:`knrange.maps`)."""
+    shape = phi.shape
+    psi = phi.matrix[:, _varphi_perm(shape, tag)]
+    if affine:
+        # (tr(.) / k) I - (.) applied after psi
+        diag = _trace_slots(shape.dim)
+        trace_row = psi[diag].sum(axis=0) / shape.k
+        psi = -psi
+        psi[diag] += trace_row
+    return choi_matrix(LinearMapMatrix(shape, psi))
+
+
 def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> ClassificationReport:
     """Identify the canonical form of a map and recover its unitary.
 
@@ -215,8 +235,17 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     matrix then is Hermitian PSD rank one, vec(U) vec(U)*, with top eigenvalue
     d = mn. The gates (Hermiticity defect, spectral gap, top eigenvalue) use
     the eigenvalues of the Hermitised Choi matrix only. Psi is formed without
-    a dense product: composing with varphi permutes the columns of the map
-    matrix and the reflection is a rank-one update (see :mod:`knrange.maps`).
+    a dense product (:func:`_candidate_choi`).
+
+    Each varphi permutes the matrix units, E_pq -> E_sigma(p,q), and commutes
+    with the transpose. So the Choi matrix of Phi o varphi, whose (p, q) block
+    is Phi(varphi(E_pq)), is an entry permutation of that of Phi that carries
+    each mirrored pair (x, y) = (C[a, b], C[b, a]) to a mirrored pair: its
+    Hermitian part (x + conj y) / 2, its Frobenius norm and its Hermiticity
+    defect max|x - conj y| are those of Phi, bitwise. The affine candidates'
+    Choi matrices, (T x I) / k - C with T the trace form below, are permuted
+    the same way. The defect is therefore computed once per kind, on the
+    first candidate of it.
 
     Affine candidates need no solve of their own when Phi preserves traces.
     With C the Choi matrix of Phi o varphi and T_pq = tr Phi(varphi(E_pq)) its
@@ -228,8 +257,7 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     inequality that is off by at most d max|T - I| / k per eigenvalue (the
     spectral norm of T - I is at most d times its largest entry). Otherwise,
     as for a map that does not preserve traces, the affine Choi matrix is
-    solved directly. The Hermiticity defect is always that of the candidate's
-    own Choi matrix.
+    solved directly.
 
     A candidate that passes the gates has a Hermitised Choi matrix
     d vv* + E, ||E|| <= tol d, and vec(U) / sqrt(d) is v up to phase: it is
@@ -254,28 +282,29 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     trace_defect[diag] -= 1.0  # vec(T - I)
     reuse_spectrum = max_abs(trace_defect) <= TRACE_FORM_TOL
     spectra: dict[str, np.ndarray] = {}
+    defects: dict[bool, float] = {}  # Hermiticity defect, keyed by affine
     gaps: dict[str, float] = {}
     matched: CandidateMatch | None = None
 
     for tag, affine in canonical_forms(shape):
         key = f"{tag}+affine" if affine else tag
-        psi = phi.matrix[:, _varphi_perm(shape, tag)]  # Phi o varphi
-        if affine:
-            # (tr(.) / k) I - (.) applied after psi: a rank-one update
-            trace_row = psi[diag].sum(axis=0) / shape.k
-            psi = -psi
-            psi[diag] += trace_row
-        choi = choi_matrix(LinearMapMatrix(shape, psi))
-        herm_defect = hermiticity_defect(choi)
-        if affine and reuse_spectrum:
+        reused = affine and reuse_spectrum
+        # A reused affine twin needs its Choi matrix only for its kind's
+        # defect (one per kind, see above) and, past the gates, its unitary.
+        choi = None if reused and affine in defects else _candidate_choi(phi, tag, affine)
+        if affine not in defects:
+            defects[affine] = hermiticity_defect(choi)
+        if reused:
             w = 1.0 / shape.k - spectra[tag][::-1]  # the plain twin's, reflected
         else:
             w = np.linalg.eigvalsh(hermitian_part(choi))
         spectra[key] = w
         gap = max(abs(float(w[-2])), abs(float(w[0]))) / d
         gaps[key] = gap
-        if herm_defect > tol * d or gap > tol or abs(float(w[-1]) - d) > tol * d:
+        if defects[affine] > tol * d or gap > tol or abs(float(w[-1]) - d) > tol * d:
             continue
+        if choi is None:
+            choi = _candidate_choi(phi, tag, affine)
         u = _normalize_phase(unvec(_rank_one_vector(hermitian_part(choi)), d) * np.sqrt(d))
         try:
             rebuilt = build_canonical(
@@ -342,6 +371,36 @@ def _random_constrained_map(shape: BipartiteShape, rng: np.random.Generator) -> 
     return map_from_choi(choi, shape)
 
 
+def _excludes_every_candidate(phi: LinearMapMatrix, tol: float) -> bool:
+    """True only if classify_preserver(phi, tol) must return "not_a_preserver"
+    because no candidate can pass its top-eigenvalue gate; one Frobenius norm,
+    no eigensolve.
+
+    A candidate passes that gate only if the largest eigenvalue of its
+    Hermitised Choi matrix is at least d (1 - tol), and no eigenvalue exceeds
+    the Frobenius norm. That norm is ||H||_F, H = Herm(Choi(Phi)), for every
+    candidate:
+    - plain: Herm(Choi(Phi o varphi)) is an entry permutation of H (see
+      classify_preserver);
+    - affine, only at d = 2k: with T the trace form, whose Hermitian part is
+      the block-trace matrix of H, ||(Herm T x I) / k - H||_F^2
+      = (d / k^2 - 2 / k) ||Herm T||_F^2 + ||H||_F^2 = ||H||_F^2, for any map.
+    So ||H||_F < d (1 - tol) excludes every candidate in exact arithmetic.
+    The certificate asks for ||H||_F + delta < d (1 - tol), with the rounding
+    allowance delta = 4 d^4 eps (||H||_F + 1) + d TRACE_FORM_TOL / k. The
+    first term covers the computed norm (a sum of d^4 squares, relative error
+    below d^4 eps), eigvalsh's backward error (p(d^2) eps ||H|| with p a
+    modest multiple of d^2 <= d^4) and the rounding of the affine Choi matrix
+    and of 1/k - w; the second is the Weyl term of an affine spectrum reused
+    from its plain twin. A map it cannot exclude is left to
+    classify_preserver.
+    """
+    d = phi.shape.dim
+    norm = float(np.linalg.norm(hermitian_part(choi_matrix(phi))))
+    allowance = 4 * d**4 * np.finfo(float).eps * (norm + 1.0) + d * TRACE_FORM_TOL / phi.shape.k
+    return norm + allowance < d * (1.0 - tol)
+
+
 def falsify_random(
     shape: BipartiteShape,
     count: int,
@@ -351,10 +410,14 @@ def falsify_random(
     """Generate `count` random unital, trace-preserving, Hermiticity-preserving
     maps that are not of canonical form, and verify each. Expected: 0 passes.
 
-    Candidates within FALSIFY_REJECT_TOL of a canonical form are redrawn. A
-    pass is a reportable finding, not an assertion failure; the result records
-    whether the passing map secretly classified as canonical or merely kept
-    its defect below tol.
+    Candidates within FALSIFY_REJECT_TOL of a canonical form are redrawn.
+    A draw whose Hermitised Choi matrix is too small in Frobenius norm to
+    reach any candidate's top-eigenvalue gate is kept without a Choi
+    eigensolve (:func:`_excludes_every_candidate`); random draws have norms
+    of at most about 0.4 d against the gate's d (1 - FALSIFY_REJECT_TOL).
+    Any other draw is classified as before. A pass is a reportable finding,
+    not an assertion failure; the result records whether the passing map
+    secretly classified as canonical or merely kept its defect below tol.
     """
     _check_int("count", count, 0)
     _check_tol(tol)
@@ -364,7 +427,8 @@ def falsify_random(
     for index in range(count):
         for _ in range(64):
             phi = _random_constrained_map(shape, rng)
-            if classify_preserver(phi, tol=FALSIFY_REJECT_TOL).verdict == "not_a_preserver":
+            if (_excludes_every_candidate(phi, FALSIFY_REJECT_TOL)
+                    or classify_preserver(phi, tol=FALSIFY_REJECT_TOL).verdict == "not_a_preserver"):
                 break
         else:
             raise RuntimeError("could not draw a non-canonical map in 64 attempts")

@@ -25,15 +25,17 @@ def rng():
 
 
 class SolverLog(list):
-    """One (solver name, matrices solved) entry per call of numpy's Hermitian
-    eigensolvers; a (count, d, d) stack counts as count matrices."""
+    """One (solver name, matrices solved, order) entry per call of numpy's
+    Hermitian eigensolvers; a (count, d, d) stack counts as count matrices of
+    order d."""
 
-    def matrices(self) -> int:
-        return sum(solved for _, solved in self)
+    def matrices(self, order: int | None = None) -> int:
+        """Matrices solved, or only those of the given order."""
+        return sum(solved for _, solved, size in self if order in (None, size))
 
     def calls(self) -> dict[str, int]:
         counts = {"eigvalsh": 0, "eigh": 0}
-        for name, _ in self:
+        for name, _, _ in self:
             counts[name] += 1
         return counts
 
@@ -47,7 +49,8 @@ def solver_log():
         solver = getattr(np.linalg, name)
 
         def wrapper(x, *args, **kwargs):
-            log.append((name, int(np.prod(np.shape(x)[:-2]))))
+            shape = np.shape(x)
+            log.append((name, int(np.prod(shape[:-2])), shape[-1]))
             return solver(x, *args, **kwargs)
         return wrapper
 

@@ -1,10 +1,15 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from knrange import classify
 from knrange.classify import (
+    FALSIFY_REJECT_TOL,
     TRACE_FORM_TOL,
+    _candidate_choi,
+    _excludes_every_candidate,
     _random_constrained_map,
     classification_to_payload,
     classify_preserver,
@@ -13,7 +18,15 @@ from knrange.classify import (
     verification_to_payload,
     verify_preserver,
 )
-from knrange.matcore import BipartiteShape, max_abs, random_complex, random_haar_unitary, unvec
+from knrange.matcore import (
+    BipartiteShape,
+    hermitian_part,
+    hermiticity_defect,
+    max_abs,
+    random_complex,
+    random_haar_unitary,
+    unvec,
+)
 from knrange.maps import (
     CanonicalFormSpec,
     LinearMapMatrix,
@@ -322,6 +335,111 @@ class TestAgainstEighOracle:
             assert abs(report.choi_gaps[key] - gap) <= size / shape.k + 1e-14
 
 
+def herm_choi_norm(phi, tag="id", affine=False):
+    return float(np.linalg.norm(hermitian_part(_candidate_choi(phi, tag, affine))))
+
+
+def dense_map(shape, seed):
+    return LinearMapMatrix(shape, random_complex(shape.dim ** 2, np.random.default_rng(seed)))
+
+
+class TestEntryPermutation:
+    """Every varphi permutes the matrix units and commutes with the transpose,
+    so the candidates of one kind have Choi matrices with the same entries."""
+
+    @pytest.mark.parametrize("shape", CHOI_SHAPES)
+    def test_one_defect_per_kind(self, shape):
+        phi = dense_map(shape, shape.dim)
+        for affine in {affine for _, affine in canonical_forms(shape)}:
+            defects = {hermiticity_defect(_candidate_choi(phi, tag, affine)) for tag in VARPHI_TAGS}
+            assert len(defects) == 1, (affine, defects)
+
+    @pytest.mark.parametrize("shape,defect_passes", [(BipartiteShape(3, 3, 4), 1),
+                                                     (BipartiteShape(2, 4, 4), 2)])
+    def test_classify_computes_each_defect_once(self, shape, defect_passes):
+        for phi in (canonical(shape, "t", seed=2)[0], dense_map(shape, 3)):
+            with mock.patch.object(classify, "hermiticity_defect",
+                                   wraps=classify.hermiticity_defect) as counted:
+                classify_preserver(phi)
+            assert counted.call_count == defect_passes
+
+    @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
+    def test_hermitian_parts_share_entries(self, shape):
+        phi = dense_map(shape, 7)
+        entries = np.sort(hermitian_part(_candidate_choi(phi, "id", False)).ravel())
+        for tag in VARPHI_TAGS:
+            herm = hermitian_part(_candidate_choi(phi, tag, False))
+            assert np.array_equal(np.sort(herm.ravel()), entries), tag
+
+    @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 2), BipartiteShape(2, 4, 4),
+                                       BipartiteShape(3, 4, 6), BipartiteShape(3, 3, 4),
+                                       BipartiteShape(2, 3, 2)])
+    def test_affine_norm_identity(self, shape):
+        """||(Herm T x I) / k - H||^2 = (d / k^2 - 2 / k) ||Herm T||^2 + ||H||^2,
+        with T the block traces of the Choi matrix; the first term vanishes at
+        d = 2k."""
+        phi = dense_map(shape, 11)
+        d, k = shape.dim, shape.k
+        herm = hermitian_part(_candidate_choi(phi, "id", False))
+        blocks = herm.reshape(d, d, d, d)
+        trace_form = np.einsum("piqi->pq", blocks)  # Herm T
+        norm_t = np.linalg.norm(trace_form) ** 2
+        expected = np.sqrt((d / k**2 - 2 / k) * norm_t + np.linalg.norm(herm) ** 2)
+        for tag in VARPHI_TAGS:
+            got = herm_choi_norm(phi, tag, affine=True)
+            assert abs(got - expected) <= 1e-13 * expected, tag
+            if shape.is_half:
+                assert abs(got - np.linalg.norm(herm)) <= 1e-13 * expected, tag
+
+
+# Criterion 6's falsifier shapes, plus the largest classified one.
+FALSIFY_SHAPES = [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3), BipartiteShape(3, 3, 4),
+                  BipartiteShape(2, 4, 4), BipartiteShape(3, 4, 6), BipartiteShape(4, 4, 8)]
+
+
+class TestRejectCertificate:
+    """_excludes_every_candidate(phi, tol) must imply that classify_preserver
+    at tol says "not_a_preserver"."""
+
+    @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
+    def test_admits_every_canonical_form(self, shape):
+        for i, (tag, affine) in enumerate(canonical_forms(shape)):
+            phi, _ = canonical(shape, tag, seed=20 + i, affine=affine)
+            for tol in (FALSIFY_REJECT_TOL, 1e-8):
+                assert not _excludes_every_candidate(phi, tol), (tag, affine, tol)
+
+    @pytest.mark.parametrize("shape,tag,affine", [(BipartiteShape(3, 3, 4), "id", False),
+                                                  (BipartiteShape(2, 4, 4), "t", True),
+                                                  (BipartiteShape(3, 4, 6), "pt_left", True)])
+    def test_scaled_canonical_map_at_the_gate(self, shape, tag, affine):
+        """Inside the top-eigenvalue gate (scale 1 - tol/2) the map classifies
+        and is admitted; outside it (1 - 2 tol) it is excluded, and classify
+        agrees that it is no preserver."""
+        phi, _ = canonical(shape, tag, seed=31, affine=affine)
+        inside = LinearMapMatrix(shape, (1 - 0.5 * FALSIFY_REJECT_TOL) * phi.matrix)
+        report = classify_preserver(inside, tol=FALSIFY_REJECT_TOL)
+        assert report.verdict == "classified"
+        assert (report.matched.varphi, report.matched.affine) == (tag, affine)
+        assert not _excludes_every_candidate(inside, FALSIFY_REJECT_TOL)
+        outside = LinearMapMatrix(shape, (1 - 2 * FALSIFY_REJECT_TOL) * phi.matrix)
+        assert _excludes_every_candidate(outside, FALSIFY_REJECT_TOL)
+        assert classify_preserver(outside, tol=FALSIFY_REJECT_TOL).verdict == "not_a_preserver"
+
+    @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
+    def test_excluded_maps_are_not_preservers(self, shape):
+        rng = np.random.default_rng(shape.dim)
+        draws = [_random_constrained_map(shape, rng) for _ in range(50)]
+        # Every falsifier draw is far inside the certificate.
+        assert all(_excludes_every_candidate(phi, FALSIFY_REJECT_TOL) for phi in draws)
+        dense = dense_map(shape, 1)
+        just_inside = 0.999 * shape.dim / herm_choi_norm(dense)  # ||H||_F = 0.999 d
+        maps = draws + [dense, LinearMapMatrix(shape, just_inside * dense.matrix)]
+        for phi in maps:
+            if _excludes_every_candidate(phi, FALSIFY_REJECT_TOL):
+                assert classify_preserver(phi, tol=FALSIFY_REJECT_TOL).verdict == "not_a_preserver"
+        assert _excludes_every_candidate(maps[-1], FALSIFY_REJECT_TOL)
+
+
 class TestFalsify:
     def test_zero_passes(self):
         summary = falsify_random(BipartiteShape(2, 2, 2), count=20, seed=8)
@@ -352,6 +470,32 @@ class TestFalsify:
     def test_empty_summary(self):
         summary = falsify_random(BipartiteShape(2, 2, 2), count=0, seed=0)
         assert summary.count == 0 and summary.passes == 0 and summary.results == []
+
+    def test_zero_passes_at_the_largest_shape(self):
+        summary = falsify_random(BipartiteShape(4, 4, 8), count=3, seed=8)
+        assert summary.passes == 0
+        assert all(r.verdict == "fail" for r in summary.results)
+
+    @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
+    def test_same_payload_as_the_classify_path(self, shape):
+        fast = falsify_to_payload(falsify_random(shape, count=3, seed=17))
+        with mock.patch.object(classify, "_excludes_every_candidate", return_value=False):
+            slow = falsify_to_payload(falsify_random(shape, count=3, seed=17))
+        assert json.dumps(fast) == json.dumps(slow)
+
+    @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
+    def test_failing_draws_skip_classify(self, shape):
+        with mock.patch.object(classify, "classify_preserver", side_effect=AssertionError):
+            summary = falsify_random(shape, count=2, seed=4)
+        assert summary.passes == 0
+
+    def test_no_choi_solve(self):
+        """Only the support kernel solves (order mn = 12); no Choi matrix
+        (order (mn)^2 = 144) is solved."""
+        with solver_log() as log:
+            falsify_random(BipartiteShape(3, 4, 6), count=1, seed=2)
+        assert log.matrices(order=144) == 0
+        assert log.matrices(order=12) == log.matrices() > 0
 
     def test_determinism(self):
         s1 = falsify_random(BipartiteShape(2, 2, 1), count=3, seed=5)
