@@ -1,14 +1,16 @@
 """Deciding whether a linear map preserves W_k on tensor products, and which
 canonical form it is.
 
-Verification is statistical: random factor pairs (A, B), support functions of
-A x B and Phi(A x B) compared on a shared angle grid. Classification is exact
-up to tolerance: composing Phi with each candidate varphi (and the trace
-reflection for affine candidates) must yield a pure unitary conjugation, which
-is detected by its Choi matrix being Hermitian PSD of rank one. The gates
-read the Choi spectrum alone (`eigvalsh`), one solve per varphi: an affine
-candidate of a trace-preserving map reuses the spectrum of its plain twin
-(see :func:`classify_preserver`). The unitary of a candidate that passes
+Verification is statistical: random factor pairs (A, B), all drawn in one
+call, support functions of A x B and Phi(A x B) compared on a shared angle
+grid. Classification is exact up to tolerance: composing Phi with each
+candidate varphi (and the trace reflection for affine candidates) must yield
+a pure unitary conjugation, which is detected by its Choi matrix being
+Hermitian PSD of rank one. The gates read the Choi spectrum alone
+(`eigvalsh`), one solve per varphi: an affine candidate of a trace-preserving
+map reuses the spectrum of its plain twin, and the plain candidates'
+Hermitised Choi matrices are gathered from the one Hermitised Choi matrix of
+Phi (see :func:`classify_preserver`). The unitary of a candidate that passes
 every gate is read off its rank-one Choi matrix by one matrix-vector
 product, so no full eigendecomposition is ever computed.
 
@@ -28,14 +30,12 @@ from .matcore import (
     BipartiteShape,
     hermitian_part,
     hermiticity_defect,
-    kron,
     matrix_to_payload,
     max_abs,
-    random_complex,
-    random_hermitian,
     unvec,
 )
 from .maps import (
+    VARPHI_TAGS,
     CanonicalFormSpec,
     LinearMapMatrix,
     _trace_slots,
@@ -134,15 +134,33 @@ def _witness_pair(shape: BipartiteShape) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _trial_pairs(shape: BipartiteShape, trials: int, seed) -> list[tuple[np.ndarray, np.ndarray]]:
+def _trial_pairs(
+    shape: BipartiteShape, trials: int, seed
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor stacks a (trials, m, m) and b (trials, n, n), and their Kronecker
+    products xs (trials, mn, mn).
+
+    Trial 0 is the witness pair. Every later trial takes 2m^2 + 2n^2
+    standard normals, read as Re A, Im A, Re B, Im B; each factor is the
+    Ginibre matrix (Re + i Im) / sqrt(2), Hermitised on the odd trials. All of
+    them come from one draw, which consumes the generator's stream in the
+    order that per-trial random_hermitian / random_complex calls would, and
+    the arithmetic is theirs entry by entry, so the stacks are bitwise those
+    of the per-trial calls. xs is one broadcast product, bitwise np.kron.
+    """
+    m, n = shape.m, shape.n
     rng = np.random.default_rng(seed)
-    pairs = [_witness_pair(shape)]
-    for t in range(1, trials):
-        if t % 2 == 1:
-            pairs.append((random_hermitian(shape.m, rng), random_hermitian(shape.n, rng)))
-        else:
-            pairs.append((random_complex(shape.m, rng), random_complex(shape.n, rng)))
-    return pairs
+    draws = rng.standard_normal((trials - 1, 2 * m * m + 2 * n * n))
+    re_a, im_a, re_b, im_b = np.split(draws, [m * m, 2 * m * m, 2 * m * m + n * n], axis=1)
+    a = np.empty((trials, m, m), dtype=complex)
+    b = np.empty((trials, n, n), dtype=complex)
+    a[0], b[0] = _witness_pair(shape)
+    a[1:] = ((re_a + 1j * im_a) / np.sqrt(2.0)).reshape(-1, m, m)
+    b[1:] = ((re_b + 1j * im_b) / np.sqrt(2.0)).reshape(-1, n, n)
+    for f in (a, b):  # Hermitian parts on trials 1, 3, 5, ...
+        f[1::2] = (f[1::2] + f[1::2].conj().transpose(0, 2, 1)) / 2
+    xs = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(trials, m * n, m * n)
+    return a, b, xs
 
 
 def verify_preserver(
@@ -155,16 +173,17 @@ def verify_preserver(
     """Check W_k(Phi(A x B)) = W_k(A x B) on seeded witness plus random pairs.
 
     Trial 1 uses the deterministic witness pair; later trials alternate
-    Hermitian and fully complex factor pairs. The per-trial defect is the max
-    over the angle grid of the support-function discrepancy, relative to
-    1 + the larger support magnitude.
+    Hermitian and fully complex factor pairs, all drawn in one call
+    (:func:`_trial_pairs`). The per-trial defect is the max over the angle
+    grid of the support-function discrepancy, relative to 1 + the larger
+    support magnitude. The two sides are solved one after the other, each one
+    matrix at a time (see :mod:`knrange.ranges`).
     """
     _check_int("trials", trials, 1)
     _check_tol(tol)
     shape = phi.shape
     angles = _angle_grid(num_angles)
-    pairs = _trial_pairs(shape, trials, seed)
-    xs = np.stack([kron(a, b) for a, b in pairs])
+    a, b, xs = _trial_pairs(shape, trials, seed)
     ys = apply_map_batch(phi, xs)
     hx = support_values_batch(xs, shape.k, angles)
     hy = support_values_batch(ys, shape.k, angles)
@@ -175,8 +194,8 @@ def verify_preserver(
     max_defect = float(defects.max())
     witnesses = [
         TrialWitness(
-            a=pairs[t][0],
-            b=pairs[t][1],
+            a=a[t].copy(),
+            b=b[t].copy(),
             theta=float(angles[int(gaps[t].argmax())]),
             defect=float(defects[t]),
         )
@@ -227,6 +246,22 @@ def _candidate_choi(phi: LinearMapMatrix, tag: str, affine: bool) -> np.ndarray:
     return choi_matrix(LinearMapMatrix(shape, psi))
 
 
+def _plain_choi_index(shape: BipartiteShape, tag: str) -> np.ndarray:
+    """Flat positions in the Choi matrix C of Phi of the entries of the Choi
+    matrix of Phi o varphi, for any Phi: the (d^2, d^2) array idx with
+    Choi(Phi o varphi) = C.ravel()[idx].
+
+    varphi(E_pq) = E_rs with s d + r = pi[q d + p] (maps._varphi_perm), so
+    Choi(Phi o varphi)[(p, i), (q, j)] = Phi(E_rs)[i, j] = C[(r, i), (s, j)],
+    whose flat position is r d^3 + i d^2 + s d + j.
+    """
+    d = shape.dim
+    s, r = np.divmod(_varphi_perm(shape, tag).reshape(d, d), d)  # indexed [q, p]
+    rs = (r * d**3 + s * d).T  # indexed [p, q]
+    ij = np.arange(d)
+    return (rs[:, None, :, None] + (ij * d * d)[None, :, None, None] + ij).reshape(d * d, d * d)
+
+
 def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> ClassificationReport:
     """Identify the canonical form of a map and recover its unitary.
 
@@ -245,7 +280,9 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     defect max|x - conj y| are those of Phi, bitwise. The affine candidates'
     Choi matrices, (T x I) / k - C with T the trace form below, are permuted
     the same way. The defect is therefore computed once per kind, on the
-    first candidate of it.
+    first candidate of it, and Choi(Phi) is Hermitised once: each plain
+    candidate's Hermitised Choi matrix is gathered from it by one fancy index
+    (:func:`_plain_choi_index`).
 
     Affine candidates need no solve of their own when Phi preserves traces.
     With C the Choi matrix of Phi o varphi and T_pq = tr Phi(varphi(E_pq)) its
@@ -281,24 +318,31 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     trace_defect = phi.matrix[diag].sum(axis=0)  # vec(T), T_pq = tr Phi(E_pq)
     trace_defect[diag] -= 1.0  # vec(T - I)
     reuse_spectrum = max_abs(trace_defect) <= TRACE_FORM_TOL
-    spectra: dict[str, np.ndarray] = {}
-    defects: dict[bool, float] = {}  # Hermiticity defect, keyed by affine
+    choi = choi_matrix(phi)
+    defects = {False: hermiticity_defect(choi)}  # Hermiticity defect, keyed by affine
+    plain = hermitian_part(choi).ravel()
+    spectra = {
+        tag: np.linalg.eigvalsh(plain[_plain_choi_index(shape, tag)]) for tag in VARPHI_TAGS
+    }
+    del choi, plain  # from here on only a candidate's own Choi matrix is needed
     gaps: dict[str, float] = {}
     matched: CandidateMatch | None = None
 
     for tag, affine in canonical_forms(shape):
         key = f"{tag}+affine" if affine else tag
-        reused = affine and reuse_spectrum
-        # A reused affine twin needs its Choi matrix only for its kind's
-        # defect (one per kind, see above) and, past the gates, its unitary.
-        choi = None if reused and affine in defects else _candidate_choi(phi, tag, affine)
-        if affine not in defects:
-            defects[affine] = hermiticity_defect(choi)
-        if reused:
-            w = 1.0 / shape.k - spectra[tag][::-1]  # the plain twin's, reflected
-        else:
-            w = np.linalg.eigvalsh(hermitian_part(choi))
-        spectra[key] = w
+        choi = None
+        if affine:
+            # A reused affine twin needs its Choi matrix only for its kind's
+            # defect (one per kind, see above) and, past the gates, its unitary.
+            if not reuse_spectrum or True not in defects:
+                choi = _candidate_choi(phi, tag, True)
+            if True not in defects:
+                defects[True] = hermiticity_defect(choi)
+            if reuse_spectrum:
+                spectra[key] = 1.0 / shape.k - spectra[tag][::-1]  # the plain twin's, reflected
+            else:
+                spectra[key] = np.linalg.eigvalsh(hermitian_part(choi))
+        w = spectra[key]
         gap = max(abs(float(w[-2])), abs(float(w[0]))) / d
         gaps[key] = gap
         if defects[affine] > tol * d or gap > tol or abs(float(w[-1]) - d) > tol * d:

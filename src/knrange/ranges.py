@@ -18,6 +18,10 @@ Herm(e^{-i(theta+pi)} A) = -Herm(e^{-i theta} A), the ascending spectrum at
 theta + pi is the negated, reversed spectrum at theta, with the eigenvector
 columns reversed to match. The k largest eigenvalues at theta + pi are thus
 the k smallest at theta. Odd grids and caller-chosen angles are solved in full.
+A stack is solved one matrix at a time: each non-Hermitian matrix's rotated
+family over the solved angles is built and solved before the next one's, so
+the transient memory is O(half * d^2), with half the number of angles solved,
+whatever the stack's length.
 """
 
 from __future__ import annotations
@@ -109,7 +113,12 @@ def _rotated_eigs(stack: np.ndarray, angles: np.ndarray, vectors: bool = False):
     order of w). Rows that `is_hermitian` accepts take one eigendecomposition
     of their Hermitian part H: the rotated Hermitian part is then cos(theta) H.
     On an even uniform grid only the first half of the angles is solved; see
-    the module docstring.
+    the module docstring. The other rows are solved one at a time: a row's
+    (half, d, d) family cos(theta) H + sin(theta) K is built and solved
+    before the next row's, so the transient memory is about 2 * half * d^2
+    complex entries (the family and one term of it), not count times that.
+    Each entry is the same product and sum as a whole-stack broadcast, so the
+    spectra are bitwise the same.
     """
     count, d = stack.shape[0], stack.shape[1]
     n = len(angles)
@@ -133,13 +142,17 @@ def _rotated_eigs(stack: np.ndarray, angles: np.ndarray, vectors: bool = False):
             hv = np.repeat(hv[:, None], half, axis=1)
             hv[:, flip] = hv[:, flip, :, ::-1]
             v[herm] = hv
-    if not herm.all():
-        rot = cos[None, :, None, None] * h[~herm][:, None]
-        rot += sin[None, :, None, None] * kk[~herm][:, None]
+    for i in np.flatnonzero(~herm):
+        # The products and the sum of a whole-stack broadcast, in complex
+        # arithmetic: real products on float views would differ in the signs
+        # of zeros, which moves the spectra of sparse Kronecker products in
+        # the last bits.
+        rot = cos[:, None, None] * h[i]
+        rot += sin[:, None, None] * kk[i]
         if vectors:
-            w[~herm], v[~herm] = np.linalg.eigh(rot)
+            w[i], v[i] = np.linalg.eigh(rot)
         else:
-            w[~herm] = np.linalg.eigvalsh(rot)
+            w[i] = np.linalg.eigvalsh(rot)
 
     if half < n:
         w = np.concatenate([w, -w[..., ::-1]], axis=1)

@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -57,3 +58,28 @@ def solver_log():
     with mock.patch.object(np.linalg, "eigvalsh", counting("eigvalsh")), \
             mock.patch.object(np.linalg, "eigh", counting("eigh")):
         yield log
+
+
+class PeakAlloc:
+    """Traced peak of a `peak_alloc` block, in bytes; set when the block ends."""
+
+    bytes: int = 0
+
+
+@contextmanager
+def peak_alloc():
+    """Trace the allocations made in the block with tracemalloc, which numpy
+    reports its array data to, and record their peak in the yielded
+    PeakAlloc."""
+    peak = PeakAlloc()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        yield peak
+    finally:
+        peak.bytes = tracemalloc.get_traced_memory()[1] - base
+        if not tracing:
+            tracemalloc.stop()

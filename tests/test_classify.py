@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,10 @@ from knrange.classify import (
     TRACE_FORM_TOL,
     _candidate_choi,
     _excludes_every_candidate,
+    _plain_choi_index,
     _random_constrained_map,
+    _trial_pairs,
+    _witness_pair,
     classification_to_payload,
     classify_preserver,
     falsify_random,
@@ -25,6 +29,7 @@ from knrange.matcore import (
     max_abs,
     random_complex,
     random_haar_unitary,
+    random_hermitian,
     unvec,
 )
 from knrange.maps import (
@@ -40,7 +45,7 @@ from knrange.maps import (
 )
 from knrange.checks import counterexample_matrices
 
-from conftest import solver_log
+from conftest import peak_alloc, solver_log
 
 
 def canonical(shape, tag, seed, affine=False):
@@ -122,6 +127,53 @@ class TestVerify:
         assert payload["verdict"] == "fail"
         assert payload["witnesses"][0]["a"]["dim"] == 3
         json.dumps(payload)  # serializable
+
+
+def per_trial_pairs(shape, trials, seed):
+    """Oracle: the witness pair, then per-trial random_hermitian (odd trials)
+    and random_complex (even trials) calls on one generator, and np.kron."""
+    rng = np.random.default_rng(seed)
+    pairs = [_witness_pair(shape)]
+    for t in range(1, trials):
+        draw = random_hermitian if t % 2 == 1 else random_complex
+        pairs.append((draw(shape.m, rng), draw(shape.n, rng)))
+    a, b = (np.stack(f) for f in zip(*pairs))
+    return a, b, np.stack([np.kron(x, y) for x, y in pairs])
+
+
+class TestTrialStack:
+    """_trial_pairs draws the whole stack in one call: the same stream and
+    the same arithmetic as the per-trial draws, so the same bytes."""
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 50])
+    @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 1), BipartiteShape(2, 3, 3),
+                                       BipartiteShape(3, 3, 4), BipartiteShape(3, 4, 6)])
+    def test_bitwise_equal_to_per_trial_draws(self, shape, trials):
+        got = _trial_pairs(shape, trials, seed=trials + shape.dim)
+        ref = per_trial_pairs(shape, trials, seed=trials + shape.dim)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape and g.dtype == r.dtype
+            assert g.tobytes() == r.tobytes()
+
+    def test_witness_factors_are_copies(self):
+        shape = BipartiteShape(2, 3, 3)
+        phi = LinearMapMatrix(shape, random_complex(shape.dim ** 2, np.random.default_rng(4)))
+        report = verify_preserver(phi, trials=6, num_angles=90, seed=1)
+        factors = [f for w in report.witnesses for f in (w.a, w.b)]
+        assert len(factors) == 12
+        for i, j in combinations(range(len(factors)), 2):
+            assert not np.shares_memory(factors[i], factors[j]), (i, j)
+
+    def test_verify_memory_is_bounded(self):
+        """(3, 4, 6) with 50 trials at 360 angles: one matrix's rotated
+        family at a time, instead of a (50, 180, 12, 12) stack per side."""
+        shape = BipartiteShape(3, 4, 6)
+        phi, _ = canonical(shape, "t", seed=1)
+        verify_preserver(phi, trials=3, num_angles=360, seed=0)  # warm-up
+        with peak_alloc() as peak:
+            report = verify_preserver(phi, trials=50, num_angles=360, seed=0)
+        assert report.passed
+        assert peak.bytes < 8 * 2**20, peak.bytes
 
 
 class TestClassify:
@@ -370,6 +422,26 @@ class TestEntryPermutation:
         for tag in VARPHI_TAGS:
             herm = hermitian_part(_candidate_choi(phi, tag, False))
             assert np.array_equal(np.sort(herm.ravel()), entries), tag
+
+    def test_classify_hermitises_once_for_the_plain_candidates(self):
+        """One Hermitian part for the four plain spectra, and one more only
+        for the candidate that passes the gates."""
+        shape = BipartiteShape(3, 3, 4)
+        for phi, calls in ((canonical(shape, "t", seed=2)[0], 2), (dense_map(shape, 3), 1)):
+            with mock.patch.object(classify, "hermitian_part",
+                                   wraps=classify.hermitian_part) as counted:
+                classify_preserver(phi)
+            assert counted.call_count == calls
+
+    @pytest.mark.parametrize("shape", CHOI_SHAPES)
+    def test_plain_parts_gathered_from_one_hermitian_part(self, shape):
+        """classify_preserver Hermitises Choi(Phi) once and gathers each plain
+        candidate's Hermitised Choi matrix from it, bitwise."""
+        phi = dense_map(shape, 13)
+        plain = hermitian_part(choi_matrix(phi)).ravel()
+        for tag in VARPHI_TAGS:
+            gathered = plain[_plain_choi_index(shape, tag)]
+            assert gathered.tobytes() == hermitian_part(_candidate_choi(phi, tag, False)).tobytes(), tag
 
     @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 2), BipartiteShape(2, 4, 4),
                                        BipartiteShape(3, 4, 6), BipartiteShape(3, 3, 4),

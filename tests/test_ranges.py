@@ -16,6 +16,7 @@ from knrange.matcore import (
     random_haar_unitary,
     random_hermitian,
 )
+from knrange.classify import counterexample_matrices
 from knrange.ranges import (
     _angle_grid,
     _rotated_eigs,
@@ -32,7 +33,7 @@ from knrange.ranges import (
     support_values_batch,
 )
 
-from conftest import SQRT_41_OVER_2, SQRT_9_OVER_2, shift3, solver_log, unit_matrix
+from conftest import SQRT_41_OVER_2, SQRT_9_OVER_2, peak_alloc, shift3, solver_log, unit_matrix
 
 
 def interval_by_enumeration(diag_values, k):
@@ -455,6 +456,90 @@ class TestRotatedEigs:
                      lambda: boundary_point(a, True, 0.0)):
             with pytest.raises(ValueError, match="integer"):
                 call()
+
+
+def broadcast_rotated_eigs(stack, angles, vectors=False):
+    """Oracle: the kernel as a whole-stack broadcast, every non-Hermitian row's
+    rotated family built at once and solved in one call."""
+    count, d = stack.shape[0], stack.shape[1]
+    n = len(angles)
+    even = n >= 8 and n % 2 == 0 and np.array_equal(angles, _angle_grid(n))
+    half = n // 2 if even else n
+    cos, sin = np.cos(angles[:half]), np.sin(angles[:half])
+    adj = stack.conj().transpose(0, 2, 1)
+    h = (stack + adj) / 2
+    kk = -0.5j * (stack - adj)
+    herm = is_hermitian(stack)
+    w = np.empty((count, half, d))
+    v = np.empty((count, half, d, d), dtype=complex) if vectors else None
+    if herm.any():
+        hw, hv = np.linalg.eigh(h[herm]) if vectors else (np.linalg.eigvalsh(h[herm]), None)
+        flip = cos < 0.0
+        hw = cos[None, :, None] * hw[:, None, :]
+        hw[:, flip] = hw[:, flip, ::-1]
+        w[herm] = hw
+        if vectors:
+            hv = np.repeat(hv[:, None], half, axis=1)
+            hv[:, flip] = hv[:, flip, :, ::-1]
+            v[herm] = hv
+    if not herm.all():
+        rot = cos[None, :, None, None] * h[~herm][:, None]
+        rot += sin[None, :, None, None] * kk[~herm][:, None]
+        if vectors:
+            w[~herm], v[~herm] = np.linalg.eigh(rot)
+        else:
+            w[~herm] = np.linalg.eigvalsh(rot)
+    if half < n:
+        w = np.concatenate([w, -w[..., ::-1]], axis=1)
+        if vectors:
+            v = np.concatenate([v, v[..., ::-1]], axis=1)
+    return (w, v) if vectors else w
+
+
+def kernel_stacks(d, rng):
+    """A stack mixing Hermitian and non-Hermitian rows, and an all-Hermitian
+    stack. At d = 12 and 16 the mixed stack holds the counterexample product
+    A x B^t: its exact zeros carry signs that a build of the rotated family
+    in other arithmetic changes, and that shows in its spectra."""
+    rows = [random_complex(d, rng), random_hermitian(d, rng),
+            np.diag(np.arange(1.0, d), 1).astype(complex), np.diag(np.arange(float(d))).astype(complex)]
+    if d in (12, 16):
+        a, b = counterexample_matrices(d // 4, 4)
+        rows.append(kron(a, b.T))
+    herm = np.stack([random_hermitian(d, rng), np.eye(d, dtype=complex), random_hermitian(d, rng)])
+    return {"mixed": np.stack(rows), "hermitian": herm}
+
+
+class TestStreamedKernel:
+    """_rotated_eigs solves one matrix's angle family at a time; its spectra
+    and frames are bitwise those of the whole-stack broadcast."""
+
+    @pytest.mark.parametrize("grid", ["even", "odd", "custom"])
+    @pytest.mark.parametrize("d", [2, 5, 12, 16])
+    def test_bitwise_equal_to_broadcast(self, d, grid):
+        rng = np.random.default_rng(100 + d)
+        angles = {"even": _angle_grid(360), "odd": _angle_grid(361),
+                  "custom": np.sort(rng.uniform(0.0, 2 * np.pi, 37))}[grid]
+        for kind, stack in kernel_stacks(d, rng).items():
+            assert is_hermitian(stack).all() == (kind == "hermitian")
+            w = _rotated_eigs(stack, angles)
+            assert w.tobytes() == broadcast_rotated_eigs(stack, angles).tobytes(), kind
+            w, v = _rotated_eigs(stack, angles, vectors=True)
+            ref_w, ref_v = broadcast_rotated_eigs(stack, angles, vectors=True)
+            assert w.tobytes() == ref_w.tobytes(), kind
+            assert v.tobytes() == ref_v.tobytes(), kind
+
+    def test_support_values_batch_memory_is_one_family(self):
+        """A (25, 12, 12) Ginibre stack at 360 angles: two (180, 12, 12)
+        complex buffers (0.8 MiB) instead of two (25, 180, 12, 12) ones
+        (20 MiB); the spectra (1.3 MiB with their antipodal half) dominate."""
+        rng = np.random.default_rng(8)
+        stack = np.stack([random_complex(12, rng) for _ in range(25)])
+        angles = _angle_grid(360)
+        support_values_batch(stack, 6, angles)  # warm-up
+        with peak_alloc() as peak:
+            support_values_batch(stack, 6, angles)
+        assert peak.bytes < 4 * 2**20, peak.bytes
 
 
 def near_hermitian(seed: int, d: int, factor: float) -> np.ndarray:
