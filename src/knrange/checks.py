@@ -26,6 +26,7 @@ from .classify import counterexample_matrices
 from .matcore import (
     HERMITICITY_RTOL,
     BipartiteShape,
+    _ginibre,
     as_matrix,
     hermiticity_defect,
     hermitian_part,
@@ -46,6 +47,7 @@ from .maps import (
 from .ranges import (
     DEFAULT_NUM_ANGLES,
     DEFAULT_RTOL,
+    _check_int,
     boundary_point,
     krange_hermitian,
     krange_profile,
@@ -79,14 +81,10 @@ def _expected_spectra(mn: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ab), np.array(abt)
 
 
-def check_counterexample(
-    m: int,
-    n: int,
-    tol: float = SPECTRUM_TOL,
-    gap_threshold: float = GAP_THRESHOLD,
-) -> CounterexampleReport:
-    """Spectra of the Hermitian parts against their closed forms, plus the
-    W_k interval gap |hi - hi'| + |lo - lo'| for every k in 1..mn-1."""
+def check_counterexample(m: int, n: int) -> CounterexampleReport:
+    """Spectra of the Hermitian parts against their closed forms within
+    SPECTRUM_TOL, plus the W_k interval gap |hi - hi'| + |lo - lo'| for every
+    k in 1..mn-1, each of which must exceed GAP_THRESHOLD."""
     a, b = counterexample_matrices(m, n)
     ab = kron(a, b)
     abt = kron(a, b.T)
@@ -94,14 +92,15 @@ def check_counterexample(
     spec_abt = np.linalg.eigvalsh(hermitian_part(abt))
     expected_ab, expected_abt = _expected_spectra(m * n)
     spectra_ok = (
-        max_abs(spec_ab - expected_ab) <= tol and max_abs(spec_abt - expected_abt) <= tol
+        max_abs(spec_ab - expected_ab) <= SPECTRUM_TOL
+        and max_abs(spec_abt - expected_abt) <= SPECTRUM_TOL
     )
     gap_per_k: dict[int, float] = {}
     for k in range(1, m * n):
         i1 = krange_hermitian(hermitian_part(ab), k)
         i2 = krange_hermitian(hermitian_part(abt), k)
         gap_per_k[k] = abs(i1.hi - i2.hi) + abs(i1.lo - i2.lo)
-    passed = spectra_ok and all(g > gap_threshold for g in gap_per_k.values())
+    passed = spectra_ok and all(g > GAP_THRESHOLD for g in gap_per_k.values())
     return CounterexampleReport(
         m=m,
         n=n,
@@ -143,7 +142,8 @@ def check_block_split(h, k: int, tol: float = DEFAULT_RTOL) -> ImplicationCheck:
         raise ValueError(
             f"check_block_split needs a Hermitian matrix (defect {hermiticity_defect(m):.3e})"
         )
-    if not 1 <= k <= m.shape[0]:
+    _check_int("k", k, 1)
+    if k > m.shape[0]:
         raise ValueError(f"k must be in 1..dim, got {k}")
     scale = 1.0 + max_abs(m)
     w = np.sort(np.linalg.eigvalsh(m))[::-1]
@@ -227,7 +227,7 @@ def _range_property_items(shape: BipartiteShape, rng: np.random.Generator) -> li
         worst["affine_covariance"] = max(
             worst["affine_covariance"], abs(shifted.lo - lo), abs(shifted.hi - hi)
         )
-        c = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+        c = _ginibre((d, d), rng)
         u = random_haar_unitary(d, rng)
         p1 = krange_profile(c, k, 90)
         p2 = krange_profile(u @ c @ u.conj().T, k, 90)

@@ -6,13 +6,13 @@ call, support functions of A x B and Phi(A x B) compared on a shared angle
 grid. Classification is exact up to tolerance: composing Phi with each
 candidate varphi (and the trace reflection for affine candidates) must yield
 a pure unitary conjugation, which is detected by its Choi matrix being
-Hermitian PSD of rank one. The gates read the Choi spectrum alone
-(`eigvalsh`), one solve per varphi: an affine candidate of a trace-preserving
-map reuses the spectrum of its plain twin, and the plain candidates'
-Hermitised Choi matrices are gathered from the one Hermitised Choi matrix of
-Phi (see :func:`classify_preserver`). The unitary of a candidate that passes
-every gate is read off its rank-one Choi matrix by one matrix-vector
-product, so no full eigendecomposition is ever computed.
+Hermitian PSD of rank one. Every candidate's Choi matrix is gathered from
+that of Phi (:func:`_candidate_choi`). The gates read the Choi spectrum
+alone (`eigvalsh`), one solve per varphi: an affine candidate of a
+trace-preserving map reuses the spectrum of its plain twin (see
+:func:`classify_preserver`). The unitary of a candidate that passes every
+gate is read off its rank-one Choi matrix by one matrix-vector product, so
+no full eigendecomposition is ever computed.
 
 The random falsifier keeps a draw without any Choi solve when the Frobenius
 norm of its Hermitised Choi matrix, which every candidate shares, is too
@@ -28,6 +28,7 @@ import numpy as np
 
 from .matcore import (
     BipartiteShape,
+    _ginibre,
     hermitian_part,
     hermiticity_defect,
     matrix_to_payload,
@@ -38,7 +39,6 @@ from .maps import (
     VARPHI_TAGS,
     CanonicalFormSpec,
     LinearMapMatrix,
-    _trace_slots,
     _varphi_perm,
     apply_map_batch,
     build_canonical,
@@ -112,8 +112,8 @@ def _check_tol(tol: float) -> None:
 def counterexample_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The pair (A, B): weighted shift X = [[0,3,0],[0,0,1],[0,0,0]] zero-padded
     to m x m and n x n (see :mod:`knrange.checks` for its closed-form spectra)."""
-    if m < 3 or n < 3:
-        raise ValueError(f"counterexample needs m, n >= 3, got ({m}, {n})")
+    for name, value in (("m", m), ("n", n)):
+        _check_int(name, value, 3)
     x = np.array([[0, 3, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
     a = np.zeros((m, m), dtype=complex)
     b = np.zeros((n, n), dtype=complex)
@@ -232,18 +232,19 @@ def _rank_one_vector(herm: np.ndarray) -> np.ndarray:
 
 
 def _candidate_choi(phi: LinearMapMatrix, tag: str, affine: bool) -> np.ndarray:
-    """Choi matrix of (reflection if affine) o Phi o varphi, without a dense
-    product: varphi permutes the columns of the map matrix and the reflection
-    is a rank-one update (see :mod:`knrange.maps`)."""
-    shape = phi.shape
-    psi = phi.matrix[:, _varphi_perm(shape, tag)]
+    """Choi matrix of (reflection if affine) o Phi o varphi, gathered from
+    Choi(Phi) by one fancy index (:func:`_plain_choi_index`). The reflection
+    (tr(.) / k) I - (.) turns a Choi matrix C into (T x I) / k - C, with
+    T_pq = tr C_pq its block traces."""
+    d = phi.shape.dim
+    c = choi_matrix(phi).ravel()[_plain_choi_index(phi.shape, tag)]
     if affine:
-        # (tr(.) / k) I - (.) applied after psi
-        diag = _trace_slots(shape.dim)
-        trace_row = psi[diag].sum(axis=0) / shape.k
-        psi = -psi
-        psi[diag] += trace_row
-    return choi_matrix(LinearMapMatrix(shape, psi))
+        c4 = c.reshape(d, d, d, d)
+        trace_form = np.einsum("piqi->pq", c4)
+        np.negative(c, out=c)
+        i = np.arange(d)
+        c4[:, i, :, i] += trace_form / phi.shape.k
+    return c
 
 
 def _plain_choi_index(shape: BipartiteShape, tag: str) -> np.ndarray:
@@ -269,8 +270,9 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     varphi^{-1} (each varphi is an involution) must be X -> U X U*. Its Choi
     matrix then is Hermitian PSD rank one, vec(U) vec(U)*, with top eigenvalue
     d = mn. The gates (Hermiticity defect, spectral gap, top eigenvalue) use
-    the eigenvalues of the Hermitised Choi matrix only. Psi is formed without
-    a dense product (:func:`_candidate_choi`).
+    the eigenvalues of the Hermitised Choi matrix only. Every candidate's Choi
+    matrix is gathered from Choi(Phi), with no dense product
+    (:func:`_candidate_choi`).
 
     Each varphi permutes the matrix units, E_pq -> E_sigma(p,q), and commutes
     with the transpose. So the Choi matrix of Phi o varphi, whose (p, q) block
@@ -279,22 +281,22 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     Hermitian part (x + conj y) / 2, its Frobenius norm and its Hermiticity
     defect max|x - conj y| are those of Phi, bitwise. The affine candidates'
     Choi matrices, (T x I) / k - C with T the trace form below, are permuted
-    the same way. The defect is therefore computed once per kind, on the
-    first candidate of it, and Choi(Phi) is Hermitised once: each plain
-    candidate's Hermitised Choi matrix is gathered from it by one fancy index
-    (:func:`_plain_choi_index`).
+    the same way. The defect is therefore computed once per kind, on Choi(Phi)
+    and on the id+affine candidate, and Choi(Phi) is Hermitised once: each
+    plain candidate's Hermitised Choi matrix is gathered from it by one fancy
+    index (:func:`_plain_choi_index`).
 
     Affine candidates need no solve of their own when Phi preserves traces.
     With C the Choi matrix of Phi o varphi and T_pq = tr Phi(varphi(E_pq)) its
     trace form, the reflected candidate's Choi matrix is (T x I) / k - C. Each
     varphi permutes the matrix units and fixes the diagonal ones, so
-    max|T - I| is the same for every varphi and is read once off the map
-    matrix. When it is at most TRACE_FORM_TOL the affine spectrum is taken as
-    1/k - w[::-1], with w the plain candidate's ascending spectrum; by Weyl's
-    inequality that is off by at most d max|T - I| / k per eigenvalue (the
-    spectral norm of T - I is at most d times its largest entry). Otherwise,
-    as for a map that does not preserve traces, the affine Choi matrix is
-    solved directly.
+    max|T - I| is the same for every varphi and is read once off the block
+    traces of Choi(Phi). When it is at most TRACE_FORM_TOL the affine
+    spectrum is taken as 1/k - w[::-1], with w the plain candidate's ascending
+    spectrum; by Weyl's inequality that is off by at most d max|T - I| / k per
+    eigenvalue (the spectral norm of T - I is at most d times its largest
+    entry). Otherwise, as for a map that does not preserve traces, the affine
+    Choi matrix is solved directly.
 
     A candidate that passes the gates has a Hermitised Choi matrix
     d vv* + E, ||E|| <= tol d, and vec(U) / sqrt(d) is v up to phase: it is
@@ -314,42 +316,35 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     _check_tol(tol)
     shape = phi.shape
     d = shape.dim
-    diag = _trace_slots(d)
-    trace_defect = phi.matrix[diag].sum(axis=0)  # vec(T), T_pq = tr Phi(E_pq)
-    trace_defect[diag] -= 1.0  # vec(T - I)
-    reuse_spectrum = max_abs(trace_defect) <= TRACE_FORM_TOL
     choi = choi_matrix(phi)
+    trace_form = np.einsum("piqi->pq", choi.reshape(d, d, d, d))  # T_pq = tr Phi(E_pq)
+    reuse_spectrum = max_abs(trace_form - np.eye(d)) <= TRACE_FORM_TOL
     defects = {False: hermiticity_defect(choi)}  # Hermiticity defect, keyed by affine
     plain = hermitian_part(choi).ravel()
     spectra = {
         tag: np.linalg.eigvalsh(plain[_plain_choi_index(shape, tag)]) for tag in VARPHI_TAGS
     }
     del choi, plain  # from here on only a candidate's own Choi matrix is needed
+    if shape.is_half:
+        defects[True] = hermiticity_defect(_candidate_choi(phi, "id", True))
+        for tag in VARPHI_TAGS:
+            spectra[f"{tag}+affine"] = (
+                1.0 / shape.k - spectra[tag][::-1]  # the plain twin's, reflected
+                if reuse_spectrum
+                else np.linalg.eigvalsh(hermitian_part(_candidate_choi(phi, tag, True)))
+            )
     gaps: dict[str, float] = {}
     matched: CandidateMatch | None = None
 
     for tag, affine in canonical_forms(shape):
         key = f"{tag}+affine" if affine else tag
-        choi = None
-        if affine:
-            # A reused affine twin needs its Choi matrix only for its kind's
-            # defect (one per kind, see above) and, past the gates, its unitary.
-            if not reuse_spectrum or True not in defects:
-                choi = _candidate_choi(phi, tag, True)
-            if True not in defects:
-                defects[True] = hermiticity_defect(choi)
-            if reuse_spectrum:
-                spectra[key] = 1.0 / shape.k - spectra[tag][::-1]  # the plain twin's, reflected
-            else:
-                spectra[key] = np.linalg.eigvalsh(hermitian_part(choi))
         w = spectra[key]
         gap = max(abs(float(w[-2])), abs(float(w[0]))) / d
         gaps[key] = gap
         if defects[affine] > tol * d or gap > tol or abs(float(w[-1]) - d) > tol * d:
             continue
-        if choi is None:
-            choi = _candidate_choi(phi, tag, affine)
-        u = _normalize_phase(unvec(_rank_one_vector(hermitian_part(choi)), d) * np.sqrt(d))
+        herm = hermitian_part(_candidate_choi(phi, tag, affine))
+        u = _normalize_phase(unvec(_rank_one_vector(herm), d) * np.sqrt(d))
         try:
             rebuilt = build_canonical(
                 CanonicalFormSpec(varphi=tag, unitary=u, affine=affine, shape=shape)
@@ -408,7 +403,7 @@ def _project_marginals(choi: np.ndarray, d: int) -> np.ndarray:
 
 def _random_constrained_map(shape: BipartiteShape, rng: np.random.Generator) -> LinearMapMatrix:
     d = shape.dim
-    g = (rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))) / np.sqrt(2.0)
+    g = _ginibre((d * d, d * d), rng)
     choi = g @ g.conj().T
     choi *= d / np.trace(choi).real
     choi = _project_marginals(choi, d)

@@ -135,17 +135,12 @@ def _varphi_perm(shape: BipartiteShape, tag: str) -> np.ndarray:
     return vec(apply_varphi(index, tag, shape)).real.astype(np.intp)
 
 
-def _trace_slots(dim: int) -> np.ndarray:
-    """Positions of the diagonal entries in vec(X), i.e. the support of vec(I)."""
-    return np.arange(dim) * (dim + 1)
-
-
 def _canonical_matrix(u: np.ndarray, shape: BipartiteShape, tag: str, affine: bool) -> np.ndarray:
     """kron(conj U, U)[:, pi], and vec(I) vec(I)^T / k minus that if affine."""
     mat = np.kron(u.conj(), u)[:, _varphi_perm(shape, tag)]
     if affine:
         mat = -mat
-        diag = _trace_slots(shape.dim)
+        diag = np.arange(shape.dim) * (shape.dim + 1)  # the support of vec(I)
         mat[np.ix_(diag, diag)] += 1.0 / shape.k
     return mat
 

@@ -120,9 +120,10 @@ def partial_transpose(x, shape: BipartiteShape, side: str) -> np.ndarray:
     return t.reshape(shape.dim, shape.dim).copy()
 
 
-def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """dim x dim matrix of independent standard complex Gaussians."""
-    return (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+def _ginibre(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Array of the given shape of independent standard complex Gaussians:
+    all real parts are drawn first, then all imaginary parts."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def random_haar_unitary(dim: int, seed) -> np.ndarray:
@@ -130,7 +131,7 @@ def random_haar_unitary(dim: int, seed) -> np.ndarray:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(_ginibre(dim, rng))
+    q, r = np.linalg.qr(_ginibre((dim, dim), rng))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -140,7 +141,7 @@ def random_hermitian(dim: int, seed) -> np.ndarray:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(seed)
-    return hermitian_part(_ginibre(dim, rng))
+    return hermitian_part(_ginibre((dim, dim), rng))
 
 
 def random_complex(dim: int, seed) -> np.ndarray:
@@ -148,7 +149,7 @@ def random_complex(dim: int, seed) -> np.ndarray:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(seed)
-    return _ginibre(dim, rng)
+    return _ginibre((dim, dim), rng)
 
 
 def is_orthogonal_pair(a, b, tol: float = 1e-10) -> bool:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
+    _ginibre,
     as_matrix,
     hermiticity_defect,
     is_hermitian,
@@ -275,8 +276,7 @@ def sample_points(a, k: int, count: int, seed) -> np.ndarray:
     _check_int("count", count, 1)
     d = m.shape[0]
     rng = np.random.default_rng(seed)
-    g = (rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(_ginibre((count, d, d), rng))
     diag = np.einsum("tii->ti", r)
     u = q * (diag / np.abs(diag))[:, None, :]
     x = u[:, :, :k]
@@ -300,8 +300,10 @@ def write_profile_csv(profile: SupportProfile, path) -> None:
         fh.write(profile_csv(profile))
 
 
-def profile_svg(profile: SupportProfile, size: int = 480, pad: float = 0.1) -> str:
-    """Closed boundary polyline with coordinate axes. Styling is unconstrained."""
+def profile_svg(profile: SupportProfile) -> str:
+    """Closed boundary polyline with coordinate axes on a 480 px square, the
+    boundary's extent padded by 10% on each side. Styling is unconstrained."""
+    size, pad = 480, 0.1
     xs, ys = profile.boundary.real, profile.boundary.imag
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())

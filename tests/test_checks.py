@@ -31,6 +31,12 @@ class TestCounterexampleMatrices:
         with pytest.raises(ValueError):
             counterexample_matrices(2, 3)
 
+    @pytest.mark.parametrize("m,n", [(3.5, 3), (4.0, 3), (3, 4.0), ("3", 3), (True, 3),
+                                     (np.int64(3), 3), (3, 2)])
+    def test_rejects_non_integer_sizes(self, m, n):
+        with pytest.raises(ValueError):
+            counterexample_matrices(m, n)
+
 
 class TestCounterexampleReport:
     def test_3x3_passes(self):
@@ -82,6 +88,11 @@ class TestBlockSplit:
 
         with pytest.raises(ValueError):
             check_block_split(random_complex(4, rng), 2)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", True, np.int64(2), 0, 5])
+    def test_rejects_bad_k(self, k):
+        with pytest.raises(ValueError, match="k must"):
+            check_block_split(np.diag([5.0, 4.0, 1.0, 0.0]), k)
 
 
 class TestOrthogonalityCriterion:

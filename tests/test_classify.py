@@ -36,6 +36,7 @@ from knrange.maps import (
     CanonicalFormSpec,
     LinearMapMatrix,
     VARPHI_TAGS,
+    _varphi_perm,
     build_canonical,
     canonical_forms,
     choi_matrix,
@@ -387,6 +388,59 @@ class TestAgainstEighOracle:
             assert abs(report.choi_gaps[key] - gap) <= size / shape.k + 1e-14
 
 
+def map_coordinate_choi(phi, tag, affine):
+    """Oracle: the candidate's map matrix built in map coordinates, then
+    reshuffled. varphi permutes the columns of the map matrix, and the
+    reflection adds the sum of the diagonal-slot rows, over k, to those rows
+    of the negated matrix."""
+    shape = phi.shape
+    psi = phi.matrix[:, _varphi_perm(shape, tag)]
+    if affine:
+        diag = np.arange(shape.dim) * (shape.dim + 1)  # slots of vec(I)
+        trace_row = psi[diag].sum(axis=0) / shape.k
+        psi = -psi
+        psi[diag] += trace_row
+    return choi_matrix(LinearMapMatrix(shape, psi))
+
+
+def trace_perturbed(shape, seed):
+    """A canonical map whose trace form is moved by 1e-9."""
+    phi, _ = canonical(shape, "t", seed=seed)
+    matrix = phi.matrix.copy()
+    matrix[0, 1] += 1e-9
+    return LinearMapMatrix(shape, matrix)
+
+
+class TestCandidateChoi:
+    """_candidate_choi gathers from Choi(Phi) and reflects in Choi
+    coordinates, bitwise the map-coordinate construction."""
+
+    @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
+    def test_bitwise_equal_to_map_coordinates(self, shape):
+        maps = [canonical(shape, tag, seed=50 + i, affine=affine)[0]
+                for i, (tag, affine) in enumerate(canonical_forms(shape))]
+        maps += [dense_map(shape, 5), trace_perturbed(shape, 6)]
+        for phi in maps:
+            for tag in VARPHI_TAGS:
+                for affine in (False, True):
+                    got = _candidate_choi(phi, tag, affine)
+                    assert got.tobytes() == map_coordinate_choi(phi, tag, affine).tobytes(), (tag, affine)
+
+    def test_classify_memory_is_bounded(self):
+        """(4, 4, 8): the Choi matrix of Phi is dropped before the affine
+        work, and no candidate holds a second map-sized copy."""
+        shape = BipartiteShape(4, 4, 8)
+        forms = canonical_forms(shape)
+        maps = [canonical(shape, tag, seed=60 + i, affine=affine)[0]
+                for i, (tag, affine) in enumerate(forms)]
+        classify_preserver(maps[0])  # warm-up
+        for (tag, affine), phi in zip(forms, maps):
+            with peak_alloc() as peak:
+                report = classify_preserver(phi)
+            assert (report.matched.varphi, report.matched.affine) == (tag, affine)
+            assert peak.bytes < 3.8 * 2**20, (tag, affine, peak.bytes)
+
+
 def herm_choi_norm(phi, tag="id", affine=False):
     return float(np.linalg.norm(hermitian_part(_candidate_choi(phi, tag, affine))))
 
@@ -436,12 +490,14 @@ class TestEntryPermutation:
     @pytest.mark.parametrize("shape", CHOI_SHAPES)
     def test_plain_parts_gathered_from_one_hermitian_part(self, shape):
         """classify_preserver Hermitises Choi(Phi) once and gathers each plain
-        candidate's Hermitised Choi matrix from it, bitwise."""
+        candidate's Hermitised Choi matrix from it, bitwise the Hermitian part
+        of the map-coordinate construction."""
         phi = dense_map(shape, 13)
         plain = hermitian_part(choi_matrix(phi)).ravel()
         for tag in VARPHI_TAGS:
             gathered = plain[_plain_choi_index(shape, tag)]
-            assert gathered.tobytes() == hermitian_part(_candidate_choi(phi, tag, False)).tobytes(), tag
+            reference = hermitian_part(map_coordinate_choi(phi, tag, False))
+            assert gathered.tobytes() == reference.tobytes(), tag
 
     @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 2), BipartiteShape(2, 4, 4),
                                        BipartiteShape(3, 4, 6), BipartiteShape(3, 3, 4),

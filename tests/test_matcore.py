@@ -160,6 +160,55 @@ class TestRandomSampling:
         assert not np.array_equal(random_complex(4, 0), random_complex(4, 1))
 
 
+def inline_ginibre(rng, shape):
+    """The expression each sampler once wrote out for itself."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+class TestOneGinibreDraw:
+    """Every sampler draws through matcore._ginibre, bitwise the inline
+    expressions it replaced."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (3, 4, 4), (16, 16)])
+    def test_ginibre(self, shape):
+        got = matcore._ginibre(shape, np.random.default_rng(8))
+        assert got.tobytes() == inline_ginibre(np.random.default_rng(8), shape).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 12, 16])
+    def test_random_matrices(self, dim):
+        g = inline_ginibre(np.random.default_rng(dim), (dim, dim))
+        assert random_complex(dim, dim).tobytes() == g.tobytes()
+        assert random_hermitian(dim, dim).tobytes() == ((g + g.conj().T) / 2).tobytes()
+        q, r = np.linalg.qr(g)
+        phases = np.diagonal(r) / np.abs(np.diagonal(r))
+        assert random_haar_unitary(dim, dim).tobytes() == (q * phases).tobytes()
+
+    @pytest.mark.parametrize("d,k", [(3, 1), (6, 2), (12, 5)])
+    def test_sample_points(self, d, k):
+        from knrange.ranges import sample_points
+
+        a = random_complex(d, 1)
+        q, r = np.linalg.qr(inline_ginibre(np.random.default_rng(2), (40, d, d)))
+        diag = np.einsum("tii->ti", r)
+        x = (q * (diag / np.abs(diag))[:, None, :])[:, :, :k]
+        expected = np.einsum("tis,ij,tjs->t", x.conj(), a, x) / k
+        assert sample_points(a, k, 40, 2).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mnk", [(2, 2, 2), (3, 4, 6)])
+    def test_random_constrained_map(self, mnk):
+        from knrange.classify import _project_marginals, _random_constrained_map
+        from knrange.maps import map_from_choi
+
+        shape = BipartiteShape(*mnk)
+        d = shape.dim
+        g = inline_ginibre(np.random.default_rng(3), (d * d, d * d))
+        choi = g @ g.conj().T
+        choi *= d / np.trace(choi).real
+        expected = map_from_choi(_project_marginals(choi, d), shape).matrix
+        got = _random_constrained_map(shape, np.random.default_rng(3)).matrix
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestOrthogonalPair:
     def test_disjoint_supports(self):
         assert is_orthogonal_pair(unit_matrix(3, 0, 0), unit_matrix(3, 1, 1))
