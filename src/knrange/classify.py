@@ -6,15 +6,12 @@ call, support functions of A x B and Phi(A x B) compared on a shared angle
 grid. Classification is exact up to tolerance: composing Phi with each
 candidate varphi (and the trace reflection for affine candidates) must yield
 a pure unitary conjugation, which is detected by its Choi matrix being
-Hermitian PSD of rank one. Every candidate's Choi matrix is gathered from
-that of Phi (:func:`_candidate_choi`). The gates read the Choi spectrum
-alone (`eigvalsh`), one solve per varphi: an affine candidate of a
-trace-preserving map reuses the spectrum of its plain twin (see
-:func:`classify_preserver`). The unitary of a candidate that passes every
-gate is read off its rank-one Choi matrix by one matrix-vector product, so
-no full eigendecomposition is ever computed.
+Hermitian PSD of rank one. Each candidate's unitary is read off its Choi
+matrix, gathered from that of Phi, by one power step and checked by a
+rebuild; Weyl's inequality then certifies the rank-one gates, and a Choi
+spectrum is solved only where it cannot (:func:`classify_preserver`).
 
-The random falsifier keeps a draw without any Choi solve when the Frobenius
+The random falsifier keeps a draw without classifying it when the Frobenius
 norm of its Hermitised Choi matrix, which every candidate shares, is too
 small for any candidate to reach the top-eigenvalue gate (see
 :func:`_excludes_every_candidate`).
@@ -22,6 +19,7 @@ small for any candidate to reach the top-eigenvalue gate (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,9 +58,6 @@ DEFAULT_TRIALS = 50
 FALSIFY_TRIALS = 8
 FALSIFY_NUM_ANGLES = 120
 FALSIFY_REJECT_TOL = 1e-6
-# Largest max|T - I| over the trace form T_pq = tr Phi(E_pq) at which an
-# affine candidate takes its spectrum from its plain twin (classify_preserver).
-TRACE_FORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,7 +96,7 @@ class CandidateMatch:
 class ClassificationReport:
     verdict: str  # "classified" | "not_a_preserver"
     matched: CandidateMatch | None
-    choi_gaps: dict[str, float] = field(default_factory=dict)
+    choi_gap_bounds: dict[str, float] = field(default_factory=dict)
 
 
 def _check_tol(tol: float) -> None:
@@ -221,14 +216,26 @@ def _normalize_phase(u: np.ndarray) -> np.ndarray:
     return u * (abs(pivot) / pivot)
 
 
-def _rank_one_vector(herm: np.ndarray) -> np.ndarray:
-    """Unit top eigenvector, up to phase, of a Hermitian herm = c vv* + E with
-    c > 0 and E small: one power step, herm times its column of largest
-    diagonal entry. That column is c conj(v_j) v plus a column of E, and the
-    step squares the ratio of the E part to the v part."""
+def _rank_one_fit(herm: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Fit lam vv* to a Hermitian (d^2, d^2) herm = c uu* + E, c > 0, E small.
+
+    v is the unit top eigenvector, up to phase, by one power step: herm times
+    its column of largest diagonal entry. That column is c conj(u_j) u plus a
+    column of E, and the step squares the ratio of the E part to the u part.
+    Returns v, lam = v* herm v and ||herm - lam vv*||_F, the norm of herm
+    overwritten with herm - lam vv* d rows at a time (sqrt(||herm||_F^2 -
+    lam^2) would cancel to about sqrt(eps) ||herm||_F)."""
     j = int(np.argmax(herm.diagonal().real))
-    x = herm @ herm[:, j]
-    return x / np.linalg.norm(x)
+    v = herm @ herm[:, j]
+    norm = np.linalg.norm(v)
+    if norm == 0.0:  # herm[:, j] = 0: e_j is as good a guess as any
+        v[j], norm = 1.0, 1.0
+    v /= norm
+    lam = float(np.vdot(v, herm @ v).real)
+    d, v_conj = math.isqrt(v.size), v.conj()
+    for rows, v_rows in zip(herm.reshape(d, d, -1), (lam * v).reshape(d, d)):
+        rows -= v_rows[:, None] * v_conj
+    return v, lam, float(np.linalg.norm(herm))
 
 
 def _candidate_choi(phi: LinearMapMatrix, tag: str, affine: bool) -> np.ndarray:
@@ -269,94 +276,83 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     For each candidate (varphi, affine): Psi = (reflection if affine) o Phi o
     varphi^{-1} (each varphi is an involution) must be X -> U X U*. Its Choi
     matrix then is Hermitian PSD rank one, vec(U) vec(U)*, with top eigenvalue
-    d = mn. The gates (Hermiticity defect, spectral gap, top eigenvalue) use
-    the eigenvalues of the Hermitised Choi matrix only. Every candidate's Choi
-    matrix is gathered from Choi(Phi), with no dense product
-    (:func:`_candidate_choi`).
+    d = mn.
 
     Each varphi permutes the matrix units, E_pq -> E_sigma(p,q), and commutes
-    with the transpose. So the Choi matrix of Phi o varphi, whose (p, q) block
-    is Phi(varphi(E_pq)), is an entry permutation of that of Phi that carries
-    each mirrored pair (x, y) = (C[a, b], C[b, a]) to a mirrored pair: its
-    Hermitian part (x + conj y) / 2, its Frobenius norm and its Hermiticity
-    defect max|x - conj y| are those of Phi, bitwise. The affine candidates'
-    Choi matrices, (T x I) / k - C with T the trace form below, are permuted
-    the same way. The defect is therefore computed once per kind, on Choi(Phi)
-    and on the id+affine candidate, and Choi(Phi) is Hermitised once: each
-    plain candidate's Hermitised Choi matrix is gathered from it by one fancy
-    index (:func:`_plain_choi_index`).
+    with the transpose. So the Choi matrix of Phi o varphi is an entry
+    permutation of that of Phi that carries mirrored pairs (C[a, b], C[b, a])
+    to mirrored pairs: its Hermitian part and its Hermiticity defect are those
+    of Phi, bitwise. The affine candidates' Choi matrices, (T x I) / k - C with
+    T_pq = tr C_pq, are permuted the same way. So the defect is computed once
+    per kind, before anything is Hermitised, and each plain candidate's
+    Hermitised Choi matrix is gathered from Herm(Choi(Phi))
+    (:func:`_plain_choi_index`), which is dropped before the affine candidates
+    build theirs (:func:`_candidate_choi`).
 
-    Affine candidates need no solve of their own when Phi preserves traces.
-    With C the Choi matrix of Phi o varphi and T_pq = tr Phi(varphi(E_pq)) its
-    trace form, the reflected candidate's Choi matrix is (T x I) / k - C. Each
-    varphi permutes the matrix units and fixes the diagonal ones, so
-    max|T - I| is the same for every varphi and is read once off the block
-    traces of Choi(Phi). When it is at most TRACE_FORM_TOL the affine
-    spectrum is taken as 1/k - w[::-1], with w the plain candidate's ascending
-    spectrum; by Weyl's inequality that is off by at most d max|T - I| / k per
-    eigenvalue (the spectral norm of T - I is at most d times its largest
-    entry). Otherwise, as for a map that does not preserve traces, the affine
-    Choi matrix is solved directly.
-
-    A candidate that passes the gates has a Hermitised Choi matrix
-    d vv* + E, ||E|| <= tol d, and vec(U) / sqrt(d) is v up to phase: it is
-    read off by one power step from the column with the largest diagonal
-    entry, reshaped and phase-normalized. The candidate counts as a match only
-    if U is unitary within maps.UNITARITY_TOL and rebuilding the canonical map
-    from it reproduces Phi entrywise within tol, which is the same as agreeing
-    on every matrix unit tensor product (those are exactly the vec basis).
+    A candidate matches when it passes, in turn (H its Hermitised Choi matrix):
+    - the Hermiticity defect, max|C - C*| <= tol d;
+    - the read-off: U = sqrt(d) unvec(v), phase-normalized, with v one power
+      step on H (:func:`_rank_one_fit`), is unitary within maps.UNITARITY_TOL;
+    - the rebuild from U equals Phi entrywise within tol (on the vec basis,
+      which is the matrix unit tensor products);
+    - the rank-one gates max(|w_2nd|, |w_min|) <= tol d and |w_max - d| <= tol d
+      on the spectrum w of H. With lam = v* H v and E = H - lam vv*, every
+      eigenvalue of H is within ||E||_2 <= ||E||_F of the spectrum
+      {lam, 0, ..., 0} (Weyl), so ||E||_F <= tol d and
+      |lam - d| + ||E||_F <= tol d certify both. Only where they do not is H
+      solved, by one eigvalsh.
+    choi_gap_bounds holds (||E||_F + max(0, -lam)) / d per candidate, by the
+    same argument a bound on the gap max(|w_2nd|, |w_min|) / d, or that exact
+    gap for a candidate that was solved.
 
     At most one candidate can match. Two matches of the same kind (the
     reflection is invertible) would make the product of two distinct varphi a
     unitary similarity, which none is. A plain plus an affine match would give
     the image of E_11 the spectra {1, 0, ...} and {1/k - 1, 1/k, ...}, equal
-    only at mn = 2. Every candidate is still gated, so choi_gaps has one entry
-    per candidate.
+    only at mn = 2.
     """
     _check_tol(tol)
     shape = phi.shape
     d = shape.dim
+    # Hermiticity defect, keyed by affine
+    defects = {True: hermiticity_defect(_candidate_choi(phi, "id", True))} if shape.is_half else {}
     choi = choi_matrix(phi)
-    trace_form = np.einsum("piqi->pq", choi.reshape(d, d, d, d))  # T_pq = tr Phi(E_pq)
-    reuse_spectrum = max_abs(trace_form - np.eye(d)) <= TRACE_FORM_TOL
-    defects = {False: hermiticity_defect(choi)}  # Hermiticity defect, keyed by affine
+    defects[False] = hermiticity_defect(choi)
     plain = hermitian_part(choi).ravel()
-    spectra = {
-        tag: np.linalg.eigvalsh(plain[_plain_choi_index(shape, tag)]) for tag in VARPHI_TAGS
-    }
-    del choi, plain  # from here on only a candidate's own Choi matrix is needed
-    if shape.is_half:
-        defects[True] = hermiticity_defect(_candidate_choi(phi, "id", True))
-        for tag in VARPHI_TAGS:
-            spectra[f"{tag}+affine"] = (
-                1.0 / shape.k - spectra[tag][::-1]  # the plain twin's, reflected
-                if reuse_spectrum
-                else np.linalg.eigvalsh(hermitian_part(_candidate_choi(phi, tag, True)))
-            )
-    gaps: dict[str, float] = {}
-    matched: CandidateMatch | None = None
+    del choi
 
+    def hermitised(tag: str, affine: bool) -> np.ndarray:
+        if affine:
+            return hermitian_part(_candidate_choi(phi, tag, True))
+        return plain[_plain_choi_index(shape, tag)]
+
+    bounds: dict[str, float] = {}
+    matched: CandidateMatch | None = None
     for tag, affine in canonical_forms(shape):
         key = f"{tag}+affine" if affine else tag
-        w = spectra[key]
-        gap = max(abs(float(w[-2])), abs(float(w[0]))) / d
-        gaps[key] = gap
-        if defects[affine] > tol * d or gap > tol or abs(float(w[-1]) - d) > tol * d:
+        if affine:
+            plain = None  # canonical_forms lists every plain candidate first
+        v, lam, spread = _rank_one_fit(hermitised(tag, affine))
+        bounds[key] = (spread + max(0.0, -lam)) / d
+        if defects[affine] > tol * d:
             continue
-        herm = hermitian_part(_candidate_choi(phi, tag, affine))
-        u = _normalize_phase(unvec(_rank_one_vector(herm), d) * np.sqrt(d))
+        u = _normalize_phase(unvec(v, d) * np.sqrt(d))
         try:
-            rebuilt = build_canonical(
-                CanonicalFormSpec(varphi=tag, unitary=u, affine=affine, shape=shape)
-            )
+            spec = CanonicalFormSpec(varphi=tag, unitary=u, affine=affine, shape=shape)
         except ValueError:
             continue  # recovered matrix not unitary enough: near-miss, no match
-        residual = max_abs(rebuilt.matrix - phi.matrix)
-        if residual <= tol:
-            matched = CandidateMatch(varphi=tag, affine=affine, unitary=u, residual=residual)
+        residual = max_abs(phi.matrix - build_canonical(spec).matrix)
+        if residual > tol:
+            continue
+        if spread > tol * d or abs(lam - d) + spread > tol * d:  # the bound cannot decide
+            w = np.linalg.eigvalsh(hermitised(tag, affine))
+            bounds[key] = max(abs(float(w[-2])), abs(float(w[0]))) / d
+            if bounds[key] > tol or abs(float(w[-1]) - d) > tol * d:
+                continue
+        matched = CandidateMatch(varphi=tag, affine=affine, unitary=u, residual=residual)
 
     verdict = "not_a_preserver" if matched is None else "classified"
-    return ClassificationReport(verdict=verdict, matched=matched, choi_gaps=gaps)
+    return ClassificationReport(verdict=verdict, matched=matched, choi_gap_bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -415,28 +411,25 @@ def _excludes_every_candidate(phi: LinearMapMatrix, tol: float) -> bool:
     because no candidate can pass its top-eigenvalue gate; one Frobenius norm,
     no eigensolve.
 
-    A candidate passes that gate only if the largest eigenvalue of its
-    Hermitised Choi matrix is at least d (1 - tol), and no eigenvalue exceeds
-    the Frobenius norm. That norm is ||H||_F, H = Herm(Choi(Phi)), for every
-    candidate:
+    A candidate passes that gate only if lam = v* H' v (the Weyl certificate)
+    or, where that cannot decide, the top eigenvalue of its Hermitised Choi
+    matrix H' is at least d (1 - tol). Neither exceeds ||H'||_F, which is
+    ||H||_F, H = Herm(Choi(Phi)), for every candidate:
     - plain: Herm(Choi(Phi o varphi)) is an entry permutation of H (see
       classify_preserver);
     - affine, only at d = 2k: with T the trace form, whose Hermitian part is
       the block-trace matrix of H, ||(Herm T x I) / k - H||_F^2
       = (d / k^2 - 2 / k) ||Herm T||_F^2 + ||H||_F^2 = ||H||_F^2, for any map.
     So ||H||_F < d (1 - tol) excludes every candidate in exact arithmetic.
-    The certificate asks for ||H||_F + delta < d (1 - tol), with the rounding
-    allowance delta = 4 d^4 eps (||H||_F + 1) + d TRACE_FORM_TOL / k. The
-    first term covers the computed norm (a sum of d^4 squares, relative error
-    below d^4 eps), eigvalsh's backward error (p(d^2) eps ||H|| with p a
-    modest multiple of d^2 <= d^4) and the rounding of the affine Choi matrix
-    and of 1/k - w; the second is the Weyl term of an affine spectrum reused
-    from its plain twin. A map it cannot exclude is left to
-    classify_preserver.
+    The certificate asks for ||H||_F + 4 d^4 eps (||H||_F + 1) < d (1 - tol).
+    The allowance covers the computed norm (a sum of d^4 squares), the
+    Rayleigh quotient, eigvalsh's backward error (p(d^2) eps ||H||, p a
+    modest multiple of d^2) and the rounding of the affine Choi matrix. A map
+    it cannot exclude is left to classify_preserver.
     """
     d = phi.shape.dim
     norm = float(np.linalg.norm(hermitian_part(choi_matrix(phi))))
-    allowance = 4 * d**4 * np.finfo(float).eps * (norm + 1.0) + d * TRACE_FORM_TOL / phi.shape.k
+    allowance = 4 * d**4 * np.finfo(float).eps * (norm + 1.0)
     return norm + allowance < d * (1.0 - tol)
 
 
@@ -451,10 +444,10 @@ def falsify_random(
 
     Candidates within FALSIFY_REJECT_TOL of a canonical form are redrawn.
     A draw whose Hermitised Choi matrix is too small in Frobenius norm to
-    reach any candidate's top-eigenvalue gate is kept without a Choi
-    eigensolve (:func:`_excludes_every_candidate`); random draws have norms
-    of at most about 0.4 d against the gate's d (1 - FALSIFY_REJECT_TOL).
-    Any other draw is classified as before. A pass is a reportable finding,
+    reach any candidate's top-eigenvalue gate is kept unclassified
+    (:func:`_excludes_every_candidate`): random draws have norms of at most
+    about 0.4 d against the gate's d (1 - FALSIFY_REJECT_TOL). Any other
+    draw is classified. A pass is a reportable finding,
     not an assertion failure; the result records whether the passing map
     secretly classified as canonical or merely kept its defect below tol.
     """
@@ -527,7 +520,7 @@ def classification_to_payload(report: ClassificationReport) -> dict:
             "residual": m.residual,
             "unitary": matrix_to_payload(m.unitary),
         },
-        "choi_gaps": dict(sorted(report.choi_gaps.items())),
+        "choi_gap_bounds": dict(sorted(report.choi_gap_bounds.items())),
     }
 
 

@@ -136,11 +136,17 @@ def _varphi_perm(shape: BipartiteShape, tag: str) -> np.ndarray:
 
 
 def _canonical_matrix(u: np.ndarray, shape: BipartiteShape, tag: str, affine: bool) -> np.ndarray:
-    """kron(conj U, U)[:, pi], and vec(I) vec(I)^T / k minus that if affine."""
-    mat = np.kron(u.conj(), u)[:, _varphi_perm(shape, tag)]
+    """kron(conj U, U)[:, pi], and vec(I) vec(I)^T / k minus that if affine. Column
+    c is conj U[:, j1] x U[:, j2] with (j1, j2) = divmod(pi[c], d), so one broadcast
+    product, bitwise np.kron's, writes the permuted columns with no second copy."""
+    d = shape.dim
+    j1, j2 = np.divmod(_varphi_perm(shape, tag), d)
+    mat = np.empty((d, d, d * d), dtype=complex)  # C order, as np.kron's
+    np.multiply(u.conj()[:, None, j1], u[None, :, j2], out=mat)
+    mat = mat.reshape(d * d, d * d)
     if affine:
-        mat = -mat
-        diag = np.arange(shape.dim) * (shape.dim + 1)  # the support of vec(I)
+        np.negative(mat, out=mat)
+        diag = np.arange(d) * (d + 1)  # the support of vec(I)
         mat[np.ix_(diag, diag)] += 1.0 / shape.k
     return mat
 

@@ -1,5 +1,5 @@
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import numpy as np
@@ -25,17 +25,23 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+# numpy.linalg's eigen- and singular-value solvers. Each is patched both where
+# callers look it up (np.linalg) and in the module numpy.linalg's own helpers
+# call it from, so that np.linalg.norm(x, 2), cond or pinv count as an svd.
+SOLVERS = ("eigvalsh", "eigh", "eig", "eigvals", "svd")
+_LINALG_IMPL = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+
+
 class SolverLog(list):
-    """One (solver name, matrices solved, order) entry per call of numpy's
-    Hermitian eigensolvers; a (count, d, d) stack counts as count matrices of
-    order d."""
+    """One (solver name, matrices solved, order) entry per call of one of
+    SOLVERS; a (count, d, d) stack counts as count matrices of order d."""
 
     def matrices(self, order: int | None = None) -> int:
         """Matrices solved, or only those of the given order."""
         return sum(solved for _, solved, size in self if order in (None, size))
 
     def calls(self) -> dict[str, int]:
-        counts = {"eigvalsh": 0, "eigh": 0}
+        counts = dict.fromkeys(SOLVERS, 0)
         for name, _, _ in self:
             counts[name] += 1
         return counts
@@ -43,7 +49,7 @@ class SolverLog(list):
 
 @contextmanager
 def solver_log():
-    """Record every np.linalg.eigvalsh and np.linalg.eigh call in the block."""
+    """Record every call of the SOLVERS in the block."""
     log = SolverLog()
 
     def counting(name):
@@ -55,8 +61,11 @@ def solver_log():
             return solver(x, *args, **kwargs)
         return wrapper
 
-    with mock.patch.object(np.linalg, "eigvalsh", counting("eigvalsh")), \
-            mock.patch.object(np.linalg, "eigh", counting("eigh")):
+    with ExitStack() as stack:
+        for name in SOLVERS:
+            wrapper = counting(name)
+            for module in {np.linalg, _LINALG_IMPL}:
+                stack.enter_context(mock.patch.object(module, name, wrapper))
         yield log
 
 

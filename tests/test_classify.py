@@ -8,11 +8,11 @@ import pytest
 from knrange import classify
 from knrange.classify import (
     FALSIFY_REJECT_TOL,
-    TRACE_FORM_TOL,
     _candidate_choi,
     _excludes_every_candidate,
     _plain_choi_index,
     _random_constrained_map,
+    _rank_one_fit,
     _trial_pairs,
     _witness_pair,
     classification_to_payload,
@@ -41,6 +41,7 @@ from knrange.maps import (
     canonical_forms,
     choi_matrix,
     compose,
+    map_from_choi,
     reflect_map,
     varphi_map,
 )
@@ -224,48 +225,61 @@ class TestClassify:
         shape = BipartiteShape(3, 3, 2)
         phi, _ = canonical(shape, "t", seed=7)
         report = classify_preserver(phi)
-        assert set(report.choi_gaps) == {"id", "t", "pt_right", "pt_left"}
-        assert report.choi_gaps["t"] <= 1e-12
-        assert report.choi_gaps["id"] > 1e-3  # transpose composed wrong is far from rank one
-        json.dumps(classification_to_payload(report))
+        assert set(report.choi_gap_bounds) == {"id", "t", "pt_right", "pt_left"}
+        assert report.choi_gap_bounds["t"] <= 1e-12
+        # transpose composed wrong is far from rank one, and the bound is above the gap
+        assert report.choi_gap_bounds["id"] > 1e-3
+        payload = classification_to_payload(report)
+        assert list(payload["choi_gap_bounds"]) == sorted(report.choi_gap_bounds)
+        json.dumps(payload)
+
+    def test_zero_map(self):
+        """A zero column under the largest diagonal entry: the read-off takes
+        that unit vector, and every bound is the exact gap, 0."""
+        shape = BipartiteShape(2, 2, 2)
+        with np.errstate(all="raise"):
+            report = classify_preserver(LinearMapMatrix(shape, np.zeros((16, 16))))
+        assert report.verdict == "not_a_preserver"
+        assert set(report.choi_gap_bounds.values()) == {0.0}
 
 
 CHOI_SHAPES = [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3), BipartiteShape(3, 3, 4),
                BipartiteShape(2, 4, 4)]
-# Every canonical form at each of CHOI_SHAPES. The two leading cases keep the
-# test ids [shape0-t-False] and [shape1-pt_left-True] stable.
+# Every canonical form at each of CHOI_SHAPES, (3, 4, 6) and (4, 4, 8). The
+# two leading cases keep the test ids [shape0-t-False] and
+# [shape1-pt_left-True] stable, and the larger shapes come last.
 _FIRST_CASES = [(BipartiteShape(3, 3, 4), "t", False), (BipartiteShape(2, 2, 2), "pt_left", True)]
 ONE_EIGH_CASES = _FIRST_CASES + [
     (shape, tag, affine)
-    for shape in CHOI_SHAPES
+    for shape in CHOI_SHAPES + [BipartiteShape(3, 4, 6), BipartiteShape(4, 4, 8)]
     for tag, affine in canonical_forms(shape)
     if (shape, tag, affine) not in _FIRST_CASES
 ]
 
 
 class TestChoiSolves:
-    """The Choi gates read eigenvalues only, one eigvalsh per varphi: an affine
-    candidate of a trace-preserving map reuses its plain twin's spectrum. The
-    unitary of the candidate that passes is read off without an eigh."""
+    """No Choi matrix is solved when the Weyl certificate decides, and for a
+    canonical map, a falsifier draw or a dense map it always does: no
+    eigvalsh, eigh, eig, eigvals or svd at all."""
 
     @pytest.mark.parametrize("shape,tag,affine", ONE_EIGH_CASES)
     def test_one_eigh_for_a_canonical_map(self, shape, tag, affine):
-        """Exactly one candidate passes the gap gate, and the match is the
+        """Exactly one candidate's bound is within tol, and the match is the
         form that was built: the classifier never meets a second match."""
         phi, _ = canonical(shape, tag, seed=3, affine=affine)
         with solver_log() as log:
             report = classify_preserver(phi)
         assert report.verdict == "classified"
         assert (report.matched.varphi, report.matched.affine) == (tag, affine)
-        assert sum(gap <= 1e-8 for gap in report.choi_gaps.values()) == 1
-        assert log.calls() == {"eigvalsh": len(VARPHI_TAGS), "eigh": 0}
+        assert sum(bound <= 1e-8 for bound in report.choi_gap_bounds.values()) == 1
+        assert not log, log
 
     def test_no_eigh_for_a_random_map(self):
         shape = BipartiteShape(2, 3, 3)
         phi = _random_constrained_map(shape, np.random.default_rng(5))
         with solver_log() as log:
             assert classify_preserver(phi).verdict == "not_a_preserver"
-        assert log.calls() == {"eigvalsh": len(VARPHI_TAGS), "eigh": 0}
+        assert not log, log
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES)
     def test_matches_full_eigh_reference(self, monkeypatch, shape):
@@ -273,11 +287,15 @@ class TestChoiSolves:
                 for i, (tag, affine) in enumerate(canonical_forms(shape))]
         maps.append(_random_constrained_map(shape, np.random.default_rng(6)))
         fast = [classify_preserver(phi) for phi in maps]
-        # Reference: gate on the eigenvalues of a full eigh, as a classifier
-        # that decomposes every candidate would.
-        eigh = np.linalg.eigh
+        # Reference: a certificate that never decides, so every candidate that
+        # passes the read-off and the rebuild is gated on the eigenvalues of a
+        # full eigh of its Hermitised Choi matrix.
+        fit, eigh = classify._rank_one_fit, np.linalg.eigh
+        monkeypatch.setattr(classify, "_rank_one_fit", lambda herm: (*fit(herm)[:2], np.inf))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: eigh(x)[0])
-        reference = [classify_preserver(phi) for phi in maps]
+        with solver_log() as log:
+            reference = [classify_preserver(phi) for phi in maps]
+        assert log.calls()["eigvalsh"] == len(maps) - 1  # the match of each canonical map
         for got, ref in zip(fast, reference):
             assert got.verdict == ref.verdict
             assert (got.matched is None) == (ref.matched is None)
@@ -286,10 +304,21 @@ class TestChoiSolves:
                 assert (m.varphi, m.affine) == (r.varphi, r.affine)
                 assert m.unitary.tobytes() == r.unitary.tobytes()
                 assert m.residual == r.residual
-            assert got.choi_gaps.keys() == ref.choi_gaps.keys()
-            for k in got.choi_gaps:
-                assert abs(got.choi_gaps[k] - ref.choi_gaps[k]) <= 1e-12
+                key = f"{m.varphi}+affine" if m.affine else m.varphi
+                assert ref.choi_gap_bounds[key] <= got.choi_gap_bounds[key] + 1e-15
         assert [r.verdict for r in fast] == ["classified"] * (len(maps) - 1) + ["not_a_preserver"]
+
+    def test_rank_one_fit_is_the_direct_difference(self):
+        rng = np.random.default_rng(8)
+        d = 5
+        unit = random_complex(d * d, rng)[:, 0]
+        unit /= np.linalg.norm(unit)
+        herm = d * np.outer(unit, unit.conj()) + 1e-9 * random_hermitian(d * d, rng)
+        v, lam, spread = _rank_one_fit(herm.copy())
+        assert lam == float(np.vdot(v, herm @ v).real)
+        expected = np.linalg.norm(herm - lam * np.outer(v, v.conj()))
+        assert abs(spread - expected) <= 1e-6 * expected
+        assert 1e-9 < expected < 1e-7  # far below what sqrt(||H||^2 - lam^2) resolves
 
 
 def eigh_classifier(phi, tol=1e-8):
@@ -333,19 +362,23 @@ def oracle_maps(shape):
 class TestAgainstEighOracle:
     @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
     def test_same_verdicts_gaps_and_unitaries(self, shape):
+        """Same verdict and unitary as the oracle; every bound is at least the
+        oracle's gap, and the match's bound is within tol."""
         verdicts = []
         for phi in oracle_maps(shape):
             report = classify_preserver(phi)
             verdicts.append(report.verdict)
             gaps, matched = eigh_classifier(phi)
             assert report.verdict == ("not_a_preserver" if matched is None else "classified")
-            assert report.choi_gaps.keys() == gaps.keys()
+            assert report.choi_gap_bounds.keys() == gaps.keys()
             for key, gap in gaps.items():
-                assert abs(report.choi_gaps[key] - gap) <= 1e-12
+                assert report.choi_gap_bounds[key] >= gap - 1e-12, key
             if matched is not None:
                 got = report.matched
                 assert (got.varphi, got.affine) == matched[:2]
                 assert max_abs(got.unitary - matched[2]) <= 1e-12
+                key = f"{got.varphi}+affine" if got.affine else got.varphi
+                assert report.choi_gap_bounds[key] <= 1e-8
         forms = len(canonical_forms(shape))
         assert verdicts == ["classified"] * forms + ["not_a_preserver"] * 2
 
@@ -363,29 +396,40 @@ class TestAgainstEighOracle:
         assert report.verdict == "classified" and matched is not None
         assert max_abs(report.matched.unitary - matched[2]) <= 1e-12
 
-    def test_random_dense_map_solves_every_candidate(self):
+    def test_random_dense_map_solves_nothing(self):
+        """A map that does not preserve traces: the affine candidates have
+        Choi matrices of their own, and none of the eight is solved."""
         shape = BipartiteShape(2, 4, 4)
         phi = LinearMapMatrix(shape, random_complex(64, np.random.default_rng(1)))
         with solver_log() as log:
-            assert classify_preserver(phi).verdict == "not_a_preserver"
-        assert log.calls() == {"eigvalsh": len(canonical_forms(shape)), "eigh": 0}
+            report = classify_preserver(phi)
+        assert report.verdict == "not_a_preserver"
+        assert len(report.choi_gap_bounds) == len(canonical_forms(shape))
+        assert not log, log
 
-    @pytest.mark.parametrize("scale,solves", [(1.01, 8), (0.99, 4)], ids=["outside", "inside"])
-    def test_trace_form_threshold(self, scale, solves):
-        shape = BipartiteShape(2, 2, 2)
-        phi, _ = canonical(shape, "t", seed=11)
-        size = scale * TRACE_FORM_TOL
-        matrix = phi.matrix.copy()
-        matrix[0, 1] += size  # row 0 is the (0, 0) slot: tr Phi(E_10) moves by size
-        perturbed = LinearMapMatrix(shape, matrix)
+    def test_undecided_certificate_falls_back_to_one_solve(self):
+        """Choi(Phi) = d uu* + N with N Hermitian, N u = 0 and max|N| = 2.5e-9:
+        ||N||_F is above tol d, so the certificate cannot decide, while ||N||_2
+        and the rebuild residual max|N| are within tol. One eigvalsh of the id
+        candidate's own Hermitised Choi matrix decides, as the oracle does."""
+        shape = BipartiteShape(4, 4, 8)
+        d = shape.dim
+        u = random_haar_unitary(d, 12)
+        unit = u.ravel(order="F") / np.sqrt(d)  # vec(U) / sqrt(d)
+        noise = random_hermitian(d * d, np.random.default_rng(12))
+        project = np.eye(d * d) - np.outer(unit, unit.conj())
+        noise = project @ noise @ project
+        noise *= 2.5e-9 / max_abs(noise)
+        phi = map_from_choi(d * np.outer(unit, unit.conj()) + noise, shape)
         with solver_log() as log:
-            report = classify_preserver(perturbed)
-        assert log.calls() == {"eigvalsh": solves, "eigh": 0}
-        # Weyl: each reused affine eigenvalue is within d max|T - I| / k of a
-        # direct solve, so each gap (a spectrum entry over d) within size / k.
-        gaps, _ = eigh_classifier(perturbed)
-        for key, gap in gaps.items():
-            assert abs(report.choi_gaps[key] - gap) <= size / shape.k + 1e-14
+            report = classify_preserver(phi)
+        assert [name for name, _, _ in log] == ["eigvalsh"]
+        assert log.matrices(order=d * d) == 1
+        gaps, matched = eigh_classifier(phi)
+        assert report.verdict == "classified" and matched is not None
+        assert (report.matched.varphi, report.matched.affine) == matched[:2] == ("id", False)
+        assert max_abs(report.matched.unitary - matched[2]) <= 1e-12
+        assert abs(report.choi_gap_bounds["id"] - gaps["id"]) <= 1e-15  # the exact gap
 
 
 def map_coordinate_choi(phi, tag, affine):
@@ -478,14 +522,14 @@ class TestEntryPermutation:
             assert np.array_equal(np.sort(herm.ravel()), entries), tag
 
     def test_classify_hermitises_once_for_the_plain_candidates(self):
-        """One Hermitian part for the four plain spectra, and one more only
-        for the candidate that passes the gates."""
+        """One Hermitian part for the four plain candidates, the one that
+        matches included."""
         shape = BipartiteShape(3, 3, 4)
-        for phi, calls in ((canonical(shape, "t", seed=2)[0], 2), (dense_map(shape, 3), 1)):
+        for phi in (canonical(shape, "t", seed=2)[0], dense_map(shape, 3)):
             with mock.patch.object(classify, "hermitian_part",
                                    wraps=classify.hermitian_part) as counted:
                 classify_preserver(phi)
-            assert counted.call_count == calls
+            assert counted.call_count == 1
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES)
     def test_plain_parts_gathered_from_one_hermitian_part(self, shape):

@@ -25,6 +25,7 @@ from knrange.maps import (
     CanonicalFormSpec,
     LinearMapMatrix,
     VARPHI_TAGS,
+    _varphi_perm,
     affine_reflect,
     apply_map,
     apply_map_batch,
@@ -138,6 +139,24 @@ class TestBuildCanonical:
                             if affine:
                                 direct = (np.trace(x) / shape.k) * np.eye(shape.dim) - direct
                             assert np.max(np.abs(apply_map(phi, x) - direct)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3),
+                                       BipartiteShape(3, 3, 4), BipartiteShape(2, 4, 4),
+                                       BipartiteShape(3, 4, 6), BipartiteShape(4, 4, 8)])
+    def test_bitwise_equal_to_kron_then_permute(self, shape):
+        """The broadcast product written in the permuted column order is
+        np.kron(conj U, U)[:, pi] (negated, plus vec(I) vec(I)^T / k, if
+        affine) byte for byte, and C-ordered like it."""
+        for i, (tag, affine) in enumerate(all_buildable_forms(shape)):
+            spec = spec_for(shape, tag, seed=i, affine=affine)
+            ref = np.kron(spec.unitary.conj(), spec.unitary)[:, _varphi_perm(shape, tag)]
+            if affine:
+                ref = -ref
+                diag = np.arange(shape.dim) * (shape.dim + 1)
+                ref[np.ix_(diag, diag)] += 1.0 / shape.k
+            got = build_canonical(spec).matrix
+            assert got.flags.c_contiguous, (tag, affine)
+            assert got.tobytes() == ref.tobytes(), (tag, affine)
 
     @pytest.mark.parametrize("shape", [BipartiteShape(2, 3, 2), BipartiteShape(3, 3, 4)])
     def test_bare_maps_match_direct_evaluation_on_matrix_units(self, shape):
