@@ -146,12 +146,12 @@ def check_block_split(h, k: int, tol: float = DEFAULT_RTOL) -> ImplicationCheck:
     if k > m.shape[0]:
         raise ValueError(f"k must be in 1..dim, got {k}")
     scale = 1.0 + max_abs(m)
-    w = np.sort(np.linalg.eigvalsh(m))[::-1]
+    w = np.linalg.eigvalsh(m)[::-1]  # descending
     diag_sum = float(np.real(np.trace(m[:k, :k])))
     if abs(diag_sum - float(w[:k].sum())) > tol * scale:
         return ImplicationCheck(hypothesis_holds=False, conclusion_holds=None)
     off_block = max_abs(m[:k, k:]) if k < m.shape[0] else 0.0
-    lead_spec = np.sort(np.linalg.eigvalsh(m[:k, :k]))[::-1]
+    lead_spec = np.linalg.eigvalsh(m[:k, :k])[::-1]
     conclusion = off_block <= tol * scale and max_abs(lead_spec - w[:k]) <= tol * scale
     return ImplicationCheck(hypothesis_holds=True, conclusion_holds=conclusion)
 

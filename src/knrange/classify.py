@@ -6,10 +6,11 @@ call, support functions of A x B and Phi(A x B) compared on a shared angle
 grid. Classification is exact up to tolerance: composing Phi with each
 candidate varphi (and the trace reflection for affine candidates) must yield
 a pure unitary conjugation, which is detected by its Choi matrix being
-Hermitian PSD of rank one. Each candidate's unitary is read off its Choi
-matrix, gathered from that of Phi, by one power step and checked by a
-rebuild; Weyl's inequality then certifies the rank-one gates, and a Choi
-spectrum is solved only where it cannot (:func:`classify_preserver`).
+Hermitian PSD of rank one. Each candidate's Choi matrix is an axis transpose
+of Choi(Phi), or of its trace reflection for the affine ones. Its unitary is
+read off by one power step and checked by a rebuild; Weyl's inequality then
+certifies the rank-one gates, and a Choi spectrum is solved only where it
+cannot (:func:`classify_preserver`).
 
 The random falsifier keeps a draw without classifying it when the Frobenius
 norm of its Hermitised Choi matrix, which every candidate shares, is too
@@ -37,10 +38,9 @@ from .maps import (
     VARPHI_TAGS,
     CanonicalFormSpec,
     LinearMapMatrix,
-    _varphi_perm,
+    _VARPHI_AXES,
     apply_map_batch,
     build_canonical,
-    canonical_forms,
     choi_matrix,
     map_from_choi,
 )
@@ -238,36 +238,32 @@ def _rank_one_fit(herm: np.ndarray) -> tuple[np.ndarray, float, float]:
     return v, lam, float(np.linalg.norm(herm))
 
 
-def _candidate_choi(phi: LinearMapMatrix, tag: str, affine: bool) -> np.ndarray:
-    """Choi matrix of (reflection if affine) o Phi o varphi, gathered from
-    Choi(Phi) by one fancy index (:func:`_plain_choi_index`). The reflection
-    (tr(.) / k) I - (.) turns a Choi matrix C into (T x I) / k - C, with
-    T_pq = tr C_pq its block traces."""
-    d = phi.shape.dim
-    c = choi_matrix(phi).ravel()[_plain_choi_index(phi.shape, tag)]
-    if affine:
-        c4 = c.reshape(d, d, d, d)
-        trace_form = np.einsum("piqi->pq", c4)
-        np.negative(c, out=c)
-        i = np.arange(d)
-        c4[:, i, :, i] += trace_form / phi.shape.k
-    return c
+def _reflect_choi(choi: np.ndarray, k: int) -> None:
+    """Turn the Choi matrix C of Psi, in place, into that of X -> (tr X / k) I
+    - Psi(X): (T x I) / k - C, with T_pq = tr C_pq its block traces."""
+    d = math.isqrt(choi.shape[0])
+    c4 = choi.reshape(d, d, d, d)
+    trace_form = np.einsum("piqi->pq", c4)
+    np.negative(choi, out=choi)
+    i = np.arange(d)
+    c4[:, i, :, i] += trace_form / k
 
 
-def _plain_choi_index(shape: BipartiteShape, tag: str) -> np.ndarray:
-    """Flat positions in the Choi matrix C of Phi of the entries of the Choi
-    matrix of Phi o varphi, for any Phi: the (d^2, d^2) array idx with
-    Choi(Phi o varphi) = C.ravel()[idx].
+def _compose_varphi(choi: np.ndarray, shape: BipartiteShape, tag: str) -> np.ndarray:
+    """Choi matrix of Psi o varphi from that of Psi, for any Psi.
 
-    varphi(E_pq) = E_rs with s d + r = pi[q d + p] (maps._varphi_perm), so
-    Choi(Phi o varphi)[(p, i), (q, j)] = Phi(E_rs)[i, j] = C[(r, i), (s, j)],
-    whose flat position is r d^3 + i d^2 + s d + j.
+    Its entry at ((p, i), (q, j)) is Psi(varphi(E_pq))[i, j], and varphi moves
+    the matrix unit E_pq as it moves X's entries: by the transpose of the
+    (m, n, m, n) view [a, b, c, e], p = (a, b), q = (c, e), in
+    maps._VARPHI_AXES. So this is that transpose applied to the
+    (m, n, d, m, n, d) view [a, b, i, c, e, j] of Choi(Psi), copied once into
+    memory of its own: _rank_one_fit overwrites its argument, and the id
+    view, reshaped without a copy, would alias choi.
     """
-    d = shape.dim
-    s, r = np.divmod(_varphi_perm(shape, tag).reshape(d, d), d)  # indexed [q, p]
-    rs = (r * d**3 + s * d).T  # indexed [p, q]
-    ij = np.arange(d)
-    return (rs[:, None, :, None] + (ij * d * d)[None, :, None, None] + ij).reshape(d * d, d * d)
+    m, n, d = shape.m, shape.n, shape.dim
+    a, b, c, e = ((0, 1, 3, 4)[axis] for axis in _VARPHI_AXES[tag])
+    view = choi.reshape(m, n, d, m, n, d).transpose(a, b, 2, c, e, 5)
+    return view.copy().reshape(d * d, d * d)
 
 
 def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> ClassificationReport:
@@ -278,16 +274,16 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     matrix then is Hermitian PSD rank one, vec(U) vec(U)*, with top eigenvalue
     d = mn.
 
-    Each varphi permutes the matrix units, E_pq -> E_sigma(p,q), and commutes
-    with the transpose. So the Choi matrix of Phi o varphi is an entry
-    permutation of that of Phi that carries mirrored pairs (C[a, b], C[b, a])
-    to mirrored pairs: its Hermitian part and its Hermiticity defect are those
-    of Phi, bitwise. The affine candidates' Choi matrices, (T x I) / k - C with
-    T_pq = tr C_pq, are permuted the same way. So the defect is computed once
-    per kind, before anything is Hermitised, and each plain candidate's
-    Hermitised Choi matrix is gathered from Herm(Choi(Phi))
-    (:func:`_plain_choi_index`), which is dropped before the affine candidates
-    build theirs (:func:`_candidate_choi`).
+    One loop over the kinds, plain and then, when mn = 2k, affine. Each kind
+    computes Choi(Phi) once, reflects it in place if affine
+    (:func:`_reflect_choi`), takes its Hermiticity defect, Hermitises it and
+    drops the un-Hermitised matrix. Each varphi permutes the matrix units,
+    E_pq -> E_sigma(p,q), and commutes with the transpose, so composing with
+    it is an entry permutation that carries mirrored pairs (C[a, b], C[b, a])
+    to mirrored pairs, and commutes with the reflection. So the defect and the
+    Hermitian part of each candidate of the kind are those of the kind's one
+    matrix, bitwise, and each candidate's Hermitised Choi matrix is a
+    transpose of it (:func:`_compose_varphi`).
 
     A candidate matches when it passes, in turn (H its Hermitised Choi matrix):
     - the Hermiticity defect, max|C - C*| <= tol d;
@@ -314,42 +310,36 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     _check_tol(tol)
     shape = phi.shape
     d = shape.dim
-    # Hermiticity defect, keyed by affine
-    defects = {True: hermiticity_defect(_candidate_choi(phi, "id", True))} if shape.is_half else {}
-    choi = choi_matrix(phi)
-    defects[False] = hermiticity_defect(choi)
-    plain = hermitian_part(choi).ravel()
-    del choi
-
-    def hermitised(tag: str, affine: bool) -> np.ndarray:
-        if affine:
-            return hermitian_part(_candidate_choi(phi, tag, True))
-        return plain[_plain_choi_index(shape, tag)]
-
     bounds: dict[str, float] = {}
     matched: CandidateMatch | None = None
-    for tag, affine in canonical_forms(shape):
-        key = f"{tag}+affine" if affine else tag
+    for affine in ((False, True) if shape.is_half else (False,)):
+        choi = choi_matrix(phi)
         if affine:
-            plain = None  # canonical_forms lists every plain candidate first
-        v, lam, spread = _rank_one_fit(hermitised(tag, affine))
-        bounds[key] = (spread + max(0.0, -lam)) / d
-        if defects[affine] > tol * d:
-            continue
-        u = _normalize_phase(unvec(v, d) * np.sqrt(d))
-        try:
-            spec = CanonicalFormSpec(varphi=tag, unitary=u, affine=affine, shape=shape)
-        except ValueError:
-            continue  # recovered matrix not unitary enough: near-miss, no match
-        residual = max_abs(phi.matrix - build_canonical(spec).matrix)
-        if residual > tol:
-            continue
-        if spread > tol * d or abs(lam - d) + spread > tol * d:  # the bound cannot decide
-            w = np.linalg.eigvalsh(hermitised(tag, affine))
-            bounds[key] = max(abs(float(w[-2])), abs(float(w[0]))) / d
-            if bounds[key] > tol or abs(float(w[-1]) - d) > tol * d:
+            _reflect_choi(choi, shape.k)
+        defect = hermiticity_defect(choi)
+        herm = hermitian_part(choi)
+        del choi
+        for tag in VARPHI_TAGS:
+            key = f"{tag}+affine" if affine else tag
+            v, lam, spread = _rank_one_fit(_compose_varphi(herm, shape, tag))
+            bounds[key] = (spread + max(0.0, -lam)) / d
+            if defect > tol * d:
                 continue
-        matched = CandidateMatch(varphi=tag, affine=affine, unitary=u, residual=residual)
+            u = _normalize_phase(unvec(v, d) * np.sqrt(d))
+            try:
+                spec = CanonicalFormSpec(varphi=tag, unitary=u, affine=affine, shape=shape)
+            except ValueError:
+                continue  # recovered matrix not unitary enough: near-miss, no match
+            residual = max_abs(phi.matrix - build_canonical(spec).matrix)
+            if residual > tol:
+                continue
+            if spread > tol * d or abs(lam - d) + spread > tol * d:  # the bound cannot decide
+                w = np.linalg.eigvalsh(_compose_varphi(herm, shape, tag))
+                bounds[key] = max(abs(float(w[-2])), abs(float(w[0]))) / d
+                if bounds[key] > tol or abs(float(w[-1]) - d) > tol * d:
+                    continue
+            matched = CandidateMatch(varphi=tag, affine=affine, unitary=u, residual=residual)
+        del herm  # before the next kind's Choi matrix
 
     verdict = "not_a_preserver" if matched is None else "classified"
     return ClassificationReport(verdict=verdict, matched=matched, choi_gap_bounds=bounds)

@@ -38,12 +38,19 @@ from .matcore import (
     matrix_from_payload,
     matrix_to_payload,
     max_abs,
-    partial_transpose,
     unvec,
     vec,
 )
 
-VARPHI_TAGS = ("id", "t", "pt_right", "pt_left")
+# Each varphi's index action: the transpose of the (m, n, m, n) view [a, b, c, e]
+# of X, X[(a, b), (c, e)], that gives varphi(X). Each is an involution.
+_VARPHI_AXES = {
+    "id": (0, 1, 2, 3),
+    "t": (2, 3, 0, 1),  # (a, b) <-> (c, e)
+    "pt_right": (0, 3, 2, 1),  # b <-> e
+    "pt_left": (2, 1, 0, 3),  # a <-> c
+}
+VARPHI_TAGS = tuple(_VARPHI_AXES)
 UNITARITY_TOL = 1e-10
 
 
@@ -107,15 +114,12 @@ class LinearMapMatrix:
 def apply_varphi(x, tag: str, shape: BipartiteShape) -> np.ndarray:
     """Apply one of the four varphi involutions to a single matrix."""
     m = as_matrix(x)
-    if tag == "id":
-        return m.copy()
-    if tag == "t":
-        return m.T.copy()
-    if tag == "pt_right":
-        return partial_transpose(m, shape, "right")
-    if tag == "pt_left":
-        return partial_transpose(m, shape, "left")
-    raise ValueError(f"unknown varphi tag {tag!r}")
+    if tag not in _VARPHI_AXES:
+        raise ValueError(f"unknown varphi tag {tag!r}")
+    if m.shape[0] != shape.dim:
+        raise ValueError(f"matrix dim {m.shape[0]} does not match shape m*n={shape.dim}")
+    view = m.reshape(shape.m, shape.n, shape.m, shape.n).transpose(_VARPHI_AXES[tag])
+    return view.copy().reshape(shape.dim, shape.dim)
 
 
 def affine_reflect(x, k: int) -> np.ndarray:
@@ -195,8 +199,9 @@ def compose(outer: LinearMapMatrix, inner: LinearMapMatrix) -> LinearMapMatrix:
 
 
 def _reshuffle(mat: np.ndarray, d: int) -> np.ndarray:
-    """The map-matrix <-> Choi-matrix index reshuffle; an involution."""
-    return mat.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d).copy()
+    """The map-matrix <-> Choi-matrix index reshuffle; an involution. The last
+    reshape, of a transposed view, is the one copy."""
+    return mat.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 def choi_matrix(phi: LinearMapMatrix) -> np.ndarray:

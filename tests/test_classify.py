@@ -8,11 +8,11 @@ import pytest
 from knrange import classify
 from knrange.classify import (
     FALSIFY_REJECT_TOL,
-    _candidate_choi,
+    _compose_varphi,
     _excludes_every_candidate,
-    _plain_choi_index,
     _random_constrained_map,
     _rank_one_fit,
+    _reflect_choi,
     _trial_pairs,
     _witness_pair,
     classification_to_payload,
@@ -447,6 +447,35 @@ def map_coordinate_choi(phi, tag, affine):
     return choi_matrix(LinearMapMatrix(shape, psi))
 
 
+def plain_choi_index(shape, tag):
+    """Oracle: flat positions in C = Choi(Phi) of the entries of
+    Choi(Phi o varphi), in closed form. varphi(E_pq) = E_rs with
+    s d + r = pi[q d + p], so Choi(Phi o varphi)[(p, i), (q, j)] =
+    C[(r, i), (s, j)], whose flat position is r d^3 + i d^2 + s d + j."""
+    d = shape.dim
+    s, r = np.divmod(_varphi_perm(shape, tag).reshape(d, d), d)  # indexed [q, p]
+    rs = (r * d**3 + s * d).T  # indexed [p, q]
+    ij = np.arange(d)
+    return (rs[:, None, :, None] + (ij * d * d)[None, :, None, None] + ij).reshape(d * d, d * d)
+
+
+def gathered_choi(phi, tag, affine):
+    """Oracle: Choi(Phi) gathered by plain_choi_index, then reflected."""
+    c = choi_matrix(phi).ravel()[plain_choi_index(phi.shape, tag)]
+    if affine:
+        _reflect_choi(c, phi.shape.k)
+    return c
+
+
+def candidate_choi(phi, tag, affine, herm=False):
+    """The candidate's Choi matrix as classify_preserver forms it: Choi(Phi),
+    reflected if affine, Hermitised if asked, then transposed by varphi."""
+    c = choi_matrix(phi)
+    if affine:
+        _reflect_choi(c, phi.shape.k)
+    return _compose_varphi(hermitian_part(c) if herm else c, phi.shape, tag)
+
+
 def trace_perturbed(shape, seed):
     """A canonical map whose trace form is moved by 1e-9."""
     phi, _ = canonical(shape, "t", seed=seed)
@@ -456,8 +485,9 @@ def trace_perturbed(shape, seed):
 
 
 class TestCandidateChoi:
-    """_candidate_choi gathers from Choi(Phi) and reflects in Choi
-    coordinates, bitwise the map-coordinate construction."""
+    """Each candidate's Choi matrix is a transpose of Choi(Phi), reflected in
+    Choi coordinates first if affine: bitwise the map-coordinate
+    construction and the closed-form gather."""
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
     def test_bitwise_equal_to_map_coordinates(self, shape):
@@ -467,8 +497,33 @@ class TestCandidateChoi:
         for phi in maps:
             for tag in VARPHI_TAGS:
                 for affine in (False, True):
-                    got = _candidate_choi(phi, tag, affine)
-                    assert got.tobytes() == map_coordinate_choi(phi, tag, affine).tobytes(), (tag, affine)
+                    got = candidate_choi(phi, tag, affine)
+                    reference = map_coordinate_choi(phi, tag, affine)
+                    assert got.tobytes() == reference.tobytes(), (tag, affine)
+                    assert got.tobytes() == gathered_choi(phi, tag, affine).tobytes(), (tag, affine)
+                    herm = candidate_choi(phi, tag, affine, herm=True)
+                    assert herm.tobytes() == hermitian_part(reference).tobytes(), (tag, affine)
+
+    @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
+    def test_transposed_copy_owns_its_memory(self, shape):
+        """_rank_one_fit overwrites its argument, so no candidate, the id one
+        included, may alias the shared Hermitised matrix."""
+        herm = hermitian_part(choi_matrix(dense_map(shape, 8)))
+        before = herm.copy()
+        for tag in VARPHI_TAGS:
+            candidate = _compose_varphi(herm, shape, tag)
+            assert not np.shares_memory(candidate, herm), tag
+            assert candidate.flags.c_contiguous, tag
+            _rank_one_fit(candidate)
+        assert herm.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("shape,kinds", [(BipartiteShape(3, 3, 4), 1),
+                                             (BipartiteShape(2, 4, 4), 2)])
+    def test_one_choi_matrix_per_kind(self, shape, kinds):
+        for phi in (canonical(shape, "t", seed=2)[0], dense_map(shape, 3)):
+            with mock.patch.object(classify, "choi_matrix", wraps=classify.choi_matrix) as counted:
+                classify_preserver(phi)
+            assert counted.call_count == kinds
 
     def test_classify_memory_is_bounded(self):
         """(4, 4, 8): the Choi matrix of Phi is dropped before the affine
@@ -486,7 +541,7 @@ class TestCandidateChoi:
 
 
 def herm_choi_norm(phi, tag="id", affine=False):
-    return float(np.linalg.norm(hermitian_part(_candidate_choi(phi, tag, affine))))
+    return float(np.linalg.norm(candidate_choi(phi, tag, affine, herm=True)))
 
 
 def dense_map(shape, seed):
@@ -501,7 +556,7 @@ class TestEntryPermutation:
     def test_one_defect_per_kind(self, shape):
         phi = dense_map(shape, shape.dim)
         for affine in {affine for _, affine in canonical_forms(shape)}:
-            defects = {hermiticity_defect(_candidate_choi(phi, tag, affine)) for tag in VARPHI_TAGS}
+            defects = {hermiticity_defect(candidate_choi(phi, tag, affine)) for tag in VARPHI_TAGS}
             assert len(defects) == 1, (affine, defects)
 
     @pytest.mark.parametrize("shape,defect_passes", [(BipartiteShape(3, 3, 4), 1),
@@ -516,9 +571,9 @@ class TestEntryPermutation:
     @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
     def test_hermitian_parts_share_entries(self, shape):
         phi = dense_map(shape, 7)
-        entries = np.sort(hermitian_part(_candidate_choi(phi, "id", False)).ravel())
+        entries = np.sort(hermitian_part(candidate_choi(phi, "id", False)).ravel())
         for tag in VARPHI_TAGS:
-            herm = hermitian_part(_candidate_choi(phi, tag, False))
+            herm = hermitian_part(candidate_choi(phi, tag, False))
             assert np.array_equal(np.sort(herm.ravel()), entries), tag
 
     def test_classify_hermitises_once_for_the_plain_candidates(self):
@@ -533,15 +588,19 @@ class TestEntryPermutation:
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES)
     def test_plain_parts_gathered_from_one_hermitian_part(self, shape):
-        """classify_preserver Hermitises Choi(Phi) once and gathers each plain
-        candidate's Hermitised Choi matrix from it, bitwise the Hermitian part
-        of the map-coordinate construction."""
+        """classify_preserver Hermitises Choi(Phi), reflected if affine, once
+        per kind and transposes each candidate's Hermitised Choi matrix out of
+        it, bitwise the Hermitian part of the map-coordinate construction and
+        the closed-form gather from Herm(Choi(Phi))."""
         phi = dense_map(shape, 13)
-        plain = hermitian_part(choi_matrix(phi)).ravel()
+        plain = hermitian_part(choi_matrix(phi))
         for tag in VARPHI_TAGS:
-            gathered = plain[_plain_choi_index(shape, tag)]
-            reference = hermitian_part(map_coordinate_choi(phi, tag, False))
-            assert gathered.tobytes() == reference.tobytes(), tag
+            for affine in (False, True):
+                got = candidate_choi(phi, tag, affine, herm=True)
+                reference = hermitian_part(map_coordinate_choi(phi, tag, affine))
+                assert got.tobytes() == reference.tobytes(), (tag, affine)
+            gathered = plain.ravel()[plain_choi_index(shape, tag)]
+            assert _compose_varphi(plain, shape, tag).tobytes() == gathered.tobytes(), tag
 
     @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 2), BipartiteShape(2, 4, 4),
                                        BipartiteShape(3, 4, 6), BipartiteShape(3, 3, 4),
@@ -552,7 +611,7 @@ class TestEntryPermutation:
         d = 2k."""
         phi = dense_map(shape, 11)
         d, k = shape.dim, shape.k
-        herm = hermitian_part(_candidate_choi(phi, "id", False))
+        herm = hermitian_part(choi_matrix(phi))
         blocks = herm.reshape(d, d, d, d)
         trace_form = np.einsum("piqi->pq", blocks)  # Herm T
         norm_t = np.linalg.norm(trace_form) ** 2

@@ -9,6 +9,7 @@ from knrange.matcore import (
     BipartiteShape,
     hermitian_part,
     kron,
+    partial_transpose,
     random_complex,
     random_haar_unitary,
     random_hermitian,
@@ -43,7 +44,7 @@ from knrange.maps import (
     varphi_map,
 )
 
-from conftest import SQRT_9_OVER_2, shift3, unit_matrix
+from conftest import SQRT_9_OVER_2, peak_alloc, shift3, unit_matrix
 
 
 def spec_for(shape, tag="id", seed=0, affine=False):
@@ -169,6 +170,33 @@ class TestBuildCanonical:
                 np.testing.assert_array_equal(apply_map(reflect, x), affine_reflect(x, shape.k))
                 for tag, phi in bare.items():
                     np.testing.assert_array_equal(apply_map(phi, x), apply_varphi(x, tag, shape))
+
+
+class TestApplyVarphi:
+    """The axis table behind apply_varphi against the plain transpose and
+    matcore.partial_transpose."""
+
+    @pytest.mark.parametrize("shape", [BipartiteShape(2, 3, 2), BipartiteShape(3, 2, 2),
+                                       BipartiteShape(3, 4, 6)])
+    def test_bitwise_equal_to_reference(self, shape, rng):
+        x = random_complex(shape.dim, rng)
+        reference = {
+            "id": x,
+            "t": x.T,
+            "pt_right": partial_transpose(x, shape, "right"),
+            "pt_left": partial_transpose(x, shape, "left"),
+        }
+        for tag in VARPHI_TAGS:
+            got = apply_varphi(x, tag, shape)
+            assert got.tobytes() == np.ascontiguousarray(reference[tag]).tobytes(), tag
+            assert not np.shares_memory(got, x), tag
+
+    def test_rejects_bad_input(self):
+        shape = BipartiteShape(2, 3, 2)
+        with pytest.raises(ValueError, match="unknown varphi tag"):
+            apply_varphi(np.eye(6), "middle", shape)
+        with pytest.raises(ValueError, match="does not match"):
+            apply_varphi(np.eye(5), "t", shape)
 
 
 class TestFormLists:
@@ -331,6 +359,22 @@ class TestChoi:
         phi = LinearMapMatrix(shape, random_complex(36, rng))
         back = map_from_choi(choi_matrix(phi), shape)
         np.testing.assert_array_equal(back.matrix, phi.matrix)
+
+    def test_results_own_their_memory(self, rng):
+        shape = BipartiteShape(2, 3, 3)
+        phi = LinearMapMatrix(shape, random_complex(36, rng))
+        choi = choi_matrix(phi)
+        assert not np.shares_memory(choi, phi.matrix)
+        assert not np.shares_memory(map_from_choi(choi, shape).matrix, choi)
+
+    def test_one_copy_per_reshuffle(self, rng):
+        """(4, 4, 8): a 1 MiB Choi matrix is allocated once, not copied twice."""
+        shape = BipartiteShape(4, 4, 8)
+        phi = LinearMapMatrix(shape, random_complex(256, rng))
+        choi_matrix(phi)  # warm-up
+        with peak_alloc() as peak:
+            choi_matrix(phi)
+        assert peak.bytes < 1.5 * 2**20, peak.bytes
 
 
 class TestMapIO:
