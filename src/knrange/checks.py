@@ -26,6 +26,8 @@ from .classify import counterexample_matrices
 from .matcore import (
     HERMITICITY_RTOL,
     BipartiteShape,
+    _check_int,
+    _check_tol,
     _ginibre,
     as_matrix,
     hermiticity_defect,
@@ -47,7 +49,6 @@ from .maps import (
 from .ranges import (
     DEFAULT_NUM_ANGLES,
     DEFAULT_RTOL,
-    _check_int,
     boundary_point,
     krange_hermitian,
     krange_profile,
@@ -137,14 +138,13 @@ def check_block_split(h, k: int, tol: float = DEFAULT_RTOL) -> ImplicationCheck:
     """If the first k diagonal entries of a Hermitian matrix sum to the sum of
     its k largest eigenvalues, the matrix splits as A_1 (+) A_2 with A_1 of
     size k carrying exactly those eigenvalues."""
+    _check_tol(tol)
     m = as_matrix(h)
     if not is_hermitian(m):
         raise ValueError(
             f"check_block_split needs a Hermitian matrix (defect {hermiticity_defect(m):.3e})"
         )
-    _check_int("k", k, 1)
-    if k > m.shape[0]:
-        raise ValueError(f"k must be in 1..dim, got {k}")
+    _check_int("k", k, 1, m.shape[0])
     scale = 1.0 + max_abs(m)
     w = np.linalg.eigvalsh(m)[::-1]  # descending
     diag_sum = float(np.real(np.trace(m[:k, :k])))
@@ -159,6 +159,7 @@ def check_block_split(h, k: int, tol: float = DEFAULT_RTOL) -> ImplicationCheck:
 def check_orthogonality_criterion(a, b, k: int, tol: float = DEFAULT_RTOL) -> ImplicationCheck:
     """For PSD A, B: if tr(A)/k equals the top of W_k(A - B), then A and B are
     orthogonal (AB* = A*B = 0)."""
+    _check_tol(tol)
     ma, mb = as_matrix(a), as_matrix(b)
     for name, mat in (("A", ma), ("B", mb)):
         if not is_hermitian(mat):
@@ -334,7 +335,7 @@ def preserver_suite(
     items.extend(_range_property_items(shape, rng))
     items.append(_complement_item(shape, rng))
 
-    if shape.m >= 3 and shape.n >= 3:
+    if shape.has_counterexample:
         report = check_counterexample(shape.m, shape.n)
         items.append(
             SuiteItem(

@@ -27,6 +27,8 @@ import numpy as np
 
 from .matcore import (
     BipartiteShape,
+    _check_int,
+    _check_tol,
     _ginibre,
     hermitian_part,
     hermiticity_defect,
@@ -48,7 +50,6 @@ from .ranges import (
     DEFAULT_NUM_ANGLES,
     DEFAULT_RTOL,
     _angle_grid,
-    _check_int,
     support_values_batch,
 )
 
@@ -99,28 +100,22 @@ class ClassificationReport:
     choi_gap_bounds: dict[str, float] = field(default_factory=dict)
 
 
-def _check_tol(tol: float) -> None:
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-
-
 def counterexample_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The pair (A, B): weighted shift X = [[0,3,0],[0,0,1],[0,0,0]] zero-padded
     to m x m and n x n (see :mod:`knrange.checks` for its closed-form spectra)."""
-    for name, value in (("m", m), ("n", n)):
-        _check_int(name, value, 3)
-    x = np.array([[0, 3, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
+    _check_int("m", m, 3)
+    _check_int("n", n, 3)
     a = np.zeros((m, m), dtype=complex)
     b = np.zeros((n, n), dtype=complex)
-    a[:3, :3] = x
-    b[:3, :3] = x
+    a[0, 1] = b[0, 1] = 3.0
+    a[1, 2] = b[1, 2] = 1.0
     return a, b
 
 
 def _witness_pair(shape: BipartiteShape) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic first trial: the counterexample pair when both factors are
     at least 3x3 (it separates the partial transposes), else E_11 x E_11."""
-    if shape.m >= 3 and shape.n >= 3:
+    if shape.has_counterexample:
         return counterexample_matrices(shape.m, shape.n)
     a = np.zeros((shape.m, shape.m), dtype=complex)
     b = np.zeros((shape.n, shape.n), dtype=complex)
@@ -208,12 +203,16 @@ def verify_preserver(
 
 
 def _normalize_phase(u: np.ndarray) -> np.ndarray:
-    """Make the first entry of largest modulus real positive."""
-    idx = int(np.argmax(np.abs(u)))
-    pivot = u.flat[idx]
-    if abs(pivot) == 0.0:
-        return u
+    """Make the first entry of largest modulus real positive (u is not 0: ||v|| = 1)."""
+    pivot = u.flat[int(np.argmax(np.abs(u)))]
     return u * (abs(pivot) / pivot)
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """||a||_F as one einsum over the float view: no BLAS call, so unlike
+    np.linalg.norm's threaded dot its bits do not depend on the thread count."""
+    x = a.reshape(-1).view(np.float64)
+    return math.sqrt(float(np.einsum("i,i->", x, x)))
 
 
 def _rank_one_fit(herm: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -235,7 +234,7 @@ def _rank_one_fit(herm: np.ndarray) -> tuple[np.ndarray, float, float]:
     d, v_conj = math.isqrt(v.size), v.conj()
     for rows, v_rows in zip(herm.reshape(d, d, -1), (lam * v).reshape(d, d)):
         rows -= v_rows[:, None] * v_conj
-    return v, lam, float(np.linalg.norm(herm))
+    return v, lam, _frobenius(herm)
 
 
 def _reflect_choi(choi: np.ndarray, k: int) -> None:
@@ -418,7 +417,7 @@ def _excludes_every_candidate(phi: LinearMapMatrix, tol: float) -> bool:
     it cannot exclude is left to classify_preserver.
     """
     d = phi.shape.dim
-    norm = float(np.linalg.norm(hermitian_part(choi_matrix(phi))))
+    norm = _frobenius(hermitian_part(choi_matrix(phi)))
     allowance = 4 * d**4 * np.finfo(float).eps * (norm + 1.0)
     return norm + allowance < d * (1.0 - tol)
 

@@ -106,7 +106,7 @@ def _cmd_suite(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "suite_summary.json"), "w", encoding="utf-8") as fh:
         fh.write(checks.suite_json(items) + "\n")
-    if shape.m >= 3 and shape.n >= 3:
+    if shape.has_counterexample:
         a, b = checks.counterexample_matrices(shape.m, shape.n)
         save_matrix(a, os.path.join(out_dir, "counterexample_a.json"))
         save_matrix(b, os.path.join(out_dir, "counterexample_b.json"))

@@ -34,6 +34,7 @@ import numpy as np
 
 from .matcore import (
     BipartiteShape,
+    _check_int,
     as_matrix,
     matrix_from_payload,
     matrix_to_payload,
@@ -57,8 +58,8 @@ UNITARITY_TOL = 1e-10
 def preserves_on_tensors(tag: str, shape: BipartiteShape) -> bool:
     """Whether U varphi(.) U* (and its affine variant) preserves W_k on tensor
     products of this shape: always for id and t, for the partial transposes
-    only when one factor is at most 2x2."""
-    return tag in ("id", "t") or min(shape.m, shape.n) <= 2
+    only when the shape has no counterexample pair (a factor is at most 2x2)."""
+    return tag in ("id", "t") or not shape.has_counterexample
 
 
 def canonical_forms(shape: BipartiteShape) -> list[tuple[str, bool]]:
@@ -124,6 +125,7 @@ def apply_varphi(x, tag: str, shape: BipartiteShape) -> np.ndarray:
 
 def affine_reflect(x, k: int) -> np.ndarray:
     """X |-> (tr X / k) I - X."""
+    _check_int("k", k, 1)
     m = as_matrix(x)
     return (np.trace(m) / k) * np.eye(m.shape[0], dtype=complex) - m
 

@@ -14,12 +14,29 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Real
 
 import numpy as np
 
 # The one "is this matrix Hermitian" decision (see :func:`is_hermitian`):
 # relative to 1 + max|entry| of the matrix under test.
 HERMITICITY_RTOL = 1e-10
+
+
+def _check_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """Reject bool, non-integers (floats and numpy integers included) and
+    values outside minimum..maximum (inclusive; no upper bound if None)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum or (maximum is not None and value > maximum):
+        bound = f"be >= {minimum}" if maximum is None else f"satisfy {minimum} <= {name} <= {maximum}"
+        raise ValueError(f"{name} must {bound}, got {value}")
+
+
+def _check_tol(tol) -> None:
+    """Reject a tol that is not a finite real number > 0: nan, bool and None too."""
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -67,12 +84,9 @@ class BipartiteShape:
     k: int
 
     def __post_init__(self):
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (self.m, self.n, self.k)):
-            raise ValueError(f"m, n, k must be integers, got {self.m!r}, {self.n!r}, {self.k!r}")
-        if self.m < 2 or self.n < 2:
-            raise ValueError(f"factor dimensions must be >= 2, got m={self.m}, n={self.n}")
-        if not 1 <= self.k <= self.m * self.n - 1:
-            raise ValueError(f"k must satisfy 1 <= k <= mn-1, got k={self.k} for mn={self.m * self.n}")
+        _check_int("m", self.m, 2)
+        _check_int("n", self.n, 2)
+        _check_int("k", self.k, 1, self.m * self.n - 1)
 
     @property
     def dim(self) -> int:
@@ -82,6 +96,12 @@ class BipartiteShape:
     def is_half(self) -> bool:
         """True iff mn = 2k (exact integer test), the shape admitting affine preservers."""
         return self.m * self.n == 2 * self.k
+
+    @property
+    def has_counterexample(self) -> bool:
+        """True iff both factors are at least 3x3: the counterexample pair of
+        :mod:`knrange.checks` exists and rules out the partial transposes."""
+        return min(self.m, self.n) >= 3
 
 
 def kron(a, b) -> np.ndarray:
@@ -128,32 +148,27 @@ def _ginibre(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
 
 def random_haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary: QR of a Ginibre matrix with R's diagonal phases absorbed."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(_ginibre((dim, dim), rng))
+    _check_int("dim", dim, 1)
+    q, r = np.linalg.qr(_ginibre((dim, dim), np.random.default_rng(seed)))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
 def random_hermitian(dim: int, seed) -> np.ndarray:
     """(G + G*) / 2 of a Ginibre matrix; exactly Hermitian, operator norm O(sqrt(dim))."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    rng = np.random.default_rng(seed)
-    return hermitian_part(_ginibre((dim, dim), rng))
+    _check_int("dim", dim, 1)
+    return hermitian_part(_ginibre((dim, dim), np.random.default_rng(seed)))
 
 
 def random_complex(dim: int, seed) -> np.ndarray:
     """Ginibre matrix with independent standard complex Gaussian entries."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    rng = np.random.default_rng(seed)
-    return _ginibre((dim, dim), rng)
+    _check_int("dim", dim, 1)
+    return _ginibre((dim, dim), np.random.default_rng(seed))
 
 
 def is_orthogonal_pair(a, b, tol: float = 1e-10) -> bool:
     """True iff AB* = A*B = 0 up to tol * (1 + |A|_max)(1 + |B|_max)."""
+    _check_tol(tol)
     ma, mb = as_matrix(a), as_matrix(b)
     if ma.shape != mb.shape:
         raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
@@ -192,8 +207,7 @@ def matrix_from_payload(payload: dict) -> np.ndarray:
     try:
         d = payload["dim"]
         entries = payload["entries"]
-        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-            raise ValueError(f"bad dim in matrix payload: {d!r}")
+        _check_int("dim", d, 1)
         if len(entries) != d * d:
             raise ValueError(f"expected {d * d} entries, got {len(entries)}")
         flat = np.array([complex(re, im) for re, im in entries], dtype=complex)

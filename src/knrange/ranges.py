@@ -32,6 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
+    _check_int,
+    _check_tol,
     _ginibre,
     as_matrix,
     hermiticity_defect,
@@ -67,20 +69,6 @@ class SupportProfile:
     @property
     def num_angles(self) -> int:
         return len(self.angles)
-
-
-def _check_int(name: str, value, minimum: int) -> None:
-    """Reject bool, non-integers (floats included) and values below `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
-
-def _check_k(dim: int, k: int) -> None:
-    _check_int("k", k, 1)
-    if k > dim - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= dim-1 = {dim - 1}, got {k}")
 
 
 def _check_angles(angles) -> np.ndarray:
@@ -172,18 +160,14 @@ def krange_hermitian(h, k: int) -> KInterval:
         raise ValueError(
             f"krange_hermitian needs a Hermitian matrix (defect {hermiticity_defect(m):.3e})"
         )
-    _check_k(m.shape[0], k)
+    _check_int("k", k, 1, m.shape[0] - 1)
     w = np.linalg.eigvalsh(m)  # ascending
     return KInterval(lo=float(w[:k].sum() / k), hi=float(w[-k:].sum() / k))
 
 
 def support_values(a, k: int, angles: np.ndarray) -> np.ndarray:
     """h(theta) for every theta in `angles` (vectorized)."""
-    m = as_matrix(a)
-    _check_k(m.shape[0], k)
-    angles = _check_angles(np.atleast_1d(angles))
-    w = _rotated_eigs(m[None], angles)[0]
-    return w[:, -k:].sum(axis=1) / k
+    return support_values_batch(as_matrix(a)[None], k, np.atleast_1d(angles))[0]
 
 
 def support_value(a, k: int, theta: float) -> float:
@@ -204,7 +188,7 @@ def support_values_batch(stack: np.ndarray, k: int, angles: np.ndarray) -> np.nd
     if not np.all(np.isfinite(stack)):
         raise ValueError("stack entries must be finite")
     angles = _check_angles(angles)
-    _check_k(stack.shape[1], k)
+    _check_int("k", k, 1, stack.shape[1] - 1)
     w = _rotated_eigs(stack, angles)
     return w[:, :, -k:].sum(axis=2) / k
 
@@ -218,7 +202,7 @@ def boundary_point(a, k: int, theta: float) -> complex:
     definition, and its rotated real part equals support_value(a, k, theta).
     """
     m = as_matrix(a)
-    _check_k(m.shape[0], k)
+    _check_int("k", k, 1, m.shape[0] - 1)
     _, v = _rotated_eigs(m[None], _check_angles([float(theta)]), vectors=True)
     vk = v[0, 0, :, -k:]
     return complex(np.einsum("is,ij,js->", vk.conj(), m, vk) / k)
@@ -227,7 +211,7 @@ def boundary_point(a, k: int, theta: float) -> complex:
 def krange_profile(a, k: int, num_angles: int = DEFAULT_NUM_ANGLES) -> SupportProfile:
     """Support function and boundary points of W_k(A) on a uniform angle grid."""
     m = as_matrix(a)
-    _check_k(m.shape[0], k)
+    _check_int("k", k, 1, m.shape[0] - 1)
     angles = _angle_grid(num_angles)
     w, v = _rotated_eigs(m[None], angles, vectors=True)
     w, v = w[0], v[0]
@@ -243,6 +227,7 @@ def ranges_equal(p1: SupportProfile, p2: SupportProfile, tol: float = DEFAULT_RT
     Equal compact convex sets have identical support functions and conversely,
     so agreement on the shared grid is the discretized criterion.
     """
+    _check_tol(tol)
     if p1.k != p2.k or p1.num_angles != p2.num_angles:
         raise ValueError(
             f"profiles on different grids: k={p1.k}/{p2.k}, "
@@ -259,9 +244,7 @@ def k_numerical_radius(a, k: int, num_angles: int = DEFAULT_NUM_ANGLES) -> float
     function over all directions; the uniform grid underestimates by
     O(1/num_angles^2) at most.
     """
-    m = as_matrix(a)
-    _check_k(m.shape[0], k)
-    return float(np.max(support_values(m, k, _angle_grid(num_angles))))
+    return float(np.max(support_values(a, k, _angle_grid(num_angles))))
 
 
 def sample_points(a, k: int, count: int, seed) -> np.ndarray:
@@ -272,7 +255,7 @@ def sample_points(a, k: int, count: int, seed) -> np.ndarray:
     every returned point lies in W_k(A).
     """
     m = as_matrix(a)
-    _check_k(m.shape[0], k)
+    _check_int("k", k, 1, m.shape[0] - 1)
     _check_int("count", count, 1)
     d = m.shape[0]
     rng = np.random.default_rng(seed)

@@ -407,11 +407,10 @@ class TestAgainstEighOracle:
         assert len(report.choi_gap_bounds) == len(canonical_forms(shape))
         assert not log, log
 
-    def test_undecided_certificate_falls_back_to_one_solve(self):
-        """Choi(Phi) = d uu* + N with N Hermitian, N u = 0 and max|N| = 2.5e-9:
-        ||N||_F is above tol d, so the certificate cannot decide, while ||N||_2
-        and the rebuild residual max|N| are within tol. One eigvalsh of the id
-        candidate's own Hermitised Choi matrix decides, as the oracle does."""
+    @staticmethod
+    def near_rank_one_map(noise_max):
+        """At (4,4,8): Choi(Phi) = d uu* + N, u = vec(U) / sqrt(d), with N
+        Hermitian, N u = 0 and max|N| = noise_max."""
         shape = BipartiteShape(4, 4, 8)
         d = shape.dim
         u = random_haar_unitary(d, 12)
@@ -419,8 +418,16 @@ class TestAgainstEighOracle:
         noise = random_hermitian(d * d, np.random.default_rng(12))
         project = np.eye(d * d) - np.outer(unit, unit.conj())
         noise = project @ noise @ project
-        noise *= 2.5e-9 / max_abs(noise)
-        phi = map_from_choi(d * np.outer(unit, unit.conj()) + noise, shape)
+        noise *= noise_max / max_abs(noise)
+        return map_from_choi(d * np.outer(unit, unit.conj()) + noise, shape)
+
+    def test_undecided_certificate_falls_back_to_one_solve(self):
+        """max|N| = 2.5e-9: ||N||_F is above tol d, so the certificate cannot
+        decide, while ||N||_2 and the rebuild residual max|N| are within tol.
+        One eigvalsh of the id candidate's own Hermitised Choi matrix decides,
+        as the oracle does."""
+        phi = self.near_rank_one_map(2.5e-9)
+        d = phi.shape.dim
         with solver_log() as log:
             report = classify_preserver(phi)
         assert [name for name, _, _ in log] == ["eigvalsh"]
@@ -430,6 +437,20 @@ class TestAgainstEighOracle:
         assert (report.matched.varphi, report.matched.affine) == matched[:2] == ("id", False)
         assert max_abs(report.matched.unitary - matched[2]) <= 1e-12
         assert abs(report.choi_gap_bounds["id"] - gaps["id"]) <= 1e-15  # the exact gap
+
+    def test_rebuild_residual_above_tol_rejects_without_a_solve(self):
+        """max|N| = 2.5e-8: the id candidate's read-off U is unitary, but the
+        rebuild residual max|N| exceeds tol, so the candidate is out before
+        any gate, and no other candidate reads off a unitary."""
+        phi = self.near_rank_one_map(2.5e-8)
+        rebuild = mock.patch.object(classify, "build_canonical", wraps=classify.build_canonical)
+        with solver_log() as log, rebuild as rebuilt:
+            report = classify_preserver(phi)
+        assert report.verdict == "not_a_preserver" and report.matched is None
+        assert not log, log
+        assert [(c.args[0].varphi, c.args[0].affine) for c in rebuilt.call_args_list] == [("id", False)]
+        residual = max_abs(phi.matrix - classify.build_canonical(rebuilt.call_args.args[0]).matrix)
+        assert 1e-8 < residual < 3e-8  # max|N|, above DEFAULT_RTOL
 
 
 def map_coordinate_choi(phi, tag, affine):
@@ -697,6 +718,26 @@ class TestFalsify:
     def test_count_must_be_an_integer(self):
         with pytest.raises(ValueError, match="count must be an integer"):
             falsify_random(BipartiteShape(2, 2, 2), True)
+
+    def test_a_pass_is_classified_and_reported(self):
+        """A kept draw that verification passes counts as a pass, with the
+        kind its classification at tol gives: a random draw is no canonical
+        form, so its defect was merely below tol."""
+        passing = classify.VerificationReport(
+            trials=1, max_support_defect=0.0, witnesses=[], verdict="pass", tol=1e-8, num_angles=8
+        )
+        with mock.patch.object(classify, "verify_preserver", return_value=passing):
+            summary = falsify_random(BipartiteShape(2, 2, 2), count=2, seed=3)
+        assert summary.passes == 2
+        assert [(r.verdict, r.pass_kind) for r in summary.results] == [("pass", "defect_below_tol")] * 2
+
+    def test_gives_up_after_64_canonical_draws(self):
+        shape = BipartiteShape(2, 2, 2)
+        phi, _ = canonical(shape, "t", seed=1)
+        with mock.patch.object(classify, "_random_constrained_map", return_value=phi) as draw:
+            with pytest.raises(RuntimeError, match="64 attempts"):
+                falsify_random(shape, count=1, seed=0)
+        assert draw.call_count == 64
 
     def test_empty_summary(self):
         summary = falsify_random(BipartiteShape(2, 2, 2), count=0, seed=0)

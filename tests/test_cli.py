@@ -11,7 +11,14 @@ from knrange import checks, classify, cli, ranges
 from knrange.classify import _random_constrained_map
 from knrange.checks import counterexample_matrices
 from knrange.maps import map_to_payload
-from knrange.matcore import BipartiteShape, kron, random_hermitian, save_matrix
+from knrange.matcore import (
+    BipartiteShape,
+    kron,
+    matrix_to_payload,
+    random_haar_unitary,
+    random_hermitian,
+    save_matrix,
+)
 
 from conftest import shift3
 
@@ -185,6 +192,21 @@ class TestVerifyCommand:
         assert report["tol"] == ranges.DEFAULT_RTOL
         assert report["trials"] == classify.DEFAULT_TRIALS
 
+    @pytest.mark.parametrize("unitary", [None, np.eye(3)], ids=["no-unitary-key", "wrong-dim"])
+    def test_descriptor_unitary_errors_exit_2(self, tmp_path, capsys, unitary):
+        descriptor = {"varphi": "id", "affine": False}
+        if unitary is not None:
+            descriptor["unitary"] = matrix_to_payload(unitary)
+        dpath, out = tmp_path / "desc.json", tmp_path / "report.json"
+        write_json(dpath, descriptor)
+        assert cli.main(["verify", str(dpath), "--m", "2", "--n", "2", "--k", "2",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "unitary" in lines[0]
+
     def test_descriptor_needs_shape(self, tmp_path):
         dpath = tmp_path / "desc.json"
         write_json(dpath, {"varphi": "id", "affine": False, "unitary": "identity"})
@@ -304,3 +326,26 @@ def test_suite_bytes_independent_of_blas_threads(tmp_path):
         )
         outputs.append((out / "suite_summary.json").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_verify_bytes_independent_of_blas_threads(tmp_path):
+    """The classification's choi_gap_bounds included: at (mn)^4 >= 20736 Choi
+    entries a norm taken by a threaded BLAS dot would move their last bits."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(knrange.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for (m, n, k), tag, affine in [((3, 4, 6), "t", False), ((4, 4, 8), "id", True)]:
+        dpath = tmp_path / f"{tag}.json"
+        write_json(dpath, {"varphi": tag, "affine": affine,
+                           "unitary": matrix_to_payload(random_haar_unitary(m * n, 5))})
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{tag}-threads{threads}.json"
+            subprocess.run(
+                [sys.executable, "-m", "knrange.cli", "verify", str(dpath), "--m", str(m),
+                 "--n", str(n), "--k", str(k), "--trials", "2", "--angles", "8", "--out", str(out)],
+                env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True, capture_output=True,
+                timeout=300,
+            )
+            outputs.append(out.read_bytes())
+        assert json.loads(outputs[0])["classification"]["verdict"] == "classified"
+        assert outputs[0] == outputs[1], (m, n, k, tag, affine)

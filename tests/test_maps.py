@@ -386,6 +386,12 @@ class TestMapIO:
         assert back.shape == shape
         np.testing.assert_array_equal(back.matrix, phi.matrix)
 
+    @pytest.mark.parametrize("build", [LinearMapMatrix, lambda shape, c: map_from_choi(c, shape)],
+                             ids=["map-matrix", "map-from-choi"])
+    def test_wrong_size_rejected(self, build):
+        with pytest.raises(ValueError, match="must be 16 x 16"):
+            build(BipartiteShape(2, 2, 1), np.eye(9))
+
     def test_map_payload_dim_check(self):
         with pytest.raises(ValueError, match="dim"):
             map_from_payload({"m": 2, "n": 2, "k": 1, "dim": 9, "entries": [[0.0, 0.0]] * 81})

@@ -258,7 +258,7 @@ class TestShape:
 
     @pytest.mark.parametrize("m,n,k", [(True, 2, 1), (2, True, 1), (2, 2, True), (3, 3, False)])
     def test_rejects_bool(self, m, n, k):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="must be an integer, got (True|False)"):
             BipartiteShape(m, n, k)
 
 
