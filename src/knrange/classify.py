@@ -27,6 +27,7 @@ import numpy as np
 
 from .matcore import (
     BipartiteShape,
+    _GINIBRE_SCALE,
     _check_int,
     _check_tol,
     _ginibre,
@@ -132,7 +133,8 @@ def _trial_pairs(
 
     Trial 0 is the witness pair. Every later trial takes 2m^2 + 2n^2
     standard normals, read as Re A, Im A, Re B, Im B; each factor is the
-    Ginibre matrix (Re + i Im) / sqrt(2), Hermitised on the odd trials. All of
+    Ginibre matrix (Re + i Im) / sqrt(2), each part scaled as in
+    :func:`knrange.matcore._ginibre`, Hermitised on the odd trials. All of
     them come from one draw, which consumes the generator's stream in the
     order that per-trial random_hermitian / random_complex calls would, and
     the arithmetic is theirs entry by entry, so the stacks are bitwise those
@@ -145,8 +147,10 @@ def _trial_pairs(
     a = np.empty((trials, m, m), dtype=complex)
     b = np.empty((trials, n, n), dtype=complex)
     a[0], b[0] = _witness_pair(shape)
-    a[1:] = ((re_a + 1j * im_a) / np.sqrt(2.0)).reshape(-1, m, m)
-    b[1:] = ((re_b + 1j * im_b) / np.sqrt(2.0)).reshape(-1, n, n)
+    a.real[1:] = (re_a * _GINIBRE_SCALE).reshape(-1, m, m)
+    a.imag[1:] = (im_a * _GINIBRE_SCALE).reshape(-1, m, m)
+    b.real[1:] = (re_b * _GINIBRE_SCALE).reshape(-1, n, n)
+    b.imag[1:] = (im_b * _GINIBRE_SCALE).reshape(-1, n, n)
     for f in (a, b):  # Hermitian parts on trials 1, 3, 5, ...
         f[1::2] = (f[1::2] + f[1::2].conj().transpose(0, 2, 1)) / 2
     xs = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(trials, m * n, m * n)
@@ -368,11 +372,14 @@ class FalsifySummary:
 
 
 def _project_marginals(choi: np.ndarray, d: int) -> np.ndarray:
-    """Orthogonal projection of a Hermitian Choi matrix onto the affine
-    subspace {Tr_1 C = I (unital), Tr_2 C = I (trace-preserving)}.
+    """Orthogonal projection of a C-contiguous Hermitian Choi matrix onto the
+    affine subspace {Tr_1 C = I (unital), Tr_2 C = I (trace-preserving)}, in
+    place.
 
     Solves C' = C + I x Y1 + Y2 x I for the marginal residuals in closed form;
-    Hermiticity is preserved because the residuals are Hermitian.
+    Hermiticity is preserved because the residuals are Hermitian. I x Y1 adds
+    Y1 to each diagonal block and Y2 x I adds Y2[p, q] to the diagonal of
+    block (p, q), in that order, as the two Kronecker sums would. Returns choi.
     """
     c4 = choi.reshape(d, d, d, d)
     tr1 = np.einsum("pipj->ij", c4)  # sum of diagonal blocks = Phi(I)
@@ -383,22 +390,30 @@ def _project_marginals(choi: np.ndarray, d: int) -> np.ndarray:
     shift = np.trace(r1).real / (2 * d)
     y1 = (r1 - shift * eye) / d
     y2 = (r2 - shift * eye) / d
-    return choi + np.kron(eye, y1) + np.kron(y2, eye)
+    diag = np.arange(d)
+    c4[diag, :, diag, :] += y1
+    c4[:, diag, :, diag] += y2
+    return choi
 
 
-def _random_constrained_map(shape: BipartiteShape, rng: np.random.Generator) -> LinearMapMatrix:
+def _random_constrained_choi(shape: BipartiteShape, rng: np.random.Generator) -> np.ndarray:
+    """Choi matrix of a random unital, trace-preserving, Hermiticity-preserving map."""
     d = shape.dim
     g = _ginibre((d * d, d * d), rng)
     choi = g @ g.conj().T
     choi *= d / np.trace(choi).real
-    choi = _project_marginals(choi, d)
-    return map_from_choi(choi, shape)
+    return _project_marginals(choi, d)
 
 
-def _excludes_every_candidate(phi: LinearMapMatrix, tol: float) -> bool:
+def _random_constrained_map(shape: BipartiteShape, rng: np.random.Generator) -> LinearMapMatrix:
+    """The map of a :func:`_random_constrained_choi` draw."""
+    return map_from_choi(_random_constrained_choi(shape, rng), shape)
+
+
+def _excludes_every_candidate(choi: np.ndarray, tol: float) -> bool:
     """True only if classify_preserver(phi, tol) must return "not_a_preserver"
-    because no candidate can pass its top-eigenvalue gate; one Frobenius norm,
-    no eigensolve.
+    for the map phi with Choi matrix `choi`, because no candidate can pass its
+    top-eigenvalue gate; one Frobenius norm, no eigensolve.
 
     A candidate passes that gate only if lam = v* H' v (the Weyl certificate)
     or, where that cannot decide, the top eigenvalue of its Hermitised Choi
@@ -416,8 +431,8 @@ def _excludes_every_candidate(phi: LinearMapMatrix, tol: float) -> bool:
     modest multiple of d^2) and the rounding of the affine Choi matrix. A map
     it cannot exclude is left to classify_preserver.
     """
-    d = phi.shape.dim
-    norm = _frobenius(hermitian_part(choi_matrix(phi)))
+    d = math.isqrt(len(choi))
+    norm = _frobenius(hermitian_part(choi))
     allowance = 4 * d**4 * np.finfo(float).eps * (norm + 1.0)
     return norm + allowance < d * (1.0 - tol)
 
@@ -447,8 +462,9 @@ def falsify_random(
     passes = 0
     for index in range(count):
         for _ in range(64):
-            phi = _random_constrained_map(shape, rng)
-            if (_excludes_every_candidate(phi, FALSIFY_REJECT_TOL)
+            choi = _random_constrained_choi(shape, rng)
+            phi = map_from_choi(choi, shape)
+            if (_excludes_every_candidate(choi, FALSIFY_REJECT_TOL)
                     or classify_preserver(phi, tol=FALSIFY_REJECT_TOL).verdict == "not_a_preserver"):
                 break
         else:

@@ -22,6 +22,9 @@ import numpy as np
 # relative to 1 + max|entry| of the matrix under test.
 HERMITICITY_RTOL = 1e-10
 
+# The scale of each part of a standard complex Gaussian (see :func:`_ginibre`).
+_GINIBRE_SCALE = 1 / np.sqrt(2.0)
+
 
 def _check_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
     """Reject bool, non-integers (floats and numpy integers included) and
@@ -142,8 +145,16 @@ def partial_transpose(x, shape: BipartiteShape, side: str) -> np.ndarray:
 
 def _ginibre(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Array of the given shape of independent standard complex Gaussians:
-    all real parts are drawn first, then all imaginary parts."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    all real parts are drawn first, then all imaginary parts.
+
+    Both parts are written, scaled by 1/sqrt(2), into one complex array:
+    bitwise (re + 1j * im) / np.sqrt(2.0), whose complex division by a real
+    scalar multiplies each part by that reciprocal.
+    """
+    g = np.empty(shape, dtype=complex)
+    g.real = rng.standard_normal(shape) * _GINIBRE_SCALE
+    g.imag = rng.standard_normal(shape) * _GINIBRE_SCALE
+    return g
 
 
 def random_haar_unitary(dim: int, seed) -> np.ndarray:

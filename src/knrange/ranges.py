@@ -16,8 +16,13 @@ All spectra come from one kernel, `_rotated_eigs`. On the default uniform grid
 with an even number of angles it solves only theta in [0, pi): since
 Herm(e^{-i(theta+pi)} A) = -Herm(e^{-i theta} A), the ascending spectrum at
 theta + pi is the negated, reversed spectrum at theta, with the eigenvector
-columns reversed to match. The k largest eigenvalues at theta + pi are thus
-the k smallest at theta. Odd grids and caller-chosen angles are solved in full.
+columns reversed to match. The kernel returns the solved angles only, and its
+callers read the antipodal half by index: the k largest eigenvalues at
+theta + pi are -w[..., k-1::-1], the negated k smallest at theta, and their
+eigenvectors are v[..., k-1::-1]. Odd grids and caller-chosen angles are
+solved in full. A Hermitian matrix takes one eigendecomposition of its own:
+every rotated frame is that eigenbasis, its columns reversed where
+cos(theta) < 0, so its whole profile has two distinct top-k frames.
 A stack is solved one matrix at a time: each non-Hermitian matrix's rotated
 family over the solved angles is built and solved before the next one's, so
 the transient memory is O(half * d^2), with half the number of angles solved,
@@ -95,42 +100,42 @@ def _is_antipodal_grid(angles: np.ndarray) -> bool:
 
 def _rotated_eigs(stack: np.ndarray, angles: np.ndarray, vectors: bool = False):
     """Ascending spectra of Herm(e^{-i theta} A) for every A in a (count, d, d)
-    stack and every theta in `angles`.
+    stack and every solved theta: the first half of an even uniform grid (see
+    the module docstring), and every angle otherwise.
 
-    Returns w of shape (count, len(angles), d) and, with vectors=True, also the
-    eigenvector frames v of shape (count, len(angles), d, d) (columns in the
-    order of w). Rows that `is_hermitian` accepts take one eigendecomposition
-    of their Hermitian part H: the rotated Hermitian part is then cos(theta) H.
-    On an even uniform grid only the first half of the angles is solved; see
-    the module docstring. The other rows are solved one at a time: a row's
-    (half, d, d) family cos(theta) H + sin(theta) K is built and solved
-    before the next row's, so the transient memory is about 2 * half * d^2
-    complex entries (the family and one term of it), not count times that.
-    Each entry is the same product and sum as a whole-stack broadcast, so the
-    spectra are bitwise the same.
+    Returns w of shape (count, half, d), with half the number of solved angles.
+    With vectors=True the stack holds one matrix, and the kernel also returns
+    its eigenvector frames v and a bool array flip of shape (half,): the frame
+    at solved angle j, columns in the order of w[0, j], is v[j] with its
+    columns reversed where flip[j]. A matrix that `is_hermitian` accepts takes
+    one eigendecomposition of its Hermitian part H, since the rotated
+    Hermitian part is then cos(theta) H: v is that eigenbasis, of shape
+    (1, d, d), broadcast over the angles, and flip is cos(theta) < 0. For any
+    other matrix v has shape (half, d, d) and flip is all False.
+    The non-Hermitian rows are solved one at a time: a row's (half, d, d)
+    family cos(theta) H + sin(theta) K is built and solved before the next
+    row's, so the transient memory is about 2 * half * d^2 complex entries
+    (the family and one term of it), not count times that. Each entry is the
+    same product and sum as a whole-stack broadcast, so the spectra are
+    bitwise the same.
     """
     count, d = stack.shape[0], stack.shape[1]
-    n = len(angles)
-    half = n // 2 if _is_antipodal_grid(angles) else n
+    half = len(angles) // 2 if _is_antipodal_grid(angles) else len(angles)
     cos, sin = np.cos(angles[:half]), np.sin(angles[:half])
     # Herm(e^{-i theta} A) = cos(theta) H + sin(theta) K
     adj = stack.conj().transpose(0, 2, 1)
     h = (stack + adj) / 2
     kk = -0.5j * (stack - adj)
     herm = is_hermitian(stack)
+    flip = cos < 0.0  # scaling by a negative cosine reverses the order
 
     w = np.empty((count, half, d))
-    v = np.empty((count, half, d, d), dtype=complex) if vectors else None
+    v = None
     if herm.any():
-        hw, hv = np.linalg.eigh(h[herm]) if vectors else (np.linalg.eigvalsh(h[herm]), None)
-        flip = cos < 0.0  # scaling by a negative cosine reverses the order
+        hw, v = np.linalg.eigh(h[herm]) if vectors else (np.linalg.eigvalsh(h[herm]), None)
         hw = cos[None, :, None] * hw[:, None, :]
         hw[:, flip] = hw[:, flip, ::-1]
         w[herm] = hw
-        if vectors:
-            hv = np.repeat(hv[:, None], half, axis=1)
-            hv[:, flip] = hv[:, flip, :, ::-1]
-            v[herm] = hv
     for i in np.flatnonzero(~herm):
         # The products and the sum of a whole-stack broadcast, in complex
         # arithmetic: real products on float views would differ in the signs
@@ -139,15 +144,27 @@ def _rotated_eigs(stack: np.ndarray, angles: np.ndarray, vectors: bool = False):
         rot = cos[:, None, None] * h[i]
         rot += sin[:, None, None] * kk[i]
         if vectors:
-            w[i], v[i] = np.linalg.eigh(rot)
+            w[i], v = np.linalg.eigh(rot)
         else:
             w[i] = np.linalg.eigvalsh(rot)
+    if vectors:
+        return w, v, flip & herm[0]
+    return w
 
-    if half < n:
-        w = np.concatenate([w, -w[..., ::-1]], axis=1)
-        if vectors:
-            v = np.concatenate([v, v[..., ::-1]], axis=1)
-    return (w, v) if vectors else w
+
+def _support_grid(w: np.ndarray, k: int, num_angles: int) -> np.ndarray:
+    """Means of the k largest eigenvalues on the whole grid, from the spectra
+    w of shape (count, half, d) at the solved angles: at an antipode the
+    negated k smallest, in the order of the negated, reversed spectrum."""
+    top = w[..., -k:].sum(axis=-1)
+    if w.shape[1] < num_angles:
+        top = np.concatenate([top, (-w[..., k - 1::-1]).sum(axis=-1)], axis=-1)
+    return top / k
+
+
+def _frame_points(m: np.ndarray, frames: np.ndarray, k: int) -> np.ndarray:
+    """tr(X* M X)/k for every (d, k) frame X of a (count, d, k) stack."""
+    return np.einsum("jis,jis->j", frames.conj(), m @ frames) / k
 
 
 def krange_hermitian(h, k: int) -> KInterval:
@@ -189,8 +206,7 @@ def support_values_batch(stack: np.ndarray, k: int, angles: np.ndarray) -> np.nd
         raise ValueError("stack entries must be finite")
     angles = _check_angles(angles)
     _check_int("k", k, 1, stack.shape[1] - 1)
-    w = _rotated_eigs(stack, angles)
-    return w[:, :, -k:].sum(axis=2) / k
+    return _support_grid(_rotated_eigs(stack, angles), k, len(angles))
 
 
 def boundary_point(a, k: int, theta: float) -> complex:
@@ -203,8 +219,8 @@ def boundary_point(a, k: int, theta: float) -> complex:
     """
     m = as_matrix(a)
     _check_int("k", k, 1, m.shape[0] - 1)
-    _, v = _rotated_eigs(m[None], _check_angles([float(theta)]), vectors=True)
-    vk = v[0, 0, :, -k:]
+    _, v, flip = _rotated_eigs(m[None], _check_angles([float(theta)]), vectors=True)
+    vk = v[0][:, k - 1::-1] if flip[0] else v[0][:, -k:]
     return complex(np.einsum("is,ij,js->", vk.conj(), m, vk) / k)
 
 
@@ -213,11 +229,20 @@ def krange_profile(a, k: int, num_angles: int = DEFAULT_NUM_ANGLES) -> SupportPr
     m = as_matrix(a)
     _check_int("k", k, 1, m.shape[0] - 1)
     angles = _angle_grid(num_angles)
-    w, v = _rotated_eigs(m[None], angles, vectors=True)
-    w, v = w[0], v[0]
-    support = w[:, -k:].sum(axis=1) / k
-    vk = v[:, :, -k:]
-    boundary = np.einsum("jis,jis->j", vk.conj(), m @ vk) / k
+    w, v, flip = _rotated_eigs(m[None], angles, vectors=True)
+    support = _support_grid(w, k, num_angles)[0]
+    antipodal = w.shape[1] < num_angles
+    if len(v) < w.shape[1]:
+        # One eigenbasis for every angle, so two distinct top-k frames: v's
+        # last k columns, and its first k reversed where the frame is
+        # flipped and at the antipodes of the frames that are not.
+        reverse = np.concatenate([flip, ~flip]) if antipodal else flip
+        points = _frame_points(m, np.stack([v[0][:, -k:], v[0][:, k - 1::-1]]), k)
+        boundary = points[reverse.astype(np.intp)]
+    else:
+        boundary = _frame_points(m, v[..., -k:], k)
+        if antipodal:
+            boundary = np.concatenate([boundary, _frame_points(m, v[..., k - 1::-1], k)])
     return SupportProfile(k=k, angles=angles, support=support, boundary=boundary)
 
 
@@ -259,10 +284,10 @@ def sample_points(a, k: int, count: int, seed) -> np.ndarray:
     _check_int("count", count, 1)
     d = m.shape[0]
     rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(_ginibre((count, d, d), rng))
+    # The first k columns of the full QR are the QR of the first k columns.
+    q, r = np.linalg.qr(_ginibre((count, d, d), rng)[:, :, :k])
     diag = np.einsum("tii->ti", r)
-    u = q * (diag / np.abs(diag))[:, None, :]
-    x = u[:, :, :k]
+    x = q * (diag / np.abs(diag))[:, None, :]
     return np.einsum("tis,ij,tjs->t", x.conj(), m, x) / k
 
 

@@ -10,6 +10,7 @@ from knrange.classify import (
     FALSIFY_REJECT_TOL,
     _compose_varphi,
     _excludes_every_candidate,
+    _project_marginals,
     _random_constrained_map,
     _rank_one_fit,
     _reflect_choi,
@@ -650,15 +651,15 @@ FALSIFY_SHAPES = [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3), BipartiteSha
 
 
 class TestRejectCertificate:
-    """_excludes_every_candidate(phi, tol) must imply that classify_preserver
-    at tol says "not_a_preserver"."""
+    """_excludes_every_candidate(choi_matrix(phi), tol) must imply that
+    classify_preserver(phi, tol) says "not_a_preserver"."""
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
     def test_admits_every_canonical_form(self, shape):
         for i, (tag, affine) in enumerate(canonical_forms(shape)):
             phi, _ = canonical(shape, tag, seed=20 + i, affine=affine)
             for tol in (FALSIFY_REJECT_TOL, 1e-8):
-                assert not _excludes_every_candidate(phi, tol), (tag, affine, tol)
+                assert not _excludes_every_candidate(choi_matrix(phi), tol), (tag, affine, tol)
 
     @pytest.mark.parametrize("shape,tag,affine", [(BipartiteShape(3, 3, 4), "id", False),
                                                   (BipartiteShape(2, 4, 4), "t", True),
@@ -672,9 +673,9 @@ class TestRejectCertificate:
         report = classify_preserver(inside, tol=FALSIFY_REJECT_TOL)
         assert report.verdict == "classified"
         assert (report.matched.varphi, report.matched.affine) == (tag, affine)
-        assert not _excludes_every_candidate(inside, FALSIFY_REJECT_TOL)
+        assert not _excludes_every_candidate(choi_matrix(inside), FALSIFY_REJECT_TOL)
         outside = LinearMapMatrix(shape, (1 - 2 * FALSIFY_REJECT_TOL) * phi.matrix)
-        assert _excludes_every_candidate(outside, FALSIFY_REJECT_TOL)
+        assert _excludes_every_candidate(choi_matrix(outside), FALSIFY_REJECT_TOL)
         assert classify_preserver(outside, tol=FALSIFY_REJECT_TOL).verdict == "not_a_preserver"
 
     @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
@@ -682,14 +683,58 @@ class TestRejectCertificate:
         rng = np.random.default_rng(shape.dim)
         draws = [_random_constrained_map(shape, rng) for _ in range(50)]
         # Every falsifier draw is far inside the certificate.
-        assert all(_excludes_every_candidate(phi, FALSIFY_REJECT_TOL) for phi in draws)
+        assert all(_excludes_every_candidate(choi_matrix(phi), FALSIFY_REJECT_TOL) for phi in draws)
         dense = dense_map(shape, 1)
         just_inside = 0.999 * shape.dim / herm_choi_norm(dense)  # ||H||_F = 0.999 d
         maps = draws + [dense, LinearMapMatrix(shape, just_inside * dense.matrix)]
         for phi in maps:
-            if _excludes_every_candidate(phi, FALSIFY_REJECT_TOL):
+            if _excludes_every_candidate(choi_matrix(phi), FALSIFY_REJECT_TOL):
                 assert classify_preserver(phi, tol=FALSIFY_REJECT_TOL).verdict == "not_a_preserver"
-        assert _excludes_every_candidate(maps[-1], FALSIFY_REJECT_TOL)
+        assert _excludes_every_candidate(choi_matrix(maps[-1]), FALSIFY_REJECT_TOL)
+
+
+def kron_projection(choi, d):
+    """Oracle: the marginal projection with its corrections as two Kronecker
+    products, C + I x Y1 + Y2 x I."""
+    c4 = choi.reshape(d, d, d, d)
+    eye = np.eye(d)
+    r1 = eye - np.einsum("pipj->ij", c4)
+    r2 = eye - np.einsum("piqi->pq", c4)
+    shift = np.trace(r1).real / (2 * d)
+    y1 = (r1 - shift * eye) / d
+    y2 = (r2 - shift * eye) / d
+    return choi + np.kron(eye, y1) + np.kron(y2, eye)
+
+
+class TestFalsifierDraw:
+    """The projection adds its corrections in place, and the certificate
+    reads the drawn Choi matrix itself: the bytes of the Kronecker sums and
+    of choi_matrix(map_from_choi(choi))."""
+
+    @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
+    def test_projection_equals_kron_sums(self, shape):
+        d = shape.dim
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            g = random_complex(d * d, rng)
+            choi = g @ g.conj().T
+            choi *= d / np.trace(choi).real
+            expected = kron_projection(choi, d)
+            assert _project_marginals(choi, d) is choi
+            assert choi.tobytes() == expected.tobytes()
+            assert choi_matrix(map_from_choi(choi, shape)).tobytes() == choi.tobytes()
+
+    @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
+    def test_payload_equals_kron_and_round_trip(self, shape):
+        def round_trip(choi, tol):
+            return certificate(choi_matrix(map_from_choi(choi, shape)), tol)
+
+        certificate = classify._excludes_every_candidate
+        fast = falsify_to_payload(falsify_random(shape, count=2, seed=23))
+        with mock.patch.object(classify, "_project_marginals", side_effect=kron_projection), \
+                mock.patch.object(classify, "_excludes_every_candidate", side_effect=round_trip):
+            slow = falsify_to_payload(falsify_random(shape, count=2, seed=23))
+        assert json.dumps(fast) == json.dumps(slow)
 
 
 class TestFalsify:
@@ -734,7 +779,8 @@ class TestFalsify:
     def test_gives_up_after_64_canonical_draws(self):
         shape = BipartiteShape(2, 2, 2)
         phi, _ = canonical(shape, "t", seed=1)
-        with mock.patch.object(classify, "_random_constrained_map", return_value=phi) as draw:
+        with mock.patch.object(classify, "_random_constrained_choi",
+                               return_value=choi_matrix(phi)) as draw:
             with pytest.raises(RuntimeError, match="64 attempts"):
                 falsify_random(shape, count=1, seed=0)
         assert draw.call_count == 64

@@ -15,6 +15,7 @@ from knrange.matcore import (
     BipartiteShape,
     kron,
     matrix_to_payload,
+    random_complex,
     random_haar_unitary,
     random_hermitian,
     save_matrix,
@@ -349,3 +350,45 @@ def test_verify_bytes_independent_of_blas_threads(tmp_path):
             outputs.append(out.read_bytes())
         assert json.loads(outputs[0])["classification"]["verdict"] == "classified"
         assert outputs[0] == outputs[1], (m, n, k, tag, affine)
+
+
+def run_cli_at_blas_threads(commands, threads):
+    """Run each knrange argument list through cli.main in one child process
+    with OPENBLAS_NUM_THREADS=threads; every command must exit 0."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(knrange.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import json, sys\nfrom knrange.cli import main\n"
+              "sys.exit(max(main(args) for args in json.loads(sys.argv[1])))")
+    subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                   env=env, check=True, capture_output=True, timeout=300)
+
+
+def test_range_bytes_independent_of_blas_threads(tmp_path):
+    """Profiles on both grids: a Hermitian matrix's two boundary frames and a
+    Ginibre matrix's per-angle frames each go through one stacked matmul."""
+    for name, a in (("herm", random_hermitian(12, 7)), ("ginibre", random_complex(12, 7))):
+        save_matrix(a, tmp_path / f"{name}.json")
+    outputs = {}
+    for threads in ("1", "2"):
+        commands, paths = [], []
+        for name in ("herm", "ginibre"):
+            for angles in ("360", "361"):
+                for fmt in ("csv", "json"):
+                    out = tmp_path / f"{name}-{angles}-threads{threads}.{fmt}"
+                    commands.append(["range", str(tmp_path / f"{name}.json"), "--k", "5",
+                                     "--angles", angles, "--format", fmt, "--out", str(out)])
+                    paths.append(out)
+        run_cli_at_blas_threads(commands, threads)
+        outputs[threads] = [path.read_bytes() for path in paths]
+    assert len(outputs["1"]) == 8
+    assert outputs["1"] == outputs["2"]
+
+
+def test_default_suite_bytes_independent_of_blas_threads(tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        run_cli_at_blas_threads([["suite", "--m", "3", "--n", "3", "--k", "2", "--out", str(out)]], threads)
+        outputs.append((out / "suite_summary.json").read_bytes())
+    assert outputs[0] == outputs[1]

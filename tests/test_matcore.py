@@ -169,7 +169,8 @@ class TestOneGinibreDraw:
     """Every sampler draws through matcore._ginibre, bitwise the inline
     expressions it replaced."""
 
-    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (3, 4, 4), (16, 16)])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (3, 4, 4), (16, 16), (12, 12), (200, 9, 9),
+                                       (64, 16, 16), (256, 256)])
     def test_ginibre(self, shape):
         got = matcore._ginibre(shape, np.random.default_rng(8))
         assert got.tobytes() == inline_ginibre(np.random.default_rng(8), shape).tobytes()
@@ -183,8 +184,11 @@ class TestOneGinibreDraw:
         phases = np.diagonal(r) / np.abs(np.diagonal(r))
         assert random_haar_unitary(dim, dim).tobytes() == (q * phases).tobytes()
 
-    @pytest.mark.parametrize("d,k", [(3, 1), (6, 2), (12, 5)])
+    @pytest.mark.parametrize("d,k", [(3, 1), (6, 2), (12, 5)]
+                             + [(d, k) for d in (2, 9, 16) for k in sorted({1, d // 2, d - 1})])
     def test_sample_points(self, d, k):
+        """The QR of the k columns kept is bitwise the first k columns of the
+        full QR of the same draw."""
         from knrange.ranges import sample_points
 
         a = random_complex(d, 1)
@@ -193,6 +197,19 @@ class TestOneGinibreDraw:
         x = (q * (diag / np.abs(diag))[:, None, :])[:, :, :k]
         expected = np.einsum("tis,ij,tjs->t", x.conj(), a, x) / k
         assert sample_points(a, k, 40, 2).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mnk", [(2, 2, 1), (2, 3, 3), (3, 4, 6)])
+    def test_trial_pairs(self, mnk):
+        from knrange.classify import _trial_pairs
+
+        shape = BipartiteShape(*mnk)
+        a, b, _ = _trial_pairs(shape, 7, seed=11)
+        rng = np.random.default_rng(11)
+        for t in range(1, 7):
+            fa, fb = inline_ginibre(rng, (shape.m, shape.m)), inline_ginibre(rng, (shape.n, shape.n))
+            if t % 2 == 1:
+                fa, fb = (fa + fa.conj().T) / 2, (fb + fb.conj().T) / 2
+            assert a[t].tobytes() == fa.tobytes() and b[t].tobytes() == fb.tobytes(), t
 
     @pytest.mark.parametrize("mnk", [(2, 2, 2), (3, 4, 6)])
     def test_random_constrained_map(self, mnk):

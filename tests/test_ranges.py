@@ -373,7 +373,7 @@ class TestRotatedEigs:
     def test_even_grid_matches_direct_solve(self, rng, d, num_angles):
         angles = _angle_grid(num_angles)
         stack = np.stack([random_complex(d, rng), random_hermitian(d, rng)])
-        w = _rotated_eigs(stack, angles)
+        w = full_grid_eigs(stack, angles)
         for row, a in enumerate(stack):
             tol = 1e-12 * (1 + max_abs(a))
             ref_w, _ = direct_eigh(a, angles)
@@ -496,18 +496,42 @@ def broadcast_rotated_eigs(stack, angles, vectors=False):
     return (w, v) if vectors else w
 
 
+def full_grid_eigs(stack, angles, vectors=False):
+    """_rotated_eigs on every angle of the grid, in the full-grid layout of
+    broadcast_rotated_eigs: the antipodal half read by the index rule of the
+    ranges module docstring (spectra -w[..., ::-1], frames v[..., ::-1]), and
+    with vectors=True every angle's frame written out, one matrix at a time."""
+    n = len(angles)
+    if not vectors:
+        w = _rotated_eigs(stack, angles)
+        return w if w.shape[1] == n else np.concatenate([w, -w[..., ::-1]], axis=1)
+    ws, vs = [], []
+    for a in stack:
+        w, v, flip = _rotated_eigs(a[None], angles, vectors=True)
+        v = np.repeat(v, len(flip), axis=0) if len(v) < len(flip) else v
+        v[flip] = v[flip, :, ::-1]
+        if len(flip) < n:
+            w = np.concatenate([w, -w[..., ::-1]], axis=1)
+            v = np.concatenate([v, v[..., ::-1]])
+        ws.append(w[0])
+        vs.append(v)
+    return np.stack(ws), np.stack(vs)
+
+
 def kernel_stacks(d, rng):
-    """A stack mixing Hermitian and non-Hermitian rows, and an all-Hermitian
-    stack. At d = 12 and 16 the mixed stack holds the counterexample product
-    A x B^t: its exact zeros carry signs that a build of the rotated family
-    in other arithmetic changes, and that shows in its spectra."""
+    """A stack mixing Hermitian and non-Hermitian rows, an all-Hermitian and
+    an all-Ginibre stack. At d = 12 and 16 the mixed stack holds the
+    counterexample product A x B^t: its exact zeros carry signs that a build
+    of the rotated family in other arithmetic changes, and that shows in its
+    spectra."""
     rows = [random_complex(d, rng), random_hermitian(d, rng),
             np.diag(np.arange(1.0, d), 1).astype(complex), np.diag(np.arange(float(d))).astype(complex)]
     if d in (12, 16):
         a, b = counterexample_matrices(d // 4, 4)
         rows.append(kron(a, b.T))
     herm = np.stack([random_hermitian(d, rng), np.eye(d, dtype=complex), random_hermitian(d, rng)])
-    return {"mixed": np.stack(rows), "hermitian": herm}
+    ginibre = np.stack([random_complex(d, rng) for _ in range(3)])
+    return {"mixed": np.stack(rows), "hermitian": herm, "ginibre": ginibre}
 
 
 class TestStreamedKernel:
@@ -522,9 +546,10 @@ class TestStreamedKernel:
                   "custom": np.sort(rng.uniform(0.0, 2 * np.pi, 37))}[grid]
         for kind, stack in kernel_stacks(d, rng).items():
             assert is_hermitian(stack).all() == (kind == "hermitian")
-            w = _rotated_eigs(stack, angles)
+            assert is_hermitian(stack).any() == (kind != "ginibre")
+            w = full_grid_eigs(stack, angles)
             assert w.tobytes() == broadcast_rotated_eigs(stack, angles).tobytes(), kind
-            w, v = _rotated_eigs(stack, angles, vectors=True)
+            w, v = full_grid_eigs(stack, angles, vectors=True)
             ref_w, ref_v = broadcast_rotated_eigs(stack, angles, vectors=True)
             assert w.tobytes() == ref_w.tobytes(), kind
             assert v.tobytes() == ref_v.tobytes(), kind
@@ -540,6 +565,74 @@ class TestStreamedKernel:
         with peak_alloc() as peak:
             support_values_batch(stack, 6, angles)
         assert peak.bytes < 4 * 2**20, peak.bytes
+
+
+def reference_support(stack, k, angles):
+    """Oracle: the top-k means of the full-grid spectra of the broadcast."""
+    return broadcast_rotated_eigs(stack, angles)[:, :, -k:].sum(axis=2) / k
+
+
+def reference_profile(a, k, angles):
+    """Oracle: support and boundary points from the full-grid spectra and
+    frames of the broadcast, every angle's top-k frame solved in one einsum."""
+    w, v = broadcast_rotated_eigs(a[None], angles, vectors=True)
+    w, v = w[0], v[0]
+    vk = v[:, :, -k:]
+    return w[:, -k:].sum(axis=1) / k, np.einsum("jis,jis->j", vk.conj(), a @ vk) / k
+
+
+def reference_boundary_point(a, k, theta):
+    _, v = broadcast_rotated_eigs(a[None], np.array([theta]), vectors=True)
+    vk = v[0, 0, :, -k:]
+    return complex(np.einsum("is,ij,js->", vk.conj(), a, vk) / k)
+
+
+class TestSolvedAnglesOnly:
+    """The kernel returns the solved angles only, and a Hermitian matrix one
+    eigenbasis; every caller's output is bitwise that of the full-grid
+    spectra and frames."""
+
+    @pytest.mark.parametrize("grid", [8, 360, 361, "custom"])
+    @pytest.mark.parametrize("d", [2, 5, 12, 16])
+    def test_bitwise_equal_to_full_grid(self, d, grid):
+        rng = np.random.default_rng(200 + d)
+        angles = np.sort(rng.uniform(0.0, 2 * np.pi, 37)) if grid == "custom" else _angle_grid(grid)
+        thetas = [float(t) for t in angles[:: max(1, len(angles) // 7)]] + [0.0, np.pi / 2, np.pi]
+        for kind, stack in kernel_stacks(d, rng).items():
+            for k in sorted({1, d // 2, d - 1}):
+                got = support_values_batch(stack, k, angles)
+                assert got.tobytes() == reference_support(stack, k, angles).tobytes(), (kind, k)
+                for a in stack:
+                    ref_support = reference_support(a[None], k, angles)[0]
+                    assert support_values(a, k, angles).tobytes() == ref_support.tobytes()
+                    for theta in thetas:
+                        point = np.complex128(boundary_point(a, k, theta))
+                        assert point.tobytes() == np.complex128(
+                            reference_boundary_point(a, k, theta)).tobytes(), (kind, k, theta)
+                    if grid == "custom":
+                        continue
+                    profile = krange_profile(a, k, grid)
+                    ref_support, ref_boundary = reference_profile(a, k, angles)
+                    assert profile.support.tobytes() == ref_support.tobytes(), (kind, k)
+                    assert profile.boundary.tobytes() == ref_boundary.tobytes(), (kind, k)
+                    radius = np.float64(k_numerical_radius(a, k, grid))
+                    assert radius.tobytes() == np.max(reference_support(a[None], k, angles)).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 9, 16])
+    def test_hermitian_profile_solves_once(self, d):
+        a = random_hermitian(d, np.random.default_rng(d))
+        with solver_log() as solved:
+            krange_profile(a, d // 2, 360)
+        assert list(solved) == [("eigh", 1, d)]
+
+    def test_hermitian_profile_memory(self):
+        """One eigenbasis and two boundary points instead of a (360, 16, 16)
+        stack of frames (2.9 MiB at d = 16)."""
+        a = random_hermitian(16, np.random.default_rng(16))
+        krange_profile(a, 8, 360)  # warm-up
+        with peak_alloc() as peak:
+            krange_profile(a, 8, 360)
+        assert peak.bytes < 0.25 * 2**20, peak.bytes
 
 
 def near_hermitian(seed: int, d: int, factor: float) -> np.ndarray:
