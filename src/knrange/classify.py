@@ -6,11 +6,13 @@ call, support functions of A x B and Phi(A x B) compared on a shared angle
 grid. Classification is exact up to tolerance: composing Phi with each
 candidate varphi (and the trace reflection for affine candidates) must yield
 a pure unitary conjugation, which is detected by its Choi matrix being
-Hermitian PSD of rank one. Each candidate's Choi matrix is an axis transpose
-of Choi(Phi), or of its trace reflection for the affine ones. Its unitary is
-read off by one power step and checked by a rebuild; Weyl's inequality then
-certifies the rank-one gates, and a Choi spectrum is solved only where it
-cannot (:func:`classify_preserver`).
+Hermitian PSD of rank one. Each kind of candidate, plain or affine, holds one
+map-sized working copy: Choi(Phi), or its trace reflection for the affine
+ones, Hermitised in place. Each candidate's Choi matrix is an axis transpose
+of it. Its unitary is read off by one power step and checked against Phi by a
+rebuild residual, written and compared a column block at a time; Weyl's
+inequality then certifies the rank-one gates, and a Choi spectrum is solved
+only where it cannot (:func:`classify_preserver`).
 
 The random falsifier keeps a draw without classifying it when the Frobenius
 norm of its Hermitised Choi matrix, which every candidate shares, is too
@@ -31,19 +33,18 @@ from .matcore import (
     _check_int,
     _check_tol,
     _ginibre,
-    hermitian_part,
-    hermiticity_defect,
     matrix_to_payload,
     max_abs,
     unvec,
 )
 from .maps import (
+    UNITARITY_TOL,
     VARPHI_TAGS,
-    CanonicalFormSpec,
     LinearMapMatrix,
     _VARPHI_AXES,
+    _canonical_blocks,
+    _unitarity_defect,
     apply_map_batch,
-    build_canonical,
     choi_matrix,
     map_from_choi,
 )
@@ -60,6 +61,10 @@ DEFAULT_TRIALS = 50
 FALSIFY_TRIALS = 8
 FALSIFY_NUM_ANGLES = 120
 FALSIFY_REJECT_TOL = 1e-6
+# The classifier's passes over a map-sized matrix (Hermitisation, the rank-one
+# subtraction, the rebuild residual) work in blocks of about this many bytes:
+# one block for a map up to d = 13, and a few MiB of temporaries at any size.
+_BLOCK_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -219,6 +224,33 @@ def _frobenius(a: np.ndarray) -> float:
     return math.sqrt(float(np.einsum("i,i->", x, x)))
 
 
+def _hermitise(c: np.ndarray) -> float:
+    """Overwrite the square matrix c with its Hermitian part (C + C*) / 2 and
+    return max|C - C*|, entrywise: bitwise hermitian_part(c) and
+    hermiticity_defect(c), with no matrix-sized temporary.
+
+    Works on mirrored pairs of blocks (C_IJ, C_JI), I <= J, of about
+    _BLOCK_BYTES each. Each block of a pair is written from a copy of the
+    other taken before that other is written, by the sum and halving that
+    hermitian_part makes. |C_IJ - C_JI*| holds the moduli of both blocks'
+    defects, so the pair's defect is read once.
+    """
+    n = len(c)
+    side = max(1, math.isqrt(_BLOCK_BYTES // c.itemsize))
+    defect = 0.0
+    for i in range(0, n, side):
+        for j in range(i, n, side):
+            top, bottom = c[i:i + side, j:j + side], c[j:j + side, i:i + side]
+            bottom_h = bottom.conj().T
+            defect = max(defect, max_abs(top - bottom_h))
+            if j > i:  # a diagonal block is its own mirror
+                bottom += top.conj().T
+                bottom /= 2
+            top += bottom_h
+            top /= 2
+    return defect
+
+
 def _rank_one_fit(herm: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Fit lam vv* to a Hermitian (d^2, d^2) herm = c uu* + E, c > 0, E small.
 
@@ -226,8 +258,8 @@ def _rank_one_fit(herm: np.ndarray) -> tuple[np.ndarray, float, float]:
     its column of largest diagonal entry. That column is c conj(u_j) u plus a
     column of E, and the step squares the ratio of the E part to the u part.
     Returns v, lam = v* herm v and ||herm - lam vv*||_F, the norm of herm
-    overwritten with herm - lam vv* d rows at a time (sqrt(||herm||_F^2 -
-    lam^2) would cancel to about sqrt(eps) ||herm||_F)."""
+    overwritten with herm - lam vv* in row blocks of about _BLOCK_BYTES
+    (sqrt(||herm||_F^2 - lam^2) would cancel to about sqrt(eps) ||herm||_F)."""
     j = int(np.argmax(herm.diagonal().real))
     v = herm @ herm[:, j]
     norm = np.linalg.norm(v)
@@ -235,10 +267,25 @@ def _rank_one_fit(herm: np.ndarray) -> tuple[np.ndarray, float, float]:
         v[j], norm = 1.0, 1.0
     v /= norm
     lam = float(np.vdot(v, herm @ v).real)
-    d, v_conj = math.isqrt(v.size), v.conj()
-    for rows, v_rows in zip(herm.reshape(d, d, -1), (lam * v).reshape(d, d)):
-        rows -= v_rows[:, None] * v_conj
+    lam_v, v_conj = lam * v, v.conj()
+    rows = max(1, _BLOCK_BYTES // herm[0].nbytes)
+    for r in range(0, len(v), rows):
+        herm[r:r + rows] -= lam_v[r:r + rows, None] * v_conj
     return v, lam, _frobenius(herm)
+
+
+def _rebuild_residual(phi: LinearMapMatrix, u: np.ndarray, tag: str, affine: bool) -> float:
+    """max|Phi - rebuild|, entrywise, with the rebuild the map matrix of the
+    canonical form (tag, U, affine): bitwise max_abs of the difference with
+    build_canonical's matrix. The rebuild is written and compared a column
+    block of about _BLOCK_BYTES at a time (maps._canonical_blocks), so no
+    map-sized copy of it is held."""
+    width = max(1, _BLOCK_BYTES // (phi.matrix.itemsize * len(phi.matrix)))
+    residual = 0.0
+    for c0, block in _canonical_blocks(u, phi.shape, tag, affine, width):
+        np.subtract(phi.matrix[:, c0:c0 + width], block, out=block)
+        residual = max(residual, max_abs(block))
+    return residual
 
 
 def _reflect_choi(choi: np.ndarray, k: int) -> None:
@@ -278,9 +325,10 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     d = mn.
 
     One loop over the kinds, plain and then, when mn = 2k, affine. Each kind
-    computes Choi(Phi) once, reflects it in place if affine
-    (:func:`_reflect_choi`), takes its Hermiticity defect, Hermitises it and
-    drops the un-Hermitised matrix. Each varphi permutes the matrix units,
+    computes Choi(Phi) once, its one map-sized working copy, reflects it in
+    place if affine (:func:`_reflect_choi`), and Hermitises it in place,
+    taking its Hermiticity defect in the same pass (:func:`_hermitise`).
+    Each varphi permutes the matrix units,
     E_pq -> E_sigma(p,q), and commutes with the transpose, so composing with
     it is an entry permutation that carries mirrored pairs (C[a, b], C[b, a])
     to mirrored pairs, and commutes with the reflection. So the defect and the
@@ -293,7 +341,8 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     - the read-off: U = sqrt(d) unvec(v), phase-normalized, with v one power
       step on H (:func:`_rank_one_fit`), is unitary within maps.UNITARITY_TOL;
     - the rebuild from U equals Phi entrywise within tol (on the vec basis,
-      which is the matrix unit tensor products);
+      which is the matrix unit tensor products), compared a column block at
+      a time (:func:`_rebuild_residual`);
     - the rank-one gates max(|w_2nd|, |w_min|) <= tol d and |w_max - d| <= tol d
       on the spectrum w of H. With lam = v* H v and E = H - lam vv*, every
       eigenvalue of H is within ||E||_2 <= ||E||_F of the spectrum
@@ -316,12 +365,10 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     bounds: dict[str, float] = {}
     matched: CandidateMatch | None = None
     for affine in ((False, True) if shape.is_half else (False,)):
-        choi = choi_matrix(phi)
+        herm = choi_matrix(phi)
         if affine:
-            _reflect_choi(choi, shape.k)
-        defect = hermiticity_defect(choi)
-        herm = hermitian_part(choi)
-        del choi
+            _reflect_choi(herm, shape.k)
+        defect = _hermitise(herm)
         for tag in VARPHI_TAGS:
             key = f"{tag}+affine" if affine else tag
             v, lam, spread = _rank_one_fit(_compose_varphi(herm, shape, tag))
@@ -329,11 +376,9 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
             if defect > tol * d:
                 continue
             u = _normalize_phase(unvec(v, d) * np.sqrt(d))
-            try:
-                spec = CanonicalFormSpec(varphi=tag, unitary=u, affine=affine, shape=shape)
-            except ValueError:
+            if _unitarity_defect(u) > UNITARITY_TOL:
                 continue  # recovered matrix not unitary enough: near-miss, no match
-            residual = max_abs(phi.matrix - build_canonical(spec).matrix)
+            residual = _rebuild_residual(phi, u, tag, affine)
             if residual > tol:
                 continue
             if spread > tol * d or abs(lam - d) + spread > tol * d:  # the bound cannot decide
@@ -405,15 +450,12 @@ def _random_constrained_choi(shape: BipartiteShape, rng: np.random.Generator) ->
     return _project_marginals(choi, d)
 
 
-def _random_constrained_map(shape: BipartiteShape, rng: np.random.Generator) -> LinearMapMatrix:
-    """The map of a :func:`_random_constrained_choi` draw."""
-    return map_from_choi(_random_constrained_choi(shape, rng), shape)
-
-
 def _excludes_every_candidate(choi: np.ndarray, tol: float) -> bool:
     """True only if classify_preserver(phi, tol) must return "not_a_preserver"
-    for the map phi with Choi matrix `choi`, because no candidate can pass its
-    top-eigenvalue gate; one Frobenius norm, no eigensolve.
+    for the map phi with Choi matrix `choi`, because no candidate can pass
+    its top-eigenvalue gate; one Frobenius norm, no eigensolve. choi is
+    Hermitised in place (:func:`_hermitise`): falsify_random hands over the
+    draw it owns, after building phi from it.
 
     A candidate passes that gate only if lam = v* H' v (the Weyl certificate)
     or, where that cannot decide, the top eigenvalue of its Hermitised Choi
@@ -432,7 +474,8 @@ def _excludes_every_candidate(choi: np.ndarray, tol: float) -> bool:
     it cannot exclude is left to classify_preserver.
     """
     d = math.isqrt(len(choi))
-    norm = _frobenius(hermitian_part(choi))
+    _hermitise(choi)
+    norm = _frobenius(choi)
     allowance = 4 * d**4 * np.finfo(float).eps * (norm + 1.0)
     return norm + allowance < d * (1.0 - tol)
 

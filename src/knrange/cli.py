@@ -28,7 +28,6 @@ from .maps import build_canonical, descriptor_from_payload, map_from_payload
 from .ranges import (
     DEFAULT_NUM_ANGLES,
     DEFAULT_RTOL,
-    krange_hermitian,
     krange_profile,
     profile_csv,
     profile_svg,
@@ -50,9 +49,11 @@ def _cmd_range(args) -> int:
     matrix = load_matrix(args.input)
     profile = krange_profile(matrix, args.k, args.angles)
     if is_hermitian(matrix):
-        interval = krange_hermitian(matrix, args.k)
+        # W_k is then the real interval between the points of the two top-k
+        # frames of one eigenbasis, which are the profile's boundary points.
+        points = profile.boundary.real
         print(
-            f"Hermitian input: W_{args.k} = [{interval.lo:.12g}, {interval.hi:.12g}]",
+            f"Hermitian input: W_{args.k} = [{points.min():.12g}, {points.max():.12g}]",
             file=sys.stderr,
         )
     if args.format == "csv":

@@ -71,6 +71,12 @@ def canonical_forms(shape: BipartiteShape) -> list[tuple[str, bool]]:
     return forms
 
 
+def _unitarity_defect(u: np.ndarray) -> float:
+    """max|U*U - I|, entrywise; a canonical form's unitary keeps it within
+    UNITARITY_TOL."""
+    return max_abs(u.conj().T @ u - np.eye(len(u)))
+
+
 @dataclass(frozen=True)
 class CanonicalFormSpec:
     """One canonical form: varphi tag, conjugating unitary, affine flag, shape."""
@@ -86,7 +92,7 @@ class CanonicalFormSpec:
         u = as_matrix(self.unitary)
         if u.shape[0] != self.shape.dim:
             raise ValueError(f"unitary dim {u.shape[0]} does not match mn={self.shape.dim}")
-        defect = max_abs(u.conj().T @ u - np.eye(self.shape.dim))
+        defect = _unitarity_defect(u)
         if defect > UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
         if self.affine and not self.shape.is_half:
@@ -133,27 +139,41 @@ def affine_reflect(x, k: int) -> np.ndarray:
 def _varphi_perm(shape: BipartiteShape, tag: str) -> np.ndarray:
     """The index permutation pi with vec(varphi(X)) = vec(X)[pi].
 
-    Read off by applying varphi to the matrix of vec indices. Each varphi is
-    an involution, so pi is its own inverse.
+    Read off by applying varphi's transpose to the matrix of vec indices.
+    Each varphi is an involution, so pi is its own inverse.
     """
-    d = shape.dim
+    m, n, d = shape.m, shape.n, shape.dim
     index = np.arange(d * d).reshape(d, d, order="F")  # index[i, j] = j*d + i
-    return vec(apply_varphi(index, tag, shape)).real.astype(np.intp)
+    return vec(index.reshape(m, n, m, n).transpose(_VARPHI_AXES[tag]).reshape(d, d))
+
+
+def _canonical_blocks(u: np.ndarray, shape: BipartiteShape, tag: str, affine: bool, width: int):
+    """Yield (c0, block) for c0 = 0, width, 2 width, ...: block is columns
+    c0, c0 + 1, ... (at most width of them) of kron(conj U, U)[:, pi], and of
+    vec(I) vec(I)^T / k minus that if affine, as a C-order (d^2, w) array of
+    its own. Column c is conj U[:, j1] x U[:, j2] with (j1, j2) = divmod(pi[c],
+    d), so one broadcast product, bitwise np.kron's, writes the permuted
+    columns with no second copy."""
+    d = shape.dim
+    j1, j2 = np.divmod(_varphi_perm(shape, tag), d)
+    u_conj = u.conj()
+    diag = np.arange(d) * (d + 1)  # the support of vec(I)
+    for c0 in range(0, d * d, width):
+        cols1, cols2 = j1[c0:c0 + width], j2[c0:c0 + width]
+        block = np.empty((d, d, len(cols1)), dtype=complex)  # C order, as np.kron's
+        np.multiply(u_conj[:, None, cols1], u[None, :, cols2], out=block)
+        block = block.reshape(d * d, -1)
+        if affine:
+            np.negative(block, out=block)
+            in_block = diag[(diag >= c0) & (diag < c0 + width)]
+            block[np.ix_(diag, in_block - c0)] += 1.0 / shape.k
+        yield c0, block
 
 
 def _canonical_matrix(u: np.ndarray, shape: BipartiteShape, tag: str, affine: bool) -> np.ndarray:
-    """kron(conj U, U)[:, pi], and vec(I) vec(I)^T / k minus that if affine. Column
-    c is conj U[:, j1] x U[:, j2] with (j1, j2) = divmod(pi[c], d), so one broadcast
-    product, bitwise np.kron's, writes the permuted columns with no second copy."""
-    d = shape.dim
-    j1, j2 = np.divmod(_varphi_perm(shape, tag), d)
-    mat = np.empty((d, d, d * d), dtype=complex)  # C order, as np.kron's
-    np.multiply(u.conj()[:, None, j1], u[None, :, j2], out=mat)
-    mat = mat.reshape(d * d, d * d)
-    if affine:
-        np.negative(mat, out=mat)
-        diag = np.arange(d) * (d + 1)  # the support of vec(I)
-        mat[np.ix_(diag, diag)] += 1.0 / shape.k
+    """kron(conj U, U)[:, pi], and vec(I) vec(I)^T / k minus that if affine: the
+    one block of :func:`_canonical_blocks` that holds every column."""
+    _, mat = next(_canonical_blocks(u, shape, tag, affine, shape.dim ** 2))
     return mat
 
 

@@ -5,6 +5,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from knrange.classify import _random_constrained_choi
+from knrange.maps import map_from_choi
+
 SQRT_41_OVER_2 = np.sqrt(41 / 2)  # 4.527692569068709
 SQRT_9_OVER_2 = np.sqrt(9 / 2)
 
@@ -18,6 +21,12 @@ def unit_matrix(dim: int, i: int, j: int) -> np.ndarray:
     e = np.zeros((dim, dim), dtype=complex)
     e[i, j] = 1.0
     return e
+
+
+def random_constrained_map(shape, rng):
+    """The map of a falsifier draw: a random unital, trace-preserving,
+    Hermiticity-preserving map (classify._random_constrained_choi)."""
+    return map_from_choi(_random_constrained_choi(shape, rng), shape)
 
 
 @pytest.fixture

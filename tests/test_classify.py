@@ -1,4 +1,5 @@
 import json
+from contextlib import contextmanager
 from itertools import combinations
 from unittest import mock
 
@@ -10,9 +11,11 @@ from knrange.classify import (
     FALSIFY_REJECT_TOL,
     _compose_varphi,
     _excludes_every_candidate,
+    _hermitise,
     _project_marginals,
-    _random_constrained_map,
+    _random_constrained_choi,
     _rank_one_fit,
+    _rebuild_residual,
     _reflect_choi,
     _trial_pairs,
     _witness_pair,
@@ -34,9 +37,11 @@ from knrange.matcore import (
     unvec,
 )
 from knrange.maps import (
+    UNITARITY_TOL,
     CanonicalFormSpec,
     LinearMapMatrix,
     VARPHI_TAGS,
+    _unitarity_defect,
     _varphi_perm,
     build_canonical,
     canonical_forms,
@@ -48,7 +53,19 @@ from knrange.maps import (
 )
 from knrange.checks import counterexample_matrices
 
-from conftest import peak_alloc, solver_log
+from conftest import peak_alloc, random_constrained_map, solver_log
+
+
+@contextmanager
+def spy(module, name):
+    """Record (args, result) of every call of module.name in the block."""
+    calls, original = [], getattr(module, name)
+
+    def recording(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+    with mock.patch.object(module, name, side_effect=recording):
+        yield calls
 
 
 def canonical(shape, tag, seed, affine=False):
@@ -277,7 +294,7 @@ class TestChoiSolves:
 
     def test_no_eigh_for_a_random_map(self):
         shape = BipartiteShape(2, 3, 3)
-        phi = _random_constrained_map(shape, np.random.default_rng(5))
+        phi = random_constrained_map(shape, np.random.default_rng(5))
         with solver_log() as log:
             assert classify_preserver(phi).verdict == "not_a_preserver"
         assert not log, log
@@ -286,7 +303,7 @@ class TestChoiSolves:
     def test_matches_full_eigh_reference(self, monkeypatch, shape):
         maps = [canonical(shape, tag, seed=40 + i, affine=affine)[0]
                 for i, (tag, affine) in enumerate(canonical_forms(shape))]
-        maps.append(_random_constrained_map(shape, np.random.default_rng(6)))
+        maps.append(random_constrained_map(shape, np.random.default_rng(6)))
         fast = [classify_preserver(phi) for phi in maps]
         # Reference: a certificate that never decides, so every candidate that
         # passes the read-off and the rebuild is gated on the eigenvalues of a
@@ -355,7 +372,7 @@ def oracle_maps(shape):
     rng = np.random.default_rng(shape.dim)
     maps = [canonical(shape, tag, seed=70 + i, affine=affine)[0]
             for i, (tag, affine) in enumerate(canonical_forms(shape))]
-    maps.append(_random_constrained_map(shape, rng))  # a falsifier draw
+    maps.append(random_constrained_map(shape, rng))  # a falsifier draw
     maps.append(LinearMapMatrix(shape, random_complex(shape.dim ** 2, rng)))
     return maps
 
@@ -444,13 +461,14 @@ class TestAgainstEighOracle:
         rebuild residual max|N| exceeds tol, so the candidate is out before
         any gate, and no other candidate reads off a unitary."""
         phi = self.near_rank_one_map(2.5e-8)
-        rebuild = mock.patch.object(classify, "build_canonical", wraps=classify.build_canonical)
-        with solver_log() as log, rebuild as rebuilt:
+        with solver_log() as log, spy(classify, "_rebuild_residual") as rebuilt:
             report = classify_preserver(phi)
         assert report.verdict == "not_a_preserver" and report.matched is None
         assert not log, log
-        assert [(c.args[0].varphi, c.args[0].affine) for c in rebuilt.call_args_list] == [("id", False)]
-        residual = max_abs(phi.matrix - classify.build_canonical(rebuilt.call_args.args[0]).matrix)
+        assert [args[2:] for args, _ in rebuilt] == [("id", False)]
+        (_, u, tag, affine), residual = rebuilt[0]
+        spec = CanonicalFormSpec(tag, u, affine, phi.shape)  # the read-off is unitary
+        assert residual == max_abs(phi.matrix - build_canonical(spec).matrix)
         assert 1e-8 < residual < 3e-8  # max|N|, above DEFAULT_RTOL
 
 
@@ -559,7 +577,96 @@ class TestCandidateChoi:
             with peak_alloc() as peak:
                 report = classify_preserver(phi)
             assert (report.matched.varphi, report.matched.affine) == (tag, affine)
-            assert peak.bytes < 3.8 * 2**20, (tag, affine, peak.bytes)
+            assert peak.bytes < 3.2 * 2**20, (tag, affine, peak.bytes)
+
+    def test_classify_holds_two_map_sized_arrays(self):
+        """(6, 6, 18), maps of 25.6 MiB: beyond Phi, the kind's Hermitised
+        Choi matrix and one candidate's transpose of it, plus blocks of
+        _BLOCK_BYTES; no rebuild, no defect or Hermitisation temporary."""
+        shape = BipartiteShape(6, 6, 18)
+        phi, _ = canonical(shape, "pt_left", seed=61, affine=True)
+        with peak_alloc() as peak:
+            report = classify_preserver(phi)
+        assert (report.matched.varphi, report.matched.affine) == ("pt_left", True)
+        assert peak.bytes < 2 * phi.matrix.nbytes + 3 * 2**20, peak.bytes
+
+
+# Block budgets that split matrices of order 1..144 into ragged pieces: one
+# entry, sides of 5 and 7, and the default.
+BLOCK_BYTES = [16, 16 * 5**2, 16 * 7**2 + 8, classify._BLOCK_BYTES]
+
+
+def hermitise_cases():
+    rng = np.random.default_rng(14)
+    anti = 1j * random_hermitian(9, rng)  # Hermitian part 0, with signed zeros
+    real = random_complex(12, rng).real.astype(complex)
+    real[3, 5] = -0.0
+    return [random_complex(n, rng) for n in (1, 2, 16, 37)] + [anti, real] + [
+        choi_matrix(canonical(BipartiteShape(2, 3, 3), "t", seed=1)[0]),  # Hermitian to rounding
+        choi_matrix(dense_map(BipartiteShape(3, 4, 6), 2)),
+    ]
+
+
+class TestBlockedPasses:
+    """The classifier's passes over a map-sized matrix go by blocks of
+    classify._BLOCK_BYTES, and give the bytes of the whole-matrix
+    computations they replace for any block size."""
+
+    @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+    def test_hermitise_is_defect_and_hermitian_part(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(classify, "_BLOCK_BYTES", block_bytes)
+        for c in hermitise_cases():
+            work = c.copy()
+            assert _hermitise(work) == hermiticity_defect(c)
+            assert work.tobytes() == hermitian_part(c).tobytes()
+
+    @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+    def test_rank_one_fit_subtracts_the_outer_product(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(classify, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(15)
+        for d in (2, 3, 6):
+            unit = random_complex(d * d, rng)[:, 0]
+            unit /= np.linalg.norm(unit)
+            herm = d * np.outer(unit, unit.conj()) + 1e-9 * random_hermitian(d * d, rng)
+            work = herm.copy()
+            v, lam, spread = _rank_one_fit(work)
+            assert work.tobytes() == (herm - np.outer(lam * v, v.conj())).tobytes()
+            assert spread == classify._frobenius(work)
+
+    @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
+    def test_streamed_residual_is_the_rebuild_residual(self, monkeypatch, shape):
+        """Every form, and every candidate's rebuild of it, with noise of
+        1e-9 to 1e-7 on the map, in column blocks of 3 and 7 (ragged at
+        every shape) and at the default budget."""
+        d2 = shape.dim ** 2
+        for i, (tag, affine) in enumerate(canonical_forms(shape)):
+            phi, u = canonical(shape, tag, seed=80 + i, affine=affine)
+            noise = random_complex(d2, np.random.default_rng(i))
+            for scale in (0.0, 1e-9, 1e-8, 1e-7):
+                noisy = LinearMapMatrix(shape, phi.matrix + scale * noise)
+                for candidate in VARPHI_TAGS:
+                    spec = CanonicalFormSpec(candidate, u, affine, shape)
+                    expected = max_abs(noisy.matrix - build_canonical(spec).matrix)
+                    for block_bytes in (16 * d2 * 3, 16 * d2 * 7 + 1, classify._BLOCK_BYTES):
+                        monkeypatch.setattr(classify, "_BLOCK_BYTES", block_bytes)
+                        got = _rebuild_residual(noisy, u, candidate, affine)
+                        assert got == expected, (tag, affine, scale, candidate, block_bytes)
+
+    def test_unitarity_gate_is_the_spec_check(self):
+        """A read-off that fails maps._unitarity_defect is one that
+        CanonicalFormSpec rejects, and classify builds no spec for it."""
+        shape = BipartiteShape(2, 3, 3)
+        u = random_haar_unitary(shape.dim, 3)
+        for scale in (1.0, 1 + 0.5 * UNITARITY_TOL / shape.dim, 1 + 4 * UNITARITY_TOL):
+            if _unitarity_defect(scale * u) > UNITARITY_TOL:
+                with pytest.raises(ValueError, match="not unitary"):
+                    CanonicalFormSpec("id", scale * u, False, shape)
+            else:
+                CanonicalFormSpec("id", scale * u, False, shape)
+        maps = [canonical(shape, "t", seed=2)[0], dense_map(shape, 3)]
+        with mock.patch.object(CanonicalFormSpec, "__post_init__", side_effect=AssertionError):
+            assert [classify_preserver(phi).verdict for phi in maps] == ["classified",
+                                                                         "not_a_preserver"]
 
 
 def herm_choi_norm(phi, tag="id", affine=False):
@@ -584,11 +691,15 @@ class TestEntryPermutation:
     @pytest.mark.parametrize("shape,defect_passes", [(BipartiteShape(3, 3, 4), 1),
                                                      (BipartiteShape(2, 4, 4), 2)])
     def test_classify_computes_each_defect_once(self, shape, defect_passes):
+        """One defect per kind, taken by the pass that Hermitises the kind's
+        Choi matrix, and it is that of each candidate of the kind."""
         for phi in (canonical(shape, "t", seed=2)[0], dense_map(shape, 3)):
-            with mock.patch.object(classify, "hermiticity_defect",
-                                   wraps=classify.hermiticity_defect) as counted:
+            with spy(classify, "_hermitise") as passes:
                 classify_preserver(phi)
-            assert counted.call_count == defect_passes
+            assert len(passes) == defect_passes
+            for (_, defect), affine in zip(passes, (False, True)):
+                for tag in VARPHI_TAGS:
+                    assert defect == hermiticity_defect(candidate_choi(phi, tag, affine))
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
     def test_hermitian_parts_share_entries(self, shape):
@@ -600,13 +711,14 @@ class TestEntryPermutation:
 
     def test_classify_hermitises_once_for_the_plain_candidates(self):
         """One Hermitian part for the four plain candidates, the one that
-        matches included."""
+        matches included: Choi(Phi), Hermitised in place."""
         shape = BipartiteShape(3, 3, 4)
         for phi in (canonical(shape, "t", seed=2)[0], dense_map(shape, 3)):
-            with mock.patch.object(classify, "hermitian_part",
-                                   wraps=classify.hermitian_part) as counted:
+            with spy(classify, "_hermitise") as passes:
                 classify_preserver(phi)
-            assert counted.call_count == 1
+            assert len(passes) == 1
+            (herm,), _ = passes[0]  # as the four candidates left it
+            assert herm.tobytes() == hermitian_part(choi_matrix(phi)).tobytes()
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES)
     def test_plain_parts_gathered_from_one_hermitian_part(self, shape):
@@ -681,7 +793,7 @@ class TestRejectCertificate:
     @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
     def test_excluded_maps_are_not_preservers(self, shape):
         rng = np.random.default_rng(shape.dim)
-        draws = [_random_constrained_map(shape, rng) for _ in range(50)]
+        draws = [random_constrained_map(shape, rng) for _ in range(50)]
         # Every falsifier draw is far inside the certificate.
         assert all(_excludes_every_candidate(choi_matrix(phi), FALSIFY_REJECT_TOL) for phi in draws)
         dense = dense_map(shape, 1)
@@ -736,6 +848,20 @@ class TestFalsifierDraw:
             slow = falsify_to_payload(falsify_random(shape, count=2, seed=23))
         assert json.dumps(fast) == json.dumps(slow)
 
+    @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
+    def test_certificate_hermitises_the_draw_in_place(self, shape):
+        """The norm is that of hermitian_part(choi), bitwise, taken on the
+        draw itself once _hermitise has overwritten it."""
+        rng = np.random.default_rng(shape.dim)
+        for _ in range(3):
+            choi = _random_constrained_choi(shape, rng)
+            herm = hermitian_part(choi)
+            with spy(classify, "_frobenius") as norms:
+                assert _excludes_every_candidate(choi, FALSIFY_REJECT_TOL)
+            assert [(args[0] is choi, norm) for args, norm in norms] == [
+                (True, classify._frobenius(herm))]
+            assert choi.tobytes() == herm.tobytes()
+
 
 class TestFalsify:
     def test_zero_passes(self):
@@ -746,13 +872,12 @@ class TestFalsify:
         assert min(r.defect for r in summary.results) > 1e-3
 
     def test_generated_maps_share_coarse_properties(self):
-        from knrange.classify import _random_constrained_map
         from knrange.maps import apply_map
         from knrange.matcore import random_complex, random_hermitian
 
         shape = BipartiteShape(2, 3, 3)
         rng = np.random.default_rng(3)
-        phi = _random_constrained_map(shape, rng)
+        phi = random_constrained_map(shape, rng)
         assert np.max(np.abs(apply_map(phi, np.eye(6)) - np.eye(6))) <= 1e-12  # unital
         x = random_complex(6, rng)
         assert abs(np.trace(apply_map(phi, x)) - np.trace(x)) <= 1e-12  # trace-preserving

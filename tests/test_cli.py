@@ -8,7 +8,6 @@ import pytest
 
 import knrange
 from knrange import checks, classify, cli, ranges
-from knrange.classify import _random_constrained_map
 from knrange.checks import counterexample_matrices
 from knrange.maps import map_to_payload
 from knrange.matcore import (
@@ -21,7 +20,7 @@ from knrange.matcore import (
     save_matrix,
 )
 
-from conftest import shift3
+from conftest import SOLVERS, random_constrained_map, shift3, solver_log
 
 
 def write_json(path, payload):
@@ -53,6 +52,24 @@ class TestRangeCommand:
         assert cli.main(args + ["--out", str(out)]) == 0
         assert captured.out == out.read_text()
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("d,k,angles", [(5, 2, 360), (12, 1, 361), (12, 7, 8)])
+    def test_hermitian_interval_from_the_profile(self, tmp_path, capsys, d, k, angles):
+        """One eigh, for the profile, and no eigvalsh: the interval is the
+        profile's least and greatest boundary point, within 1e-12 of
+        krange_hermitian."""
+        h = random_hermitian(d, d + k)
+        mpath = tmp_path / "herm.json"
+        save_matrix(h, mpath)
+        args = ["range", str(mpath), "--k", str(k), "--angles", str(angles), "--format", "json"]
+        with solver_log() as log:
+            assert cli.main(args) == 0
+        assert log.calls() == {**dict.fromkeys(SOLVERS, 0), "eigh": 1}
+        points = ranges.krange_profile(h, k, angles).boundary.real
+        lo, hi = points.min(), points.max()
+        interval = ranges.krange_hermitian(h, k)
+        assert abs(lo - interval.lo) <= 1e-12 and abs(hi - interval.hi) <= 1e-12
+        assert f"Hermitian input: W_{k} = [{lo:.12g}, {hi:.12g}]" in capsys.readouterr().err
 
     def test_counterexample_product_max_support(self, tmp_path):
         x = shift3()
@@ -129,20 +146,20 @@ class TestVerifyCommand:
 
     def test_random_map_file_fails(self, tmp_path):
         shape = BipartiteShape(2, 2, 2)
-        phi = _random_constrained_map(shape, np.random.default_rng(12))
+        phi = random_constrained_map(shape, np.random.default_rng(12))
         mpath = tmp_path / "map.json"
         write_json(mpath, map_to_payload(phi))
         assert cli.main(["verify", str(mpath), "--trials", "6", "--angles", "90"]) == 1
 
     def test_conflicting_flags(self, tmp_path):
         shape = BipartiteShape(2, 2, 2)
-        phi = _random_constrained_map(shape, np.random.default_rng(12))
+        phi = random_constrained_map(shape, np.random.default_rng(12))
         mpath = tmp_path / "map.json"
         write_json(mpath, map_to_payload(phi))
         assert cli.main(["verify", str(mpath), "--m", "3"]) == 2
 
     def test_map_file_without_entries_exit_2(self, tmp_path):
-        phi = _random_constrained_map(BipartiteShape(2, 2, 2), np.random.default_rng(12))
+        phi = random_constrained_map(BipartiteShape(2, 2, 2), np.random.default_rng(12))
         payload = map_to_payload(phi)
         del payload["entries"]
         mpath = tmp_path / "map.json"
@@ -269,7 +286,7 @@ def test_boolean_entries_exit_2_without_output(tmp_path, capsys, command):
         payload = {"dim": 2, "entries": [[True, False], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
         argv = ["--k", "1"]
     else:
-        payload = map_to_payload(_random_constrained_map(BipartiteShape(2, 2, 2),
+        payload = map_to_payload(random_constrained_map(BipartiteShape(2, 2, 2),
                                                          np.random.default_rng(12)))
         payload["entries"][5] = [False, 0.0]
         argv = ["--trials", "2", "--angles", "8"]

@@ -141,6 +141,16 @@ class TestBuildCanonical:
                                 direct = (np.trace(x) / shape.k) * np.eye(shape.dim) - direct
                             assert np.max(np.abs(apply_map(phi, x) - direct)) <= 1e-12
 
+    @pytest.mark.parametrize("shape", [BipartiteShape(2, 3, 3), BipartiteShape(3, 4, 6)])
+    def test_varphi_perm_moves_vec_entries(self, shape):
+        """vec(varphi(X)) = vec(X)[pi], and pi is an involution."""
+        x = random_complex(shape.dim, np.random.default_rng(shape.dim))
+        for tag in VARPHI_TAGS:
+            pi = _varphi_perm(shape, tag)
+            assert pi.dtype == np.intp
+            assert np.array_equal(vec(apply_varphi(x, tag, shape)), vec(x)[pi]), tag
+            assert np.array_equal(pi[pi], np.arange(shape.dim ** 2)), tag
+
     @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3),
                                        BipartiteShape(3, 3, 4), BipartiteShape(2, 4, 4),
                                        BipartiteShape(3, 4, 6), BipartiteShape(4, 4, 8)])

@@ -22,7 +22,7 @@ from knrange.matcore import (
     vec,
 )
 
-from conftest import SQRT_41_OVER_2, SQRT_9_OVER_2, shift3, unit_matrix
+from conftest import SQRT_41_OVER_2, SQRT_9_OVER_2, random_constrained_map, shift3, unit_matrix
 
 
 class TestKron:
@@ -213,7 +213,7 @@ class TestOneGinibreDraw:
 
     @pytest.mark.parametrize("mnk", [(2, 2, 2), (3, 4, 6)])
     def test_random_constrained_map(self, mnk):
-        from knrange.classify import _project_marginals, _random_constrained_map
+        from knrange.classify import _project_marginals
         from knrange.maps import map_from_choi
 
         shape = BipartiteShape(*mnk)
@@ -222,7 +222,7 @@ class TestOneGinibreDraw:
         choi = g @ g.conj().T
         choi *= d / np.trace(choi).real
         expected = map_from_choi(_project_marginals(choi, d), shape).matrix
-        got = _random_constrained_map(shape, np.random.default_rng(3)).matrix
+        got = random_constrained_map(shape, np.random.default_rng(3)).matrix
         assert got.tobytes() == expected.tobytes()
 
 
