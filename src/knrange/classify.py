@@ -6,22 +6,26 @@ call, support functions of A x B and Phi(A x B) compared on a shared angle
 grid. Classification is exact up to tolerance: composing Phi with each
 candidate varphi (and the trace reflection for affine candidates) must yield
 a pure unitary conjugation, which is detected by its Choi matrix being
-Hermitian PSD of rank one. Each kind of candidate, plain or affine, holds one
-map-sized working copy: Choi(Phi), or its trace reflection for the affine
-ones, Hermitised in place. Each candidate's Choi matrix is an axis transpose
-of it. Its unitary is read off by one power step and checked against Phi by a
-rebuild residual, written and compared a column block at a time; Weyl's
-inequality then certifies the rank-one gates, and a Choi spectrum is solved
-only where it cannot (:func:`classify_preserver`).
+Hermitian PSD of rank one. A probe first applies Phi to eight 0/1 inputs
+and tests whether it is multiplicative or anti-multiplicative on each
+factor subalgebra; that admits the candidates that can match, for a
+canonical form its own alone (and one of the other kind at m = n = 2), and
+a kind with none builds no Choi matrix (:func:`_admitted_tags`). Each kind
+with an admitted candidate holds one map-sized working copy: Choi(Phi), or
+its trace reflection for the affine ones, Hermitised in place. Each
+candidate's Choi matrix is an axis transpose of it. Its unitary is read
+off by one power step and checked against Phi by a rebuild residual,
+written and compared a column block at a time; Weyl's inequality then
+certifies the rank-one gates, and a Choi spectrum is solved only where it
+cannot (:func:`classify_preserver`).
 
-The random falsifier keeps a draw without classifying it when the Frobenius
-norm of its Hermitised Choi matrix, which every candidate shares, is too
-small for any candidate to reach the top-eigenvalue gate (see
-:func:`_excludes_every_candidate`).
+The random falsifier classifies each draw at FALSIFY_REJECT_TOL; the probe
+turns a random draw away with no Choi matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,7 +43,6 @@ from .matcore import (
 )
 from .maps import (
     UNITARITY_TOL,
-    VARPHI_TAGS,
     LinearMapMatrix,
     _VARPHI_AXES,
     _canonical_blocks,
@@ -65,6 +68,7 @@ FALSIFY_REJECT_TOL = 1e-6
 # subtraction, the rebuild residual) work in blocks of about this many bytes:
 # one block for a map up to d = 13, and a few MiB of temporaries at any size.
 _BLOCK_BYTES = 2**19
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -316,6 +320,109 @@ def _compose_varphi(choi: np.ndarray, shape: BipartiteShape, tag: str) -> np.nda
     return view.copy().reshape(d * d, d * d)
 
 
+@functools.lru_cache(maxsize=64)
+def _probe_supports(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vec indices of the ones of the probe's eight 0/1 inputs, concatenated;
+    the offset of each input's run of them; and per factor the run length,
+    ||X||_F^2 = ||Y||_F^2 = tr XY = tr YX. Cached per shape (building them
+    takes several per cent of a small classify), so they are read-only.
+
+    Per factor, left then right: X = S x I (I x S), Y = X^T, XY and YX, with
+    S = sum_i E_{i,i+1} the factor's shift. For the left factor a position p
+    of X's rows has a partner p + n in the next block row, for the right one
+    p + 1; lo holds the positions that have a partner. X has its ones at
+    (lo, lo + step), Y at (lo + step, lo), XY and YX on the diagonal at lo
+    and lo + step, and (row r, column c) is vec index c d + r.
+    """
+    d = m * n
+    runs = []
+    for lo, step in ((np.arange((m - 1) * n), n),
+                     ((np.arange(m)[:, None] * n + np.arange(n - 1)).ravel(), 1)):
+        hi = lo + step
+        runs += [hi * d + lo, lo * d + hi, lo * (d + 1), hi * (d + 1)]
+    starts = np.cumsum([0] + [len(run) for run in runs[:-1]])
+    arrays = np.concatenate(runs), starts, np.array([(m - 1) * n, m * (n - 1)])
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _probe_allowance(d: int, tol: float) -> float:
+    """The probe's tau per unit of ||X||_F ||Y||_F (see :func:`_admitted_tags`)."""
+    delta = d * d * (tol + 4 * _EPS)
+    nu = d * (UNITARITY_TOL + 2 * d * _EPS)
+    size = 2 + nu + delta
+    return (1 + nu) * (nu + 2 * delta) + delta * (1 + delta) + 4 * d * d * _EPS * size * size
+
+
+def _admitted_tags(phi: LinearMapMatrix, tol: float) -> list[list[str]]:
+    """The varphi tags of each kind, plain and then, when mn = 2k, affine,
+    that classify_preserver's Choi pass may match; O(d^3), no Choi matrix.
+
+    The probe. Every varphi is multiplicative or anti-multiplicative on each
+    factor subalgebra, A x I and I x B: it transposes the left factor iff
+    its axes in maps._VARPHI_AXES move axis 0 (t and pt_left), and the right
+    one iff they move axis 1 (t and pt_right). So a candidate's
+    Psi = U varphi(.) U* (Psi = Phi plain, (tr / k) I - Phi affine) has
+    Psi(X) Psi(Y) = Psi(XY), or Psi(YX) where varphi transposes, for X, Y
+    in either subalgebra. The probe takes the pair X = S x I, Y = X^T on the
+    left and I x S, its transpose on the right (:func:`_probe_supports`):
+    0/1 matrices, so each image is a sum of map-matrix columns. X and Y are
+    traceless, so Psi(X) Psi(Y) = Phi(X) Phi(Y) for both kinds. Per kind and
+    factor it scores ||Psi(X) Psi(Y) - Psi(XY)||_F and the same with YX;
+    a candidate is admitted when both of the scores its varphi calls for
+    are at most tau = ||X||_F ||Y||_F a(d, tol), ||X||_F ||Y||_F the number
+    of ones of XY.
+
+    tau is sound: every candidate that the Choi pass matches is admitted.
+    A match reads off U with max|U*U - I| <= UNITARITY_TOL and rebuilds Phi
+    entrywise within tol. With the rounding of U*U (d terms) and of the
+    rebuild's products and 1/k, F = U*U - I then has ||F||_2 <= ||F||_F <=
+    nu = d (UNITARITY_TOL + 2 d eps), so ||U||_2^2 <= 1 + nu; and
+    Psi = Phi' + E, Phi'(Z) = U varphi(Z) U* (E negated if affine) with
+    every |E_ij| <= tol + 4 eps, so ||E(Z)||_F <= delta ||Z||_F, delta =
+    d^2 (tol + 4 eps). With varphi(X) varphi(Y) = varphi(XY) (or varphi(YX)),
+    the score is the norm of
+        U varphi(X) F varphi(Y) U* + Phi'(X) E(Y) + E(X) Phi'(Y)
+        + E(X) E(Y) - E(XY),
+    and ||varphi(Z)||_2 <= ||Z||_F, ||XY||_F <= ||X||_F ||Y||_F bound it by
+    ||X||_F ||Y||_F ((1 + nu)(nu + 2 delta) + delta (1 + delta)). The
+    computed score adds the rounding of the column sums (fewer than d
+    terms), the product (d terms), the trace term and the norm, each a few
+    d eps times sizes that for a match are at most (2 + nu + delta)
+    ||X||_F ||Y||_F: a(d, tol) adds 4 d^2 eps (2 + nu + delta)^2 for them
+    (:func:`_probe_allowance`). At tol = 1e-8 and d = 16, tau is below
+    1e-4 ||X||_F ||Y||_F.
+
+    A candidate of the wrong type scores about ||XY - YX||_F = sqrt(2 n)
+    (left; sqrt(2 m) right), at least 2. One exception: on a 2 x 2 factor,
+    XY + YX = I, so the reflection swaps the types: at m = n = 2 a form of
+    one kind also admits a candidate of the other, and both run.
+    """
+    shape = phi.shape
+    d = shape.dim
+    supports, starts, ones = _probe_supports(shape.m, shape.n)
+    sums = np.add.reduceat(phi.matrix[:, supports], starts, axis=1)
+    # images[f, t]: the transpose of Phi(input t of factor f), t over X, Y, XY, YX
+    images = sums.T.reshape(2, 4, d, d)
+    product = images[:, 1] @ images[:, 0]  # transposes of Phi(X) Phi(Y)
+    kinds = 2 if shape.is_half else 1
+    diffs = np.empty((kinds, 2, 2, d, d), dtype=complex)  # [kind, factor, type]
+    np.subtract(product[:, None], images[:, 2:], out=diffs[0])
+    if kinds == 2:
+        np.add(product[:, None], images[:, 2:], out=diffs[1])
+        diffs[1].reshape(2, 2, d * d)[..., ::d + 1] -= (ones / shape.k)[:, None, None]
+    parts = diffs.reshape(kinds, 2, 2, -1).view(np.float64)
+    scores = np.sqrt(np.einsum("...i,...i->...", parts, parts))
+    # A score that overflowed to nan excludes nothing.
+    excluded = scores > (ones * _probe_allowance(d, tol))[:, None]
+    return [
+        [tag for tag, axes in _VARPHI_AXES.items()
+         if not (out[0, int(axes[0] != 0)] or out[1, int(axes[1] != 1)])]
+        for out in excluded
+    ]
+
+
 def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> ClassificationReport:
     """Identify the canonical form of a map and recover its unitary.
 
@@ -324,11 +431,15 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     matrix then is Hermitian PSD rank one, vec(U) vec(U)*, with top eigenvalue
     d = mn.
 
+    A probe of Phi on eight 0/1 inputs admits every candidate that can
+    match, for a canonical form its own alone but at m = n = 2
+    (:func:`_admitted_tags`); only those go through the Choi pass.
+
     One loop over the kinds, plain and then, when mn = 2k, affine. Each kind
-    computes Choi(Phi) once, its one map-sized working copy, reflects it in
-    place if affine (:func:`_reflect_choi`), and Hermitises it in place,
-    taking its Hermiticity defect in the same pass (:func:`_hermitise`).
-    Each varphi permutes the matrix units,
+    with an admitted candidate computes Choi(Phi) once, its one map-sized
+    working copy, reflects it in place if affine (:func:`_reflect_choi`), and
+    Hermitises it in place, taking its Hermiticity defect in the same pass
+    (:func:`_hermitise`). Each varphi permutes the matrix units,
     E_pq -> E_sigma(p,q), and commutes with the transpose, so composing with
     it is an entry permutation that carries mirrored pairs (C[a, b], C[b, a])
     to mirrored pairs, and commutes with the reflection. So the defect and the
@@ -349,9 +460,10 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
       {lam, 0, ..., 0} (Weyl), so ||E||_F <= tol d and
       |lam - d| + ||E||_F <= tol d certify both. Only where they do not is H
       solved, by one eigvalsh.
-    choi_gap_bounds holds (||E||_F + max(0, -lam)) / d per candidate, by the
-    same argument a bound on the gap max(|w_2nd|, |w_min|) / d, or that exact
-    gap for a candidate that was solved.
+    choi_gap_bounds holds (||E||_F + max(0, -lam)) / d per admitted
+    candidate, by the same argument a bound on the gap
+    max(|w_2nd|, |w_min|) / d, or that exact gap for a candidate that was
+    solved.
 
     At most one candidate can match. Two matches of the same kind (the
     reflection is invertible) would make the product of two distinct varphi a
@@ -364,12 +476,14 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     d = shape.dim
     bounds: dict[str, float] = {}
     matched: CandidateMatch | None = None
-    for affine in ((False, True) if shape.is_half else (False,)):
+    for affine, tags in zip((False, True), _admitted_tags(phi, tol)):
+        if not tags:
+            continue
         herm = choi_matrix(phi)
         if affine:
             _reflect_choi(herm, shape.k)
         defect = _hermitise(herm)
-        for tag in VARPHI_TAGS:
+        for tag in tags:
             key = f"{tag}+affine" if affine else tag
             v, lam, spread = _rank_one_fit(_compose_varphi(herm, shape, tag))
             bounds[key] = (spread + max(0.0, -lam)) / d
@@ -450,36 +564,6 @@ def _random_constrained_choi(shape: BipartiteShape, rng: np.random.Generator) ->
     return _project_marginals(choi, d)
 
 
-def _excludes_every_candidate(choi: np.ndarray, tol: float) -> bool:
-    """True only if classify_preserver(phi, tol) must return "not_a_preserver"
-    for the map phi with Choi matrix `choi`, because no candidate can pass
-    its top-eigenvalue gate; one Frobenius norm, no eigensolve. choi is
-    Hermitised in place (:func:`_hermitise`): falsify_random hands over the
-    draw it owns, after building phi from it.
-
-    A candidate passes that gate only if lam = v* H' v (the Weyl certificate)
-    or, where that cannot decide, the top eigenvalue of its Hermitised Choi
-    matrix H' is at least d (1 - tol). Neither exceeds ||H'||_F, which is
-    ||H||_F, H = Herm(Choi(Phi)), for every candidate:
-    - plain: Herm(Choi(Phi o varphi)) is an entry permutation of H (see
-      classify_preserver);
-    - affine, only at d = 2k: with T the trace form, whose Hermitian part is
-      the block-trace matrix of H, ||(Herm T x I) / k - H||_F^2
-      = (d / k^2 - 2 / k) ||Herm T||_F^2 + ||H||_F^2 = ||H||_F^2, for any map.
-    So ||H||_F < d (1 - tol) excludes every candidate in exact arithmetic.
-    The certificate asks for ||H||_F + 4 d^4 eps (||H||_F + 1) < d (1 - tol).
-    The allowance covers the computed norm (a sum of d^4 squares), the
-    Rayleigh quotient, eigvalsh's backward error (p(d^2) eps ||H||, p a
-    modest multiple of d^2) and the rounding of the affine Choi matrix. A map
-    it cannot exclude is left to classify_preserver.
-    """
-    d = math.isqrt(len(choi))
-    _hermitise(choi)
-    norm = _frobenius(choi)
-    allowance = 4 * d**4 * np.finfo(float).eps * (norm + 1.0)
-    return norm + allowance < d * (1.0 - tol)
-
-
 def falsify_random(
     shape: BipartiteShape,
     count: int,
@@ -489,12 +573,10 @@ def falsify_random(
     """Generate `count` random unital, trace-preserving, Hermiticity-preserving
     maps that are not of canonical form, and verify each. Expected: 0 passes.
 
-    Candidates within FALSIFY_REJECT_TOL of a canonical form are redrawn.
-    A draw whose Hermitised Choi matrix is too small in Frobenius norm to
-    reach any candidate's top-eigenvalue gate is kept unclassified
-    (:func:`_excludes_every_candidate`): random draws have norms of at most
-    about 0.4 d against the gate's d (1 - FALSIFY_REJECT_TOL). Any other
-    draw is classified. A pass is a reportable finding,
+    Candidates within FALSIFY_REJECT_TOL of a canonical form are redrawn: a
+    draw is kept when classify_preserver(phi, FALSIFY_REJECT_TOL) says
+    "not_a_preserver", which for a random draw its probe decides with no
+    Choi matrix (:func:`_admitted_tags`). A pass is a reportable finding,
     not an assertion failure; the result records whether the passing map
     secretly classified as canonical or merely kept its defect below tol.
     """
@@ -505,10 +587,8 @@ def falsify_random(
     passes = 0
     for index in range(count):
         for _ in range(64):
-            choi = _random_constrained_choi(shape, rng)
-            phi = map_from_choi(choi, shape)
-            if (_excludes_every_candidate(choi, FALSIFY_REJECT_TOL)
-                    or classify_preserver(phi, tol=FALSIFY_REJECT_TOL).verdict == "not_a_preserver"):
+            phi = map_from_choi(_random_constrained_choi(shape, rng), shape)
+            if classify_preserver(phi, FALSIFY_REJECT_TOL).verdict == "not_a_preserver":
                 break
         else:
             raise RuntimeError("could not draw a non-canonical map in 64 attempts")
@@ -522,7 +602,7 @@ def falsify_random(
         pass_kind = None
         if report.passed:
             passes += 1
-            cls = classify_preserver(phi, tol=tol)
+            cls = classify_preserver(phi, tol)
             pass_kind = "matches_canonical" if cls.verdict != "not_a_preserver" else "defect_below_tol"
         results.append(
             FalsifyResult(

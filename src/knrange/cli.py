@@ -9,10 +9,12 @@ Subcommands:
   suite    run the full check battery for a shape and write artifacts
 
 Exit codes: 0 success/pass, 1 valid run with a failing verdict, 2 usage or
-parse error. Flag values are checked by the library calls they feed, which
-raise ValueError before any output is written. Flag defaults are the
-library's own. All randomness is seeded; the default seed is DEFAULT_SEED so
-repeated runs with the same flags are reproducible.
+parse error, 3 numerical failure (a LAPACK routine did not converge,
+np.linalg.LinAlgError); 2 and 3 print one "error:" line. Flag values are
+checked by the library calls they feed, which raise ValueError before any
+output is written. Flag defaults are the library's own. All randomness is
+seeded; the default seed is DEFAULT_SEED so repeated runs with the same
+flags are reproducible.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import argparse
 import json
 import os
 import sys
+
+import numpy as np
 
 from . import checks, classify
 from .matcore import BipartiteShape, is_hermitian, load_matrix, save_matrix
@@ -164,6 +168,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but no fault of the input
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

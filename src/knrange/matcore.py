@@ -22,6 +22,12 @@ import numpy as np
 # relative to 1 + max|entry| of the matrix under test.
 HERMITICITY_RTOL = 1e-10
 
+# The largest |Re| or |Im| of an entry that :func:`as_matrix` accepts. Squares
+# and pairwise products of entries are then at most 2e300, so sums of up to
+# 1e7 of them (norms, matrix and Kronecker products, support values) stay
+# below the overflow threshold 1.8e308.
+MAX_ENTRY = 1e150
+
 # The scale of each part of a standard complex Gaussian (see :func:`_ginibre`).
 _GINIBRE_SCALE = 1 / np.sqrt(2.0)
 
@@ -43,12 +49,19 @@ def _check_tol(tol) -> None:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce input to a square complex matrix, checking shape and finiteness."""
+    """Coerce input to a square complex matrix, checking its shape, and that
+    its entries are finite with |Re| and |Im| at most MAX_ENTRY: the largest
+    and smallest number of the float view, which a nan carries through."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite")
+    parts = np.ascontiguousarray(m).view(np.float64)
+    hi, lo = float(parts.max(initial=0.0)), float(parts.min(initial=0.0))
+    if not (-MAX_ENTRY <= lo and hi <= MAX_ENTRY):
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise ValueError("matrix entries must be finite")
+        raise ValueError(f"matrix entries must have |Re| and |Im| at most {MAX_ENTRY:g}, "
+                         f"got {max(hi, -lo):g}")
     return m
 
 

@@ -9,11 +9,10 @@ import pytest
 from knrange import classify
 from knrange.classify import (
     FALSIFY_REJECT_TOL,
+    _admitted_tags,
     _compose_varphi,
-    _excludes_every_candidate,
     _hermitise,
     _project_marginals,
-    _random_constrained_choi,
     _rank_one_fit,
     _rebuild_residual,
     _reflect_choi,
@@ -78,6 +77,18 @@ def buildable_forms(shape):
     if shape.is_half:
         forms += [(tag, True) for tag in VARPHI_TAGS]
     return forms
+
+
+def admitted_keys(phi, tol=1e-8):
+    """The choi_gap_bounds keys of the candidates that the probe admits."""
+    return {f"{tag}+affine" if affine else tag
+            for affine, tags in zip((False, True), _admitted_tags(phi, tol)) for tag in tags}
+
+
+def admit_all(phi, tol):
+    """Stand-in for the probe that admits every candidate of every kind: the
+    full loop."""
+    return [list(VARPHI_TAGS) for _ in range(2 if phi.shape.is_half else 1)]
 
 
 class TestVerify:
@@ -240,13 +251,19 @@ class TestClassify:
         assert not verify_preserver(phi, trials=20, num_angles=90, seed=1).passed
 
     def test_choi_gaps_recorded(self):
-        shape = BipartiteShape(3, 3, 2)
-        phi, _ = canonical(shape, "t", seed=7)
+        """A bound per admitted candidate: the match's alone at (3, 3, 2); at
+        (2, 2, 2) also the other kind's candidate that the probe cannot tell
+        apart, whose bound is far from rank one and above its gap."""
+        phi, _ = canonical(BipartiteShape(3, 3, 2), "t", seed=7)
         report = classify_preserver(phi)
-        assert set(report.choi_gap_bounds) == {"id", "t", "pt_right", "pt_left"}
+        assert set(report.choi_gap_bounds) == {"t"}
         assert report.choi_gap_bounds["t"] <= 1e-12
-        # transpose composed wrong is far from rank one, and the bound is above the gap
-        assert report.choi_gap_bounds["id"] > 1e-3
+        phi, _ = canonical(BipartiteShape(2, 2, 2), "t", seed=7)
+        report = classify_preserver(phi)
+        assert set(report.choi_gap_bounds) == {"t", "id+affine"}
+        assert report.choi_gap_bounds["t"] <= 1e-12
+        gaps, _ = eigh_classifier(phi)
+        assert report.choi_gap_bounds["id+affine"] >= gaps["id+affine"] > 1e-3
         payload = classification_to_payload(report)
         assert list(payload["choi_gap_bounds"]) == sorted(report.choi_gap_bounds)
         json.dumps(payload)
@@ -380,17 +397,22 @@ def oracle_maps(shape):
 class TestAgainstEighOracle:
     @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
     def test_same_verdicts_gaps_and_unitaries(self, shape):
-        """Same verdict and unitary as the oracle; every bound is at least the
-        oracle's gap, and the match's bound is within tol."""
+        """Same verdict and unitary as the oracle, which solves every
+        candidate. A bound per admitted candidate, at least the oracle's gap,
+        and the match's within tol: a canonical form admits its own
+        candidate, plus one of the other kind at m = n = 2; the random maps
+        admit none."""
         verdicts = []
         for phi in oracle_maps(shape):
             report = classify_preserver(phi)
             verdicts.append(report.verdict)
             gaps, matched = eigh_classifier(phi)
             assert report.verdict == ("not_a_preserver" if matched is None else "classified")
-            assert report.choi_gap_bounds.keys() == gaps.keys()
-            for key, gap in gaps.items():
-                assert report.choi_gap_bounds[key] >= gap - 1e-12, key
+            assert report.choi_gap_bounds.keys() == admitted_keys(phi)
+            expected = 0 if matched is None else 2 if shape.m == shape.n == 2 else 1
+            assert len(report.choi_gap_bounds) == expected
+            for key, bound in report.choi_gap_bounds.items():
+                assert bound >= gaps[key] - 1e-12, key
             if matched is not None:
                 got = report.matched
                 assert (got.varphi, got.affine) == matched[:2]
@@ -415,14 +437,17 @@ class TestAgainstEighOracle:
         assert max_abs(report.matched.unitary - matched[2]) <= 1e-12
 
     def test_random_dense_map_solves_nothing(self):
-        """A map that does not preserve traces: the affine candidates have
-        Choi matrices of their own, and none of the eight is solved."""
+        """A map that does not preserve traces: the probe admits none of the
+        eight candidates, so neither kind builds a Choi matrix, and nothing
+        is solved."""
         shape = BipartiteShape(2, 4, 4)
         phi = LinearMapMatrix(shape, random_complex(64, np.random.default_rng(1)))
-        with solver_log() as log:
+        with solver_log() as log, \
+                mock.patch.object(classify, "choi_matrix", wraps=classify.choi_matrix) as built:
             report = classify_preserver(phi)
         assert report.verdict == "not_a_preserver"
-        assert len(report.choi_gap_bounds) == len(canonical_forms(shape))
+        assert report.choi_gap_bounds == {}
+        assert built.call_count == 0
         assert not log, log
 
     @staticmethod
@@ -560,10 +585,17 @@ class TestCandidateChoi:
     @pytest.mark.parametrize("shape,kinds", [(BipartiteShape(3, 3, 4), 1),
                                              (BipartiteShape(2, 4, 4), 2)])
     def test_one_choi_matrix_per_kind(self, shape, kinds):
-        for phi in (canonical(shape, "t", seed=2)[0], dense_map(shape, 3)):
+        """At most one Choi matrix per kind, and only for a kind with an
+        admitted candidate: a form of either kind builds its own kind's, a
+        dense map none."""
+        for affine in (False, True)[:kinds]:
+            phi = canonical(shape, "t", seed=2, affine=affine)[0]
             with mock.patch.object(classify, "choi_matrix", wraps=classify.choi_matrix) as counted:
                 classify_preserver(phi)
-            assert counted.call_count == kinds
+            assert counted.call_count == 1, affine
+        with mock.patch.object(classify, "choi_matrix", wraps=classify.choi_matrix) as counted:
+            classify_preserver(dense_map(shape, 3))
+        assert counted.call_count == 0
 
     def test_classify_memory_is_bounded(self):
         """(4, 4, 8): the Choi matrix of Phi is dropped before the affine
@@ -691,15 +723,20 @@ class TestEntryPermutation:
     @pytest.mark.parametrize("shape,defect_passes", [(BipartiteShape(3, 3, 4), 1),
                                                      (BipartiteShape(2, 4, 4), 2)])
     def test_classify_computes_each_defect_once(self, shape, defect_passes):
-        """One defect per kind, taken by the pass that Hermitises the kind's
-        Choi matrix, and it is that of each candidate of the kind."""
-        for phi in (canonical(shape, "t", seed=2)[0], dense_map(shape, 3)):
+        """One defect for the kind of the admitted candidate, taken by the
+        pass that Hermitises the kind's Choi matrix, and it is that of each
+        candidate of the kind; a form of each of the defect_passes kinds. A
+        dense map admits no candidate and takes no defect."""
+        for affine in (False, True)[:defect_passes]:
+            phi = canonical(shape, "t", seed=2, affine=affine)[0]
             with spy(classify, "_hermitise") as passes:
                 classify_preserver(phi)
-            assert len(passes) == defect_passes
-            for (_, defect), affine in zip(passes, (False, True)):
-                for tag in VARPHI_TAGS:
-                    assert defect == hermiticity_defect(candidate_choi(phi, tag, affine))
+            ((_, defect),) = passes
+            for tag in VARPHI_TAGS:
+                assert defect == hermiticity_defect(candidate_choi(phi, tag, affine))
+        with spy(classify, "_hermitise") as passes:
+            classify_preserver(dense_map(shape, 3))
+        assert passes == []
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
     def test_hermitian_parts_share_entries(self, shape):
@@ -710,14 +747,17 @@ class TestEntryPermutation:
             assert np.array_equal(np.sort(herm.ravel()), entries), tag
 
     def test_classify_hermitises_once_for_the_plain_candidates(self):
-        """One Hermitian part for the four plain candidates, the one that
-        matches included: Choi(Phi), Hermitised in place."""
+        """One Hermitian part for the admitted plain candidates (the match
+        alone, at (3, 3, 4)): Choi(Phi), Hermitised in place. The zero map
+        admits all four, and they share it too."""
         shape = BipartiteShape(3, 3, 4)
-        for phi in (canonical(shape, "t", seed=2)[0], dense_map(shape, 3)):
+        for phi, admitted in ((canonical(shape, "t", seed=2)[0], ["t"]),
+                              (LinearMapMatrix(shape, np.zeros((81, 81))), list(VARPHI_TAGS))):
+            assert _admitted_tags(phi, 1e-8) == [admitted]
             with spy(classify, "_hermitise") as passes:
                 classify_preserver(phi)
             assert len(passes) == 1
-            (herm,), _ = passes[0]  # as the four candidates left it
+            (herm,), _ = passes[0]  # as the admitted candidates left it
             assert herm.tobytes() == hermitian_part(choi_matrix(phi)).tobytes()
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES)
@@ -763,46 +803,130 @@ FALSIFY_SHAPES = [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3), BipartiteSha
 
 
 class TestRejectCertificate:
-    """_excludes_every_candidate(choi_matrix(phi), tol) must imply that
-    classify_preserver(phi, tol) says "not_a_preserver"."""
+    """The probe is the classifier's reject certificate: a candidate it does
+    not admit never reaches the Choi pass, so it must admit every candidate
+    that the pass would match (classify._admitted_tags), and it turns random
+    maps away with no Choi matrix."""
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
     def test_admits_every_canonical_form(self, shape):
         for i, (tag, affine) in enumerate(canonical_forms(shape)):
             phi, _ = canonical(shape, tag, seed=20 + i, affine=affine)
-            for tol in (FALSIFY_REJECT_TOL, 1e-8):
-                assert not _excludes_every_candidate(choi_matrix(phi), tol), (tag, affine, tol)
+            for tol in (FALSIFY_REJECT_TOL, 1e-8, 1e-14):
+                assert tag in _admitted_tags(phi, tol)[affine], (tag, affine, tol)
 
     @pytest.mark.parametrize("shape,tag,affine", [(BipartiteShape(3, 3, 4), "id", False),
                                                   (BipartiteShape(2, 4, 4), "t", True),
                                                   (BipartiteShape(3, 4, 6), "pt_left", True)])
     def test_scaled_canonical_map_at_the_gate(self, shape, tag, affine):
-        """Inside the top-eigenvalue gate (scale 1 - tol/2) the map classifies
-        and is admitted; outside it (1 - 2 tol) it is excluded, and classify
-        agrees that it is no preserver."""
+        """Inside the top-eigenvalue gate (scale 1 - tol/2) the map classifies;
+        outside it (1 - 2 tol) it is no preserver. The probe admits the form's
+        candidate, and it alone, at both scales: an O(tol) scale moves the
+        scores by far less than tau, and the Choi gates decide."""
         phi, _ = canonical(shape, tag, seed=31, affine=affine)
         inside = LinearMapMatrix(shape, (1 - 0.5 * FALSIFY_REJECT_TOL) * phi.matrix)
         report = classify_preserver(inside, tol=FALSIFY_REJECT_TOL)
         assert report.verdict == "classified"
         assert (report.matched.varphi, report.matched.affine) == (tag, affine)
-        assert not _excludes_every_candidate(choi_matrix(inside), FALSIFY_REJECT_TOL)
         outside = LinearMapMatrix(shape, (1 - 2 * FALSIFY_REJECT_TOL) * phi.matrix)
-        assert _excludes_every_candidate(choi_matrix(outside), FALSIFY_REJECT_TOL)
-        assert classify_preserver(outside, tol=FALSIFY_REJECT_TOL).verdict == "not_a_preserver"
+        report = classify_preserver(outside, tol=FALSIFY_REJECT_TOL)
+        assert report.verdict == "not_a_preserver"
+        key = f"{tag}+affine" if affine else tag
+        for scaled in (inside, outside):
+            assert admitted_keys(scaled, FALSIFY_REJECT_TOL) == {key}
+        assert set(report.choi_gap_bounds) == {key}
 
     @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
     def test_excluded_maps_are_not_preservers(self, shape):
+        """Every falsifier draw and a dense map are excluded at every kind,
+        and classify builds no Choi matrix for them."""
         rng = np.random.default_rng(shape.dim)
-        draws = [random_constrained_map(shape, rng) for _ in range(50)]
-        # Every falsifier draw is far inside the certificate.
-        assert all(_excludes_every_candidate(choi_matrix(phi), FALSIFY_REJECT_TOL) for phi in draws)
-        dense = dense_map(shape, 1)
-        just_inside = 0.999 * shape.dim / herm_choi_norm(dense)  # ||H||_F = 0.999 d
-        maps = draws + [dense, LinearMapMatrix(shape, just_inside * dense.matrix)]
+        maps = [random_constrained_map(shape, rng) for _ in range(50)] + [dense_map(shape, 1)]
         for phi in maps:
-            if _excludes_every_candidate(choi_matrix(phi), FALSIFY_REJECT_TOL):
-                assert classify_preserver(phi, tol=FALSIFY_REJECT_TOL).verdict == "not_a_preserver"
-        assert _excludes_every_candidate(choi_matrix(maps[-1]), FALSIFY_REJECT_TOL)
+            assert admitted_keys(phi, FALSIFY_REJECT_TOL) == set()
+            with mock.patch.object(classify, "choi_matrix", side_effect=AssertionError):
+                report = classify_preserver(phi, tol=FALSIFY_REJECT_TOL)
+            assert report.verdict == "not_a_preserver" and report.choi_gap_bounds == {}
+
+
+def probe_inputs(shape):
+    """Oracle: the probe's eight 0/1 inputs as Kronecker products, per
+    factor X = S x I (I x S), Y = X^T, XY and YX."""
+    eye_m, eye_n = np.eye(shape.m), np.eye(shape.n)
+    inputs = []
+    for side, size in (("left", shape.m), ("right", shape.n)):
+        s = np.eye(size, k=1)
+        for z in (s, s.T, s @ s.T, s.T @ s):
+            inputs.append(np.kron(z, eye_n) if side == "left" else np.kron(eye_m, z))
+    return inputs
+
+
+SOUNDNESS_SHAPES = CHOI_SHAPES + [BipartiteShape(3, 4, 6), BipartiteShape(4, 4, 8)]
+
+
+class TestProbe:
+    """classify_preserver runs the Choi pass for the admitted candidates only,
+    and gives the report of the full loop that admits every candidate."""
+
+    @pytest.mark.parametrize("shape", SOUNDNESS_SHAPES + [BipartiteShape(2, 2, 1),
+                                                          BipartiteShape(2, 5, 3)])
+    def test_supports_are_the_kronecker_inputs(self, shape):
+        supports, starts, ones = classify._probe_supports(shape.m, shape.n)
+        runs = np.split(supports, starts[1:])
+        for run, z in zip(runs, probe_inputs(shape)):
+            assert np.array_equal(np.sort(run), np.flatnonzero(z.ravel(order="F")))
+        assert ones.tolist() == [len(runs[0]), len(runs[4])]
+        assert ones.tolist() == [np.trace(z) for z in probe_inputs(shape)[2::4]]
+
+    @pytest.mark.parametrize("shape", SOUNDNESS_SHAPES)
+    def test_same_report_as_the_full_loop(self, monkeypatch, shape):
+        """Every canonical form at tol 1e-14, 1e-8 and 1e-6, with noise on
+        the map of max modulus 0, 1e-12, 1e-10 (near the unitarity gate of
+        the read-off), tol / 2 and tol: the verdict, the match, its unitary's
+        bytes and its residual are the full loop's, and so is each admitted
+        candidate's bound. Each noiseless form classifies."""
+        cases = []
+        for i, (tag, affine) in enumerate(canonical_forms(shape)):
+            phi, _ = canonical(shape, tag, seed=90 + i, affine=affine)
+            noise = random_complex(shape.dim ** 2, np.random.default_rng(i))
+            noise /= np.abs(noise).max()
+            for tol in (1e-14, 1e-8, 1e-6):
+                for size in sorted({0.0, 1e-12, 1e-10, tol / 2, tol}):
+                    if size <= tol:
+                        noisy = LinearMapMatrix(shape, phi.matrix + size * noise)
+                        cases.append((noisy, tol, size, classify_preserver(noisy, tol)))
+        monkeypatch.setattr(classify, "_admitted_tags", admit_all)
+        for phi, tol, size, got in cases:
+            full = classify_preserver(phi, tol)
+            assert got.verdict == full.verdict, (tol, size)
+            assert got.verdict == "classified" or size > 0.0
+            assert (got.matched is None) == (full.matched is None)
+            for key, bound in got.choi_gap_bounds.items():
+                assert bound == full.choi_gap_bounds[key], key
+            if got.matched is not None:
+                m, f = got.matched, full.matched
+                assert (m.varphi, m.affine) == (f.varphi, f.affine)
+                assert m.unitary.tobytes() == f.unitary.tobytes()
+                assert m.residual == f.residual
+
+    @pytest.mark.parametrize("shape,composed", [(BipartiteShape(3, 3, 4), 1),
+                                                (BipartiteShape(2, 4, 4), 1),
+                                                (BipartiteShape(3, 4, 6), 1),
+                                                (BipartiteShape(2, 2, 2), 2)])
+    def test_one_candidate_per_form(self, shape, composed):
+        """One _compose_varphi per canonical form, two at m = n = 2, where
+        the trace reflection of a 2 x 2 factor swaps the probe's types; none,
+        and no Choi matrix, for a falsifier draw or a dense map."""
+        for i, (tag, affine) in enumerate(canonical_forms(shape)):
+            phi, _ = canonical(shape, tag, seed=40 + i, affine=affine)
+            with spy(classify, "_compose_varphi") as calls:
+                report = classify_preserver(phi)
+            assert (report.matched.varphi, report.matched.affine) == (tag, affine)
+            assert len(calls) == composed, (tag, affine)
+        for phi in (random_constrained_map(shape, np.random.default_rng(7)), dense_map(shape, 7)):
+            with mock.patch.object(classify, "choi_matrix", wraps=classify.choi_matrix) as built:
+                assert classify_preserver(phi).verdict == "not_a_preserver"
+            assert built.call_count == 0
 
 
 def kron_projection(choi, d):
@@ -819,9 +943,10 @@ def kron_projection(choi, d):
 
 
 class TestFalsifierDraw:
-    """The projection adds its corrections in place, and the certificate
-    reads the drawn Choi matrix itself: the bytes of the Kronecker sums and
-    of choi_matrix(map_from_choi(choi))."""
+    """The projection adds its corrections in place, and falsify_random
+    classifies the map of the draw itself: the bytes of the Kronecker sums
+    and of a Choi round trip, and the probe turns each draw away with no
+    Choi matrix."""
 
     @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
     def test_projection_equals_kron_sums(self, shape):
@@ -838,29 +963,27 @@ class TestFalsifierDraw:
 
     @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
     def test_payload_equals_kron_and_round_trip(self, shape):
-        def round_trip(choi, tol):
-            return certificate(choi_matrix(map_from_choi(choi, shape)), tol)
+        def round_trip(choi, shape):
+            return map_from_choi(choi_matrix(to_map(choi, shape)), shape)
 
-        certificate = classify._excludes_every_candidate
+        to_map = classify.map_from_choi
         fast = falsify_to_payload(falsify_random(shape, count=2, seed=23))
         with mock.patch.object(classify, "_project_marginals", side_effect=kron_projection), \
-                mock.patch.object(classify, "_excludes_every_candidate", side_effect=round_trip):
+                mock.patch.object(classify, "map_from_choi", side_effect=round_trip):
             slow = falsify_to_payload(falsify_random(shape, count=2, seed=23))
         assert json.dumps(fast) == json.dumps(slow)
 
     @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
-    def test_certificate_hermitises_the_draw_in_place(self, shape):
-        """The norm is that of hermitian_part(choi), bitwise, taken on the
-        draw itself once _hermitise has overwritten it."""
-        rng = np.random.default_rng(shape.dim)
-        for _ in range(3):
-            choi = _random_constrained_choi(shape, rng)
-            herm = hermitian_part(choi)
-            with spy(classify, "_frobenius") as norms:
-                assert _excludes_every_candidate(choi, FALSIFY_REJECT_TOL)
-            assert [(args[0] is choi, norm) for args, norm in norms] == [
-                (True, classify._frobenius(herm))]
-            assert choi.tobytes() == herm.tobytes()
+    def test_draws_are_probed_without_a_choi_matrix(self, shape):
+        """Each draw is classified once, at FALSIFY_REJECT_TOL, and the probe
+        excludes it: no Choi matrix, no Hermitisation."""
+        with spy(classify, "classify_preserver") as classified, \
+                mock.patch.object(classify, "choi_matrix", side_effect=AssertionError), \
+                mock.patch.object(classify, "_hermitise", side_effect=AssertionError):
+            summary = falsify_random(shape, count=3, seed=29)
+        assert summary.passes == 0
+        assert [(args[1], report.verdict) for args, report in classified] == [
+            (FALSIFY_REJECT_TOL, "not_a_preserver")] * 3
 
 
 class TestFalsify:
@@ -921,16 +1044,21 @@ class TestFalsify:
 
     @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
     def test_same_payload_as_the_classify_path(self, shape):
+        """The draws kept when the probe admits every candidate, so that each
+        draw goes through the full Choi pass, are the same."""
         fast = falsify_to_payload(falsify_random(shape, count=3, seed=17))
-        with mock.patch.object(classify, "_excludes_every_candidate", return_value=False):
+        with mock.patch.object(classify, "_admitted_tags", side_effect=admit_all):
             slow = falsify_to_payload(falsify_random(shape, count=3, seed=17))
         assert json.dumps(fast) == json.dumps(slow)
 
     @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
     def test_failing_draws_skip_classify(self, shape):
-        with mock.patch.object(classify, "classify_preserver", side_effect=AssertionError):
+        """A draw whose verification fails is not classified at tol: the only
+        classification is the draw's own, at FALSIFY_REJECT_TOL."""
+        with spy(classify, "classify_preserver") as classified:
             summary = falsify_random(shape, count=2, seed=4)
         assert summary.passes == 0
+        assert [args[1] for args, _ in classified] == [FALSIFY_REJECT_TOL] * 2
 
     def test_no_choi_solve(self):
         """Only the support kernel solves (order mn = 12); no Choi matrix

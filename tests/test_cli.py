@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,36 @@ def test_bad_run_settings_exit_2_without_output(tmp_path, argv):
     argv = [{"DESC": str(dpath), "MATRIX": str(mpath)}.get(a, a) for a in argv]
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_solver_failure_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
+    """np.linalg.LinAlgError subclasses ValueError, but a solve that does not
+    converge is no fault of the input: exit 3, with one error line."""
+    def diverging(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, diverging)
+    mpath, out = tmp_path / "m.json", tmp_path / "out.csv"
+    save_matrix(random_complex(3, np.random.default_rng(2)), mpath)
+    assert cli.main(["range", str(mpath), "--k", "1", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: numerical failure: Eigenvalues did not converge\n"
+
+
+def test_huge_entries_exit_2_without_warnings(tmp_path, capsys):
+    """Entries of 1.7e308 - 1.7e308i are finite, but the support kernel's
+    sums would overflow: as_matrix rejects them as input, naming its bound,
+    before any arithmetic warns."""
+    path = tmp_path / "huge.json"
+    write_json(path, {"dim": 3, "entries": [[1.7e308, -1.7e308]] * 9})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["range", str(path), "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: matrix entries must have |Re| and |Im| at most 1e+150, "
+                            "got 1.7e+308\n")
 
 
 @pytest.mark.parametrize("command", ["range", "verify"])

@@ -315,3 +315,16 @@ class TestMatrixFile:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             matcore.as_matrix(np.array([[np.inf, 0], [0, 1]]))
+
+    def test_entry_bound(self):
+        """|Re| and |Im| up to MAX_ENTRY pass; one ulp beyond, in either part
+        and either sign, is rejected with the bound named; nan stays a
+        finiteness error, wherever it sits."""
+        bound, beyond = matcore.MAX_ENTRY, np.nextafter(matcore.MAX_ENTRY, np.inf)
+        matcore.as_matrix(np.array([[bound - 1j * bound, 0], [0, -bound + 1j * bound]]))
+        for z in (beyond, -beyond, 1j * beyond, -1j * beyond):
+            with pytest.raises(ValueError, match=r"at most 1e\+150"):
+                matcore.as_matrix(np.array([[1, 0], [0, z]]))
+        for z in (np.nan, 1j * np.nan, complex(beyond, np.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                matcore.as_matrix(np.array([[1, 0], [z, 1]]))
