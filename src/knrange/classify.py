@@ -59,6 +59,7 @@ from .ranges import (
 )
 
 DEFAULT_TRIALS = 50
+MAX_TRIALS = 10_000  # the reason is in verify_preserver's docstring
 # Internal verification settings for the falsifier: random non-canonical maps
 # fail by O(1) margins, so a coarse grid and few trials suffice.
 FALSIFY_TRIALS = 8
@@ -181,8 +182,14 @@ def verify_preserver(
     grid of the support-function discrepancy, relative to 1 + the larger
     support magnitude. The two sides are solved one after the other, each one
     matrix at a time (see :mod:`knrange.ranges`).
+
+    trials is at most MAX_TRIALS, 200 times DEFAULT_TRIALS. Every trial is
+    held at once: at mn = 16 and 360 angles one costs about 17 KB (its A x B
+    and Phi(A x B) and three support grids), so MAX_TRIALS take 0.17 GB.
+    A map that is not a preserver fails on the witness pair or within a few
+    random trials (the falsifier runs FALSIFY_TRIALS), so more buy nothing.
     """
-    _check_int("trials", trials, 1)
+    _check_int("trials", trials, 1, MAX_TRIALS)
     _check_tol(tol)
     shape = phi.shape
     angles = _angle_grid(num_angles)

@@ -9,10 +9,12 @@ Subcommands:
   suite    run the full check battery for a shape and write artifacts
 
 Exit codes: 0 success/pass, 1 valid run with a failing verdict, 2 usage or
-parse error, 3 numerical failure (a LAPACK routine did not converge,
-np.linalg.LinAlgError); 2 and 3 print one "error:" line. Flag values are
-checked by the library calls they feed, which raise ValueError before any
-output is written. Flag defaults are the library's own. All randomness is
+parse error, 3 numerical or resource failure (a LAPACK routine did not
+converge, np.linalg.LinAlgError, or an allocation failed, MemoryError); 2 and
+3 print one "error:" line. Flag values are checked by the library calls they
+feed, which raise ValueError before any output is written; the counts
+--angles and --trials are bounded there too (ranges.MAX_NUM_ANGLES,
+classify.MAX_TRIALS). Flag defaults are the library's own. All randomness is
 seeded; the default seed is DEFAULT_SEED so repeated runs with the same
 flags are reproducible.
 """
@@ -170,6 +172,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except np.linalg.LinAlgError as exc:  # a ValueError, but no fault of the input
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,12 +34,14 @@ _GINIBRE_SCALE = 1 / np.sqrt(2.0)
 
 def _check_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
     """Reject bool, non-integers (floats and numpy integers included) and
-    values outside minimum..maximum (inclusive; no upper bound if None)."""
+    values outside minimum..maximum (inclusive; no upper bound if None),
+    naming the bound that is crossed."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum or (maximum is not None and value > maximum):
-        bound = f"be >= {minimum}" if maximum is None else f"satisfy {minimum} <= {name} <= {maximum}"
-        raise ValueError(f"{name} must {bound}, got {value}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
 
 
 def _check_tol(tol) -> None:

@@ -4,9 +4,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from knrange.classify import _random_constrained_choi
 from knrange.maps import map_from_choi
+
+# Every @given test draws the same examples on every run, and no example
+# database carries failures from one run into the next; each test's own
+# @settings still sets its max_examples.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 SQRT_41_OVER_2 = np.sqrt(41 / 2)  # 4.527692569068709
 SQRT_9_OVER_2 = np.sqrt(9 / 2)

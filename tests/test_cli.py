@@ -262,6 +262,15 @@ class TestSuiteCommand:
         assert cli.main([]) == 2
 
 
+def with_input_files(tmp_path, argv):
+    """argv with DESC and MATRIX replaced by the paths of an identity-map
+    descriptor file and a 3x3 identity matrix file."""
+    dpath, mpath = tmp_path / "desc.json", tmp_path / "m.json"
+    write_json(dpath, {"varphi": "id", "affine": False, "unitary": "identity"})
+    save_matrix(np.eye(3, dtype=complex), mpath)
+    return [{"DESC": str(dpath), "MATRIX": str(mpath)}.get(a, a) for a in argv]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["verify", "DESC", "--m", "2", "--n", "2", "--k", "2", "--angles", "4"],
@@ -271,13 +280,60 @@ class TestSuiteCommand:
     ids=["verify-angles", "verify-trials", "suite-trials", "range-angles"],
 )
 def test_bad_run_settings_exit_2_without_output(tmp_path, argv):
-    dpath, mpath = tmp_path / "desc.json", tmp_path / "m.json"
-    write_json(dpath, {"varphi": "id", "affine": False, "unitary": "identity"})
-    save_matrix(np.eye(3, dtype=complex), mpath)
     out = tmp_path / "out"
-    argv = [{"DESC": str(dpath), "MATRIX": str(mpath)}.get(a, a) for a in argv]
-    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert cli.main(with_input_files(tmp_path, argv) + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+HUGE = "1000000000000"
+ANGLES_BOUND = f"num_angles must be <= {ranges.MAX_NUM_ANGLES}"
+TRIALS_BOUND = f"trials must be <= {classify.MAX_TRIALS}"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["range", "MATRIX", "--k", "1", "--angles", HUGE], ANGLES_BOUND),
+     (["verify", "DESC", "--m", "2", "--n", "2", "--k", "2", "--angles", HUGE],
+      ANGLES_BOUND),
+     (["verify", "DESC", "--m", "2", "--n", "2", "--k", "2", "--trials", HUGE],
+      TRIALS_BOUND),
+     (["suite", "--m", "2", "--n", "2", "--k", "2", "--angles", HUGE],
+      ANGLES_BOUND),
+     (["suite", "--m", "2", "--n", "2", "--k", "2", "--trials", HUGE],
+      TRIALS_BOUND)],
+    ids=["range-angles", "verify-angles", "verify-trials", "suite-angles", "suite-trials"],
+)
+def test_oversized_counts_exit_2_naming_the_bound(tmp_path, capsys, argv, message):
+    """A count too large to allocate is a usage error, caught before any
+    array of that size is requested."""
+    out = tmp_path / "out"
+    assert cli.main(with_input_files(tmp_path, argv) + ["--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}, got {HUGE}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["range", "MATRIX", "--k", "1"],
+     ["verify", "DESC", "--m", "2", "--n", "2", "--k", "2", "--trials", "2", "--angles", "8"],
+     ["suite", "--m", "2", "--n", "2", "--k", "2", "--trials", "2", "--angles", "8"]],
+    ids=["range", "verify", "suite"],
+)
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch, argv):
+    """An allocation that fails is no fault of the input: exit 3, with one
+    error line and no output."""
+    def allocating(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(ranges, "_rotated_eigs", allocating)
+    out = tmp_path / "out"
+    assert cli.main(with_input_files(tmp_path, argv) + ["--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
 
 
 def test_solver_failure_is_not_a_usage_error(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knrange
 from knrange.matcore import (
     HERMITICITY_RTOL,
     BipartiteShape,
@@ -18,6 +22,7 @@ from knrange.matcore import (
 )
 from knrange.classify import counterexample_matrices
 from knrange.ranges import (
+    MAX_NUM_ANGLES,
     _angle_grid,
     _rotated_eigs,
     boundary_point,
@@ -266,6 +271,91 @@ class TestRadius:
         assert k_numerical_radius(h, 2) == pytest.approx(expected, abs=1e-9)
 
 
+def radius_families(d: int, rng) -> dict:
+    """Matrices for the radius's skip bound: a generic W_k, one far below the
+    rounding slack's floor, one far from 0, a polygon, a disk (a constant
+    support function), a point, a segment through 0, and a badly scaled
+    matrix."""
+    g = random_complex(d, rng)
+    q = random_haar_unitary(d, rng)
+    cols = random_complex(d, rng)
+    cols[:, : d // 2] *= 1e6
+    return {
+        "ginibre": g,
+        "tiny": 1e-9 * g,
+        "shifted": g + 50 * np.eye(d),
+        "normal": q @ np.diag(np.exp(2j * np.pi * np.arange(d) / d)) @ q.conj().T,
+        "shift": np.eye(d, k=1, dtype=complex),
+        "scalar": (1 + 2j) * np.eye(d),
+        "i-hermitian": 1j * random_hermitian(d, rng),
+        "columns-1e6": cols,
+    }
+
+
+RADIUS_GRIDS = (8, 9, 10, 17, 90, 359, 360, 361, 720)
+
+# Prints, for each radius_families matrix at d = 12 and 16, each of
+# RADIUS_GRIDS and k = d/2, the bytes of k_numerical_radius and of the
+# full-grid maximum.
+RADIUS_BYTES_SCRIPT = """
+import numpy as np
+from test_ranges import RADIUS_GRIDS, radius_families
+from knrange.ranges import _angle_grid, k_numerical_radius, support_values
+for d in (12, 16):
+    for a in radius_families(d, np.random.default_rng(d)).values():
+        for n in RADIUS_GRIDS:
+            got = np.float64(k_numerical_radius(a, d // 2, n)).tobytes().hex()
+            ref = np.max(support_values(a, d // 2, _angle_grid(n))).tobytes().hex()
+            print(got, ref)
+"""
+
+
+class TestRadiusSkip:
+    """k_numerical_radius solves a non-Hermitian matrix only at the angles
+    its disk and half-plane bound cannot rule out, and returns the bytes of
+    the full-grid maximum."""
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_bitwise_the_full_grid_max(self, d):
+        for name, a in radius_families(d, np.random.default_rng(300 + d)).items():
+            for num_angles in RADIUS_GRIDS:
+                angles = _angle_grid(num_angles)
+                for k in sorted({1, d // 2, d - 1}):
+                    got = np.float64(k_numerical_radius(a, k, num_angles))
+                    reference = np.max(support_values(a, k, angles))
+                    assert got.tobytes() == reference.tobytes(), (name, num_angles, k)
+
+    @pytest.mark.parametrize("num_angles,kernel_solves", [(360, 180), (361, 361)])
+    def test_solves_at_most_a_third_of_the_grid(self, rng, num_angles, kernel_solves):
+        a = random_complex(16, rng)
+        for k in (1, 8, 15):
+            with solver_log() as solved:
+                k_numerical_radius(a, k, num_angles)
+            assert 0 < solved.matrices() <= kernel_solves // 3, k
+
+    def test_hermitian_takes_one_solve(self, rng):
+        h = random_hermitian(16, rng)
+        for num_angles in (360, 361):
+            with solver_log() as solved:
+                k_numerical_radius(h, 8, num_angles)
+            assert list(solved) == [("eigvalsh", 1, 16)]
+
+    def test_bitwise_at_one_and_two_blas_threads(self):
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(knrange.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, here, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-c", RADIUS_BYTES_SCRIPT], env=env,
+                                 check=True, capture_output=True, text=True, timeout=300)
+            pairs = [line.split() for line in run.stdout.splitlines()]
+            assert len(pairs) == 2 * 8 * len(RADIUS_GRIDS)
+            assert all(got == ref for got, ref in pairs)
+            outputs.append(pairs)
+        assert outputs[0] == outputs[1]
+
+
 class TestSamplePoints:
     def test_scalar(self):
         pts = sample_points((0.5 + 2j) * np.eye(4), 2, 50, seed=0)
@@ -427,11 +517,18 @@ class TestRotatedEigs:
                 support_values_batch(np.stack([general, herm]), 2, angles)
             assert solved.matrices() == general_solves + 1  # the Hermitian row: one solve
             for call in (lambda: krange_profile(general, 2, num_angles),
-                         lambda: support_values(general, 2, angles),
-                         lambda: k_numerical_radius(general, 2, num_angles)):
+                         lambda: support_values(general, 2, angles)):
                 with solver_log() as solved:
                     call()
                 assert solved.matrices() == general_solves
+            # The radius skips the angles its bound rules out, but for a grid
+            # too coarse for the bound (8 and 9 angles), which it solves whole.
+            with solver_log() as solved:
+                k_numerical_radius(general, 2, num_angles)
+            if num_angles < 10:
+                assert solved.matrices() == general_solves
+            else:
+                assert 0 < solved.matrices() <= general_solves // 3
 
     @pytest.mark.parametrize("bad", [True, 8.5, 360.0, np.int64(8)],
                              ids=["bool", "fraction", "whole-float", "numpy-int"])
@@ -441,6 +538,15 @@ class TestRotatedEigs:
                      lambda: k_numerical_radius(a, 1, bad),
                      lambda: _angle_grid(bad)):
             with pytest.raises(ValueError, match="num_angles must be an integer"):
+                call()
+
+    def test_num_angles_has_an_inclusive_maximum(self):
+        assert len(_angle_grid(MAX_NUM_ANGLES)) == MAX_NUM_ANGLES
+        a = random_complex(3, np.random.default_rng(0))
+        for call in (lambda: krange_profile(a, 1, MAX_NUM_ANGLES + 1),
+                     lambda: k_numerical_radius(a, 1, 10**12),
+                     lambda: _angle_grid(10**12)):
+            with pytest.raises(ValueError, match=f"num_angles must be <= {MAX_NUM_ANGLES}, got "):
                 call()
 
     @pytest.mark.parametrize("bad", [True, 2.0])
