@@ -24,13 +24,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 
 import numpy as np
 
 from . import checks, classify
 from .matcore import BipartiteShape, is_hermitian, load_matrix, save_matrix
-from .maps import build_canonical, descriptor_from_payload, map_from_payload
+from .maps import (
+    DESCRIPTOR_KEYS,
+    MAP_KEYS,
+    build_canonical,
+    descriptor_from_payload,
+    map_from_payload,
+)
 from .ranges import (
     DEFAULT_NUM_ANGLES,
     DEFAULT_RTOL,
@@ -79,6 +86,12 @@ def _load_map_input(args):
     if "varphi" in payload:
         shape = BipartiteShape(m=args.m, n=args.n, k=args.k)
         return build_canonical(descriptor_from_payload(payload, shape))
+    if not payload.keys() & {"m", "n", "k"}:  # a matrix file, say, has none of them
+        raise ValueError(
+            f"{args.input}: verify expects a map file (keys {', '.join(MAP_KEYS)}) or a "
+            f"canonical descriptor file (keys {', '.join(DESCRIPTOR_KEYS)}), got keys "
+            f"{reprlib.repr(list(payload))}"
+        )
     phi = map_from_payload(payload)
     for flag, declared in (("m", args.m), ("n", args.n), ("k", args.k)):
         if declared is not None and declared != getattr(phi.shape, flag):

@@ -28,6 +28,7 @@ form is that minus M.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ import numpy as np
 from .matcore import (
     BipartiteShape,
     _check_int,
+    _payload_fields,
     as_matrix,
     matrix_from_payload,
     matrix_to_payload,
@@ -252,7 +254,13 @@ def map_from_choi(choi: np.ndarray, shape: BipartiteShape) -> LinearMapMatrix:
 # Map file:       {"m", "n", "k", "dim": (mn)^2, "entries": [[re, im], ...]}
 # Descriptor:     {"varphi": "id|t|pt_right|pt_left", "affine": bool,
 #                  "unitary": <matrix payload> or "identity"}
+# A malformed payload raises ValueError naming what is wrong (see
+# matcore.matrix_from_payload).
 # ---------------------------------------------------------------------------
+
+MAP_KEYS = ("m", "n", "k", "dim", "entries")
+DESCRIPTOR_KEYS = ("varphi", "affine", "unitary")
+
 
 def map_to_payload(phi: LinearMapMatrix) -> dict:
     payload = matrix_to_payload(phi.matrix)
@@ -266,13 +274,11 @@ def map_to_payload(phi: LinearMapMatrix) -> dict:
 
 
 def map_from_payload(payload: dict) -> LinearMapMatrix:
-    try:
-        shape = BipartiteShape(m=payload["m"], n=payload["n"], k=payload["k"])
-        dim, entries = payload["dim"], payload["entries"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed map payload: {exc!r}") from exc
+    m, n, k, dim, entries = _payload_fields(payload, "map payload", MAP_KEYS)
+    shape = BipartiteShape(m=m, n=n, k=k)
     if dim != shape.dim ** 2:
-        raise ValueError(f"declared dim {dim} does not equal (mn)^2 = {shape.dim ** 2}")
+        raise ValueError(
+            f"declared dim {reprlib.repr(dim)} does not equal (mn)^2 = {shape.dim ** 2}")
     matrix = matrix_from_payload({"dim": dim, "entries": entries})
     return LinearMapMatrix(shape=shape, matrix=matrix)
 
@@ -286,14 +292,14 @@ def descriptor_to_payload(spec: CanonicalFormSpec) -> dict:
 
 
 def descriptor_from_payload(payload: dict, shape: BipartiteShape) -> CanonicalFormSpec:
-    try:
-        raw, varphi, affine = payload["unitary"], payload["varphi"], payload["affine"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed canonical descriptor: {exc!r}") from exc
+    varphi, affine, raw = _payload_fields(payload, "canonical descriptor", DESCRIPTOR_KEYS)
     if not isinstance(affine, bool):
-        raise ValueError(f"descriptor 'affine' must be a JSON bool, got {affine!r}")
+        raise ValueError(f"descriptor 'affine' must be a JSON bool, got {reprlib.repr(affine)}")
     if raw == "identity":
         unitary = np.eye(shape.dim, dtype=complex)
-    else:
+    elif isinstance(raw, dict):
         unitary = matrix_from_payload(raw)
+    else:
+        raise ValueError(f"descriptor 'unitary' must be \"identity\" or a matrix payload, "
+                         f"got {reprlib.repr(raw)}")
     return CanonicalFormSpec(varphi=varphi, unitary=unitary, affine=affine, shape=shape)

@@ -12,6 +12,7 @@ All functions treat matrices as immutable values and return fresh arrays.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Real
@@ -37,7 +38,7 @@ def _check_int(name: str, value, minimum: int, maximum: int | None = None) -> No
     values outside minimum..maximum (inclusive; no upper bound if None),
     naming the bound that is crossed."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -222,6 +223,37 @@ def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
 # json round-trips finite doubles exactly (repr-based serialization).
 # ---------------------------------------------------------------------------
 
+MATRIX_KEYS = ("dim", "entries")
+
+
+def _payload_fields(payload, what: str, keys: tuple[str, ...]) -> list:
+    """The values of `keys` in `payload`, which must be a JSON object that
+    holds them all; the error names every missing key and the keys `what`
+    needs. Other keys are ignored."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object, got {reprlib.repr(payload)}")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}; "
+                         f"it needs {', '.join(map(repr, keys))}")
+    return [payload[key] for key in keys]
+
+
+def _bad_entry(entries: list) -> str:
+    """The error for the first entry that is not a [re, im] pair of numbers
+    (JSON true/false excluded) that convert to floats."""
+    for i, entry in enumerate(entries):
+        pair = isinstance(entry, (list, tuple)) and len(entry) == 2
+        if not (pair and all(isinstance(x, Real) and not isinstance(x, (bool, np.bool_))
+                             for x in entry)):
+            return f"entries[{i}] must be a [re, im] pair of numbers, got {reprlib.repr(entry)}"
+        try:
+            complex(*entry)
+        except OverflowError:
+            return f"entries[{i}] is out of the float range: {reprlib.repr(entry)}"
+    return "entries must be [re, im] pairs of numbers"
+
+
 def matrix_to_payload(a) -> dict:
     m = as_matrix(a)
     d = m.shape[0]
@@ -230,18 +262,23 @@ def matrix_to_payload(a) -> dict:
 
 
 def matrix_from_payload(payload: dict) -> np.ndarray:
+    """The matrix of a matrix payload. A malformed one raises ValueError
+    that names what is wrong: a missing key, the dim, the entry count, or the
+    index of the first entry that is not a [re, im] pair of numbers."""
+    d, entries = _payload_fields(payload, "matrix payload", MATRIX_KEYS)
+    _check_int("dim", d, 1)
+    if not isinstance(entries, list):
+        raise ValueError(f"entries must be a list of [re, im] pairs, got {reprlib.repr(entries)}")
+    if len(entries) != d * d:
+        raise ValueError(f"expected {d * d} entries, got {len(entries)}")
     try:
-        d = payload["dim"]
-        entries = payload["entries"]
-        _check_int("dim", d, 1)
-        if len(entries) != d * d:
-            raise ValueError(f"expected {d * d} entries, got {len(entries)}")
         flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
         # complex() rejects strings, null and lists, but reads true/false as 1/0
-        if {bool, np.bool_} & set(map(type, chain.from_iterable(entries))):
-            raise ValueError("matrix entries must be numbers, got a boolean")
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix payload: {exc!r}") from exc
+        numbers = not {bool, np.bool_} & set(map(type, chain.from_iterable(entries)))
+    except (TypeError, ValueError, OverflowError):
+        numbers = False
+    if not numbers:
+        raise ValueError(_bad_entry(entries))
     return as_matrix(flat.reshape(d, d))
 
 

@@ -28,6 +28,13 @@ family over the solved angles is built and solved before the next one's, so
 the transient memory is O(half * d^2), with half the number of angles solved,
 whatever the stack's length.
 
+Every point of W_k(A) the module returns, a profile's boundary points,
+`boundary_point` and `sample_points`, is tr(X* A X)/k for a (d, k) isometry X,
+and `_frame_points` is the one place that computes it: one product A @ X over
+the frame stack and a two-operand reduction. `boundary_point` traces the same
+frame as the profile at a solved angle, so it returns the profile's point
+there byte for byte.
+
 `k_numerical_radius` is the largest support value on the grid, and it asks
 the kernel for fewer angles: a coarse pass over every _RADIUS_STRIDE-th
 solved angle bounds W_k(A) by a disk, the disk and each solved angle's
@@ -90,10 +97,13 @@ class SupportProfile:
 
 
 def _check_angles(angles) -> np.ndarray:
-    """`angles` as a float array, which must be non-empty, finite and 1-D."""
+    """`angles` as a float array, which must be 1-D, finite and hold 1 to
+    MAX_NUM_ANGLES values (the bound of the uniform grid, see _angle_grid)."""
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 1 or angles.size == 0:
         raise ValueError(f"angles must be a non-empty 1-D array, got shape {angles.shape}")
+    if angles.size > MAX_NUM_ANGLES:
+        raise ValueError(f"angles must hold <= {MAX_NUM_ANGLES} values, got {angles.size}")
     if not np.all(np.isfinite(angles)):
         raise ValueError("angles must be finite")
     return angles
@@ -108,14 +118,19 @@ def _angle_grid(num_angles: int) -> np.ndarray:
     no check; each angle still costs a solve and a row of every output.
     """
     _check_int("num_angles", num_angles, 8, MAX_NUM_ANGLES)
-    return 2.0 * np.pi * np.arange(num_angles) / num_angles
+    return _uniform_grid(num_angles)
+
+
+def _uniform_grid(n: int) -> np.ndarray:
+    """2*pi*j / n for j < n, unchecked."""
+    return 2.0 * np.pi * np.arange(n) / n
 
 
 def _is_antipodal_grid(angles: np.ndarray) -> bool:
     """True iff `angles` is the uniform grid of an even length, so that
     angles[j + n/2] = angles[j] + pi for every j < n/2."""
     n = len(angles)
-    return n >= 8 and n % 2 == 0 and np.array_equal(angles, _angle_grid(n))
+    return n >= 8 and n % 2 == 0 and np.array_equal(angles, _uniform_grid(n))
 
 
 def _rotated_eigs(stack: np.ndarray, angles: np.ndarray, vectors: bool = False):
@@ -239,16 +254,19 @@ def support_values_batch(stack: np.ndarray, k: int, angles: np.ndarray) -> np.nd
 def boundary_point(a, k: int, theta: float) -> complex:
     """A member of W_k(A) on the supporting line at angle theta.
 
-    Takes the k eigenvectors of Herm(e^{-i theta} A) with the largest
-    eigenvalues (stable order on ties), forms the rank-k projector P, and
-    returns tr(P A)/k. The construction makes the value a member of W_k(A) by
-    definition, and its rotated real part equals support_value(a, k, theta).
+    Takes the frame X of the k eigenvectors of Herm(e^{-i theta} A) with
+    the largest eigenvalues (stable order on ties) and returns tr(X* A X)/k
+    through `_frame_points`. The construction makes the value a member of
+    W_k(A) by definition, and its rotated real part equals
+    support_value(a, k, theta). At a solved angle of a profile's grid it is
+    bitwise that profile's boundary point: the same solve gives the same
+    frame, and the same kernel traces it.
     """
     m = as_matrix(a)
     _check_int("k", k, 1, m.shape[0] - 1)
     _, v, flip = _rotated_eigs(m[None], _check_angles([float(theta)]), vectors=True)
     vk = v[0][:, k - 1::-1] if flip[0] else v[0][:, -k:]
-    return complex(np.einsum("is,ij,js->", vk.conj(), m, vk) / k)
+    return complex(_frame_points(m, vk[None], k)[0])
 
 
 def krange_profile(a, k: int, num_angles: int = DEFAULT_NUM_ANGLES) -> SupportProfile:
@@ -371,9 +389,10 @@ def k_numerical_radius(a, k: int, num_angles: int = DEFAULT_NUM_ANGLES) -> float
 def sample_points(a, k: int, count: int, seed) -> np.ndarray:
     """`count` members tr(X* A X)/k of W_k(A) for Haar-random isometries X.
 
-    X is the first k columns of a Haar unitary (batched Ginibre + QR with the
-    R-diagonal phases absorbed). This is the definition-based inner oracle:
-    every returned point lies in W_k(A).
+    X is the first k columns of a Haar unitary (one (count, d, d) Ginibre
+    draw, the QR of its first k columns, with the R-diagonal phases absorbed),
+    traced by `_frame_points` like every other point of W_k. This is the
+    definition-based inner oracle: every returned point lies in W_k(A).
     """
     m = as_matrix(a)
     _check_int("k", k, 1, m.shape[0] - 1)
@@ -383,8 +402,7 @@ def sample_points(a, k: int, count: int, seed) -> np.ndarray:
     # The first k columns of the full QR are the QR of the first k columns.
     q, r = np.linalg.qr(_ginibre((count, d, d), rng)[:, :, :k])
     diag = np.einsum("tii->ti", r)
-    x = q * (diag / np.abs(diag))[:, None, :]
-    return np.einsum("tis,ij,tjs->t", x.conj(), m, x) / k
+    return _frame_points(m, q * (diag / np.abs(diag))[:, None, :], k)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,12 @@ def unit_matrix(dim: int, i: int, j: int) -> np.ndarray:
     return e
 
 
+def frame_trace(a, frames, k):
+    """Oracle for every point of W_k: tr(X* A X)/k for each (d, k) frame X of
+    a (count, d, k) stack, as one product A @ X and a two-operand reduction."""
+    return np.einsum("jis,jis->j", frames.conj(), a @ frames) / k
+
+
 def random_constrained_map(shape, rng):
     """The map of a falsifier draw: a random unital, trace-preserving,
     Hermiticity-preserving map (classify._random_constrained_choi)."""

@@ -384,6 +384,37 @@ def test_boolean_entries_exit_2_without_output(tmp_path, capsys, command):
     assert capsys.readouterr().out == ""
 
 
+MAP_2_2_2 = map_to_payload(random_constrained_map(BipartiteShape(2, 2, 2),
+                                                  np.random.default_rng(12)))
+
+
+@pytest.mark.parametrize("command,payload,argv,message", [
+    ("verify", matrix_to_payload(np.eye(3)), [],
+     "{path}: verify expects a map file (keys m, n, k, dim, entries) or a canonical "
+     "descriptor file (keys varphi, affine, unitary), got keys ['dim', 'entries']"),
+    ("verify", {key: MAP_2_2_2[key] for key in ("m", "n", "dim")}, [],
+     "map payload is missing 'k', 'entries'; it needs 'm', 'n', 'k', 'dim', 'entries'"),
+    ("verify", {"varphi": "id", "unitary": "identity"}, ["--m", "2", "--n", "2", "--k", "2"],
+     "canonical descriptor is missing 'affine'; it needs 'varphi', 'affine', 'unitary'"),
+    ("verify", dict(MAP_2_2_2, entries=MAP_2_2_2["entries"][:7] + [[0.0]]
+                    + MAP_2_2_2["entries"][8:]),
+     [], "entries[7] must be a [re, im] pair of numbers, got [0.0]"),
+    ("range", {"dim": 2, "entries": [[1, 0], [0, 0], ["0", 0], [1, 0]]}, ["--k", "1"],
+     "entries[2] must be a [re, im] pair of numbers, got ['0', 0]"),
+    ("range", {"dim": 1, "entries": [[10**400, 0]]}, ["--k", "1"],
+     "entries[0] is out of the float range: [100000000000000000...0000000000000000000, 0]"),
+], ids=["matrix-file-to-verify", "map-missing-keys", "descriptor-missing-key", "map-short-entry",
+        "string-entry", "huge-entry"])
+def test_malformed_payload_names_the_fault(tmp_path, capsys, command, payload, argv, message):
+    """One error line that says what is wrong with the file, exit 2, no output."""
+    path = tmp_path / "input.json"
+    write_json(path, payload)
+    assert cli.main([command, str(path), "--angles", "8"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(path=path)}\n"
+
+
 def test_suite_default_trials_is_the_library_constant():
     suite = cli._build_parser().parse_args(["suite", "--m", "2", "--n", "2", "--k", "2"])
     assert suite.trials == checks.DEFAULT_SUITE_TRIALS

@@ -9,6 +9,8 @@ from knrange.matcore import (
     BipartiteShape,
     hermitian_part,
     kron,
+    matrix_from_payload,
+    matrix_to_payload,
     partial_transpose,
     random_complex,
     random_haar_unitary,
@@ -436,3 +438,124 @@ class TestMapIO:
         classes = [classification_to_payload(classify_preserver(m)) for m in (phi, listed)]
         assert classes[0] == classes[1]
         assert classes[0]["verdict"] == "classified"
+
+
+class TestPayloadErrors:
+    """The three payload readers name what is wrong, not a Python exception."""
+
+    @pytest.mark.parametrize("read,payload,message", [
+        (matrix_from_payload, {"entries": []},
+         "matrix payload is missing 'dim'; it needs 'dim', 'entries'"),
+        (map_from_payload, {"dim": 1, "entries": [[1.0, 0.0]]},
+         "map payload is missing 'm', 'n', 'k'; it needs 'm', 'n', 'k', 'dim', 'entries'"),
+        (lambda p: descriptor_from_payload(p, BipartiteShape(2, 2, 2)), {"varphi": "id"},
+         "canonical descriptor is missing 'affine', 'unitary'; "
+         "it needs 'varphi', 'affine', 'unitary'"),
+        (map_from_payload, [1, 2], "map payload must be a JSON object, got \\[1, 2\\]"),
+    ], ids=["matrix", "map", "descriptor", "not-an-object"])
+    def test_missing_keys_are_named(self, read, payload, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read(payload)
+
+    @pytest.mark.parametrize("bad,message", [
+        ([1.0], r"entries\[2\] must be a \[re, im\] pair of numbers, got \[1.0\]"),
+        ([1.0, 2.0, 3.0],
+         r"entries\[2\] must be a \[re, im\] pair of numbers, got \[1.0, 2.0, 3.0\]"),
+        ([True, 0.0], r"entries\[2\] must be a \[re, im\] pair of numbers, got \[True, 0.0\]"),
+        (["1", 0.0], r"entries\[2\] must be a \[re, im\] pair of numbers, got \['1', 0.0\]"),
+        (None, r"entries\[2\] must be a \[re, im\] pair of numbers, got None"),
+        ({"re": 1.0, "im": 0.0}, r"entries\[2\] must be a \[re, im\] pair of numbers, got \{"),
+        ([10**400, 0], r"entries\[2\] is out of the float range: \[1000"),
+    ], ids=["one", "three", "bool", "string", "null", "object", "huge-int"])
+    def test_first_bad_entry_is_named(self, bad, message):
+        payload = matrix_to_payload(np.eye(2))
+        payload["entries"][2] = bad
+        payload["entries"][3] = None  # only the first bad entry is reported
+        with pytest.raises(ValueError, match=message):
+            matrix_from_payload(payload)
+        phi = map_to_payload(build_canonical(spec_for(BipartiteShape(2, 2, 2))))
+        phi["entries"][2] = bad
+        with pytest.raises(ValueError, match=message):
+            map_from_payload(phi)
+
+    @pytest.mark.parametrize("raw", [[1], 5, None, "eye"])
+    def test_descriptor_unitary_must_be_identity_or_a_matrix(self, raw):
+        payload = {"varphi": "id", "affine": False, "unitary": raw}
+        with pytest.raises(ValueError, match="'unitary' must be \"identity\" or a matrix payload"):
+            descriptor_from_payload(payload, BipartiteShape(2, 2, 2))
+
+
+# Arbitrary JSON values: null, bools, numbers (huge, nan and inf included, as
+# json.load reads them), strings, and nested arrays and objects of these.
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(10**300, 10**400)
+               | st.floats() | st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=10,
+)
+
+
+@st.composite
+def entry_lists(draw, count):
+    """count [re, im] pairs, or one fewer or more, with at most one replaced
+    by an arbitrary JSON value or a short list of numbers."""
+    entries = [[0.5, -0.5] for _ in range(count + draw(st.sampled_from([0, 0, 0, -1, 1])))]
+    if draw(st.booleans()):
+        bad = JSON_VALUES | st.lists(st.integers() | st.floats() | st.booleans(), max_size=3)
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(bad)
+    return entries
+
+
+@st.composite
+def payloads(draw, fields):
+    """Now and then an arbitrary JSON value; otherwise a JSON object whose
+    keys hold their fields' valid values, but for at most one that holds an
+    arbitrary JSON value or is missing, beside arbitrary extra keys."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    payload = draw(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=2))
+    payload.update({key: draw(valid) for key, valid in fields.items()})
+    broken = draw(st.sampled_from([None, *fields]))
+    if broken is not None:
+        if draw(st.booleans()):
+            del payload[broken]
+        else:
+            payload[broken] = draw(JSON_VALUES)
+    return payload
+
+
+def assert_returns_or_value_error(read, payload):
+    try:
+        read(payload)
+    except ValueError as exc:
+        assert "Error(" not in str(exc), str(exc)
+
+
+class TestPayloadFuzz:
+    """Whatever JSON a file holds, a payload reader returns or raises
+    ValueError with a message of its own."""
+
+    @given(payload=payloads({"dim": st.just(2), "entries": entry_lists(4)}))
+    @settings(max_examples=80, deadline=None)
+    def test_matrix_payload(self, payload):
+        assert_returns_or_value_error(matrix_from_payload, payload)
+
+    @given(payload=payloads({"m": st.just(2), "n": st.just(2), "k": st.integers(1, 3),
+                             "dim": st.just(16), "entries": entry_lists(256)}))
+    @settings(max_examples=80, deadline=None)
+    def test_map_payload(self, payload):
+        assert_returns_or_value_error(map_from_payload, payload)
+
+    @given(payload=payloads({
+        "varphi": st.sampled_from(VARPHI_TAGS),
+        "affine": st.booleans(),
+        "unitary": st.just("identity") | payloads({"dim": st.just(4), "entries": st.builds(
+            lambda perm: matrix_to_payload(np.eye(4)[list(perm)])["entries"],
+            st.permutations(range(4))) | entry_lists(16)}),
+    }))
+    @settings(max_examples=80, deadline=None)
+    def test_descriptor_payload(self, payload):
+        assert_returns_or_value_error(
+            lambda p: descriptor_from_payload(p, BipartiteShape(2, 2, 2)), payload)

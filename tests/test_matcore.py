@@ -22,7 +22,14 @@ from knrange.matcore import (
     vec,
 )
 
-from conftest import SQRT_41_OVER_2, SQRT_9_OVER_2, random_constrained_map, shift3, unit_matrix
+from conftest import (
+    SQRT_41_OVER_2,
+    SQRT_9_OVER_2,
+    frame_trace,
+    random_constrained_map,
+    shift3,
+    unit_matrix,
+)
 
 
 class TestKron:
@@ -188,14 +195,14 @@ class TestOneGinibreDraw:
                              + [(d, k) for d in (2, 9, 16) for k in sorted({1, d // 2, d - 1})])
     def test_sample_points(self, d, k):
         """The QR of the k columns kept is bitwise the first k columns of the
-        full QR of the same draw."""
+        full QR of the same draw, and the points are their frame traces."""
         from knrange.ranges import sample_points
 
         a = random_complex(d, 1)
         q, r = np.linalg.qr(inline_ginibre(np.random.default_rng(2), (40, d, d)))
         diag = np.einsum("tii->ti", r)
         x = (q * (diag / np.abs(diag))[:, None, :])[:, :, :k]
-        expected = np.einsum("tis,ij,tjs->t", x.conj(), a, x) / k
+        expected = frame_trace(a, x, k)
         assert sample_points(a, k, 40, 2).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mnk", [(2, 2, 1), (2, 3, 3), (3, 4, 6)])

@@ -24,6 +24,7 @@ from knrange.classify import counterexample_matrices
 from knrange.ranges import (
     MAX_NUM_ANGLES,
     _angle_grid,
+    _check_angles,
     _rotated_eigs,
     boundary_point,
     k_numerical_radius,
@@ -38,7 +39,15 @@ from knrange.ranges import (
     support_values_batch,
 )
 
-from conftest import SQRT_41_OVER_2, SQRT_9_OVER_2, peak_alloc, shift3, solver_log, unit_matrix
+from conftest import (
+    SQRT_41_OVER_2,
+    SQRT_9_OVER_2,
+    frame_trace,
+    peak_alloc,
+    shift3,
+    solver_log,
+    unit_matrix,
+)
 
 
 def interval_by_enumeration(diag_values, k):
@@ -61,8 +70,7 @@ def direct_eigh(a, angles):
 
 def direct_support_and_boundary(a, k, angles):
     w, v = direct_eigh(a, angles)
-    vk = v[:, :, -k:]
-    return w[:, -k:].sum(axis=1) / k, np.einsum("jis,jis->j", vk.conj(), a @ vk) / k
+    return w[:, -k:].sum(axis=1) / k, frame_trace(a, v[:, :, -k:], k)
 
 
 class TestHermitianInterval:
@@ -549,6 +557,21 @@ class TestRotatedEigs:
             with pytest.raises(ValueError, match=f"num_angles must be <= {MAX_NUM_ANGLES}, got "):
                 call()
 
+    def test_angle_array_length_has_an_inclusive_maximum(self):
+        """A caller's angle array is bounded under its own name, before any
+        solve, not through the grid's num_angles."""
+        assert len(_check_angles(np.zeros(MAX_NUM_ANGLES))) == MAX_NUM_ANGLES
+        a = random_complex(3, np.random.default_rng(0))
+        angles = np.linspace(0.0, 1.0, MAX_NUM_ANGLES + 2)
+        message = f"angles must hold <= {MAX_NUM_ANGLES} values, got {MAX_NUM_ANGLES + 2}"
+        with solver_log() as solved:
+            for call in (lambda: support_values(a, 1, angles),
+                         lambda: support_values_batch(a[None], 1, angles),
+                         lambda: _check_angles(angles)):
+                with pytest.raises(ValueError, match=message):
+                    call()
+        assert list(solved) == []
+
     @pytest.mark.parametrize("bad", [True, 2.0])
     def test_sample_points_rejects_non_integer_count(self, bad):
         with pytest.raises(ValueError, match="count must be an integer"):
@@ -680,17 +703,15 @@ def reference_support(stack, k, angles):
 
 def reference_profile(a, k, angles):
     """Oracle: support and boundary points from the full-grid spectra and
-    frames of the broadcast, every angle's top-k frame solved in one einsum."""
+    frames of the broadcast, every angle's top-k frame traced at once."""
     w, v = broadcast_rotated_eigs(a[None], angles, vectors=True)
-    w, v = w[0], v[0]
-    vk = v[:, :, -k:]
-    return w[:, -k:].sum(axis=1) / k, np.einsum("jis,jis->j", vk.conj(), a @ vk) / k
+    return w[0, :, -k:].sum(axis=1) / k, frame_trace(a, v[0, :, :, -k:], k)
 
 
 def reference_boundary_point(a, k, theta):
+    """Oracle: the trace of the top-k frame of the broadcast at theta alone."""
     _, v = broadcast_rotated_eigs(a[None], np.array([theta]), vectors=True)
-    vk = v[0, 0, :, -k:]
-    return complex(np.einsum("is,ij,js->", vk.conj(), a, vk) / k)
+    return complex(frame_trace(a, v[0, :, :, -k:], k)[0])
 
 
 class TestSolvedAnglesOnly:
@@ -723,6 +744,23 @@ class TestSolvedAnglesOnly:
                     assert profile.boundary.tobytes() == ref_boundary.tobytes(), (kind, k)
                     radius = np.float64(k_numerical_radius(a, k, grid))
                     assert radius.tobytes() == np.max(reference_support(a[None], k, angles)).tobytes()
+
+    @pytest.mark.parametrize("num_angles", [8, 360, 361])
+    @pytest.mark.parametrize("d", [2, 5, 12, 16])
+    def test_boundary_point_is_the_profile_point(self, d, num_angles):
+        """At every solved angle (the first half of an even grid, all of an
+        odd one) boundary_point traces the profile's frame through the same
+        kernel, so it returns the profile's point, byte for byte."""
+        rng = np.random.default_rng(300 + d)
+        matrices = {"ginibre": random_complex(d, rng), "hermitian": random_hermitian(d, rng),
+                    "shift": np.eye(d, k=1, dtype=complex)}
+        solved = num_angles // 2 if num_angles % 2 == 0 else num_angles
+        for kind, a in matrices.items():
+            for k in sorted({1, d // 2, d - 1}):
+                profile = krange_profile(a, k, num_angles)
+                points = np.array([boundary_point(a, k, float(theta))
+                                   for theta in profile.angles[:solved]])
+                assert points.tobytes() == profile.boundary[:solved].tobytes(), (kind, k)
 
     @pytest.mark.parametrize("d", [2, 9, 16])
     def test_hermitian_profile_solves_once(self, d):
