@@ -9,15 +9,14 @@ a pure unitary conjugation, which is detected by its Choi matrix being
 Hermitian PSD of rank one. A probe first applies Phi to eight 0/1 inputs
 and tests whether it is multiplicative or anti-multiplicative on each
 factor subalgebra; that admits the candidates that can match, for a
-canonical form its own alone (and one of the other kind at m = n = 2), and
-a kind with none builds no Choi matrix (:func:`_admitted_tags`). Each kind
-with an admitted candidate holds one map-sized working copy: Choi(Phi), or
-its trace reflection for the affine ones, Hermitised in place. Each
-candidate's Choi matrix is an axis transpose of it. Its unitary is read
-off by one power step and checked against Phi by a rebuild residual,
-written and compared a column block at a time; Weyl's inequality then
-certifies the rank-one gates, and a Choi spectrum is solved only where it
-cannot (:func:`classify_preserver`).
+canonical form its own alone (and one of the other kind at m = n = 2),
+with no Choi matrix (:func:`_admitted_tags`). Each admitted candidate holds
+one map-sized working copy, its own Choi matrix: one axis transpose of the
+map matrix, reflected in place if affine and Hermitised in place. Its
+unitary is read off by one power step and checked against Phi by a rebuild
+residual, written and compared a column block at a time; Weyl's
+inequality then certifies the rank-one gates, and a Choi spectrum is solved
+only where it cannot (:func:`classify_preserver`).
 
 The random falsifier classifies each draw at FALSIFY_REJECT_TOL; the probe
 turns a random draw away with no Choi matrix.
@@ -34,6 +33,7 @@ import numpy as np
 from .matcore import (
     BipartiteShape,
     _GINIBRE_SCALE,
+    _VARPHI_AXES,
     _check_int,
     _check_tol,
     _ginibre,
@@ -44,11 +44,11 @@ from .matcore import (
 from .maps import (
     UNITARITY_TOL,
     LinearMapMatrix,
-    _VARPHI_AXES,
     _canonical_blocks,
+    _choi_matrix,
     _unitarity_defect,
     apply_map_batch,
-    choi_matrix,
+    canonical_forms,
     map_from_choi,
 )
 from .ranges import (
@@ -310,21 +310,15 @@ def _reflect_choi(choi: np.ndarray, k: int) -> None:
     c4[:, i, :, i] += trace_form / k
 
 
-def _compose_varphi(choi: np.ndarray, shape: BipartiteShape, tag: str) -> np.ndarray:
-    """Choi matrix of Psi o varphi from that of Psi, for any Psi.
-
-    Its entry at ((p, i), (q, j)) is Psi(varphi(E_pq))[i, j], and varphi moves
-    the matrix unit E_pq as it moves X's entries: by the transpose of the
-    (m, n, m, n) view [a, b, c, e], p = (a, b), q = (c, e), in
-    maps._VARPHI_AXES. So this is that transpose applied to the
-    (m, n, d, m, n, d) view [a, b, i, c, e, j] of Choi(Psi), copied once into
-    memory of its own: _rank_one_fit overwrites its argument, and the id
-    view, reshaped without a copy, would alias choi.
-    """
-    m, n, d = shape.m, shape.n, shape.dim
-    a, b, c, e = ((0, 1, 3, 4)[axis] for axis in _VARPHI_AXES[tag])
-    view = choi.reshape(m, n, d, m, n, d).transpose(a, b, 2, c, e, 5)
-    return view.copy().reshape(d * d, d * d)
+def _hermitian_choi(phi: LinearMapMatrix, tag: str, affine: bool) -> tuple[np.ndarray, float]:
+    """The candidate's Hermitised Choi matrix, of Psi o varphi with Psi = Phi,
+    or (tr / k) I - Phi if affine, and its Hermiticity defect: built as one
+    transpose of the map matrix (maps._choi_matrix), reflected in place if
+    affine (:func:`_reflect_choi`), Hermitised in place (:func:`_hermitise`)."""
+    choi = _choi_matrix(phi.matrix, phi.shape, tag)
+    if affine:
+        _reflect_choi(choi, phi.shape.k)
+    return choi, _hermitise(choi)
 
 
 @functools.lru_cache(maxsize=64)
@@ -362,13 +356,13 @@ def _probe_allowance(d: int, tol: float) -> float:
     return (1 + nu) * (nu + 2 * delta) + delta * (1 + delta) + 4 * d * d * _EPS * size * size
 
 
-def _admitted_tags(phi: LinearMapMatrix, tol: float) -> list[list[str]]:
-    """The varphi tags of each kind, plain and then, when mn = 2k, affine,
+def _admitted_tags(phi: LinearMapMatrix, tol: float) -> list[tuple[str, bool]]:
+    """The (varphi tag, affine) candidates, in maps.canonical_forms order,
     that classify_preserver's Choi pass may match; O(d^3), no Choi matrix.
 
     The probe. Every varphi is multiplicative or anti-multiplicative on each
     factor subalgebra, A x I and I x B: it transposes the left factor iff
-    its axes in maps._VARPHI_AXES move axis 0 (t and pt_left), and the right
+    its axes in matcore._VARPHI_AXES move axis 0 (t and pt_left), and the right
     one iff they move axis 1 (t and pt_right). So a candidate's
     Psi = U varphi(.) U* (Psi = Phi plain, (tr / k) I - Phi affine) has
     Psi(X) Psi(Y) = Psi(XY), or Psi(YX) where varphi transposes, for X, Y
@@ -423,11 +417,9 @@ def _admitted_tags(phi: LinearMapMatrix, tol: float) -> list[list[str]]:
     scores = np.sqrt(np.einsum("...i,...i->...", parts, parts))
     # A score that overflowed to nan excludes nothing.
     excluded = scores > (ones * _probe_allowance(d, tol))[:, None]
-    return [
-        [tag for tag, axes in _VARPHI_AXES.items()
-         if not (out[0, int(axes[0] != 0)] or out[1, int(axes[1] != 1)])]
-        for out in excluded
-    ]
+    return [(tag, affine) for tag, affine in canonical_forms(shape)
+            if not (excluded[int(affine), 0, int(_VARPHI_AXES[tag][0] != 0)]
+                    or excluded[int(affine), 1, int(_VARPHI_AXES[tag][1] != 1)])]
 
 
 def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> ClassificationReport:
@@ -442,17 +434,11 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     match, for a canonical form its own alone but at m = n = 2
     (:func:`_admitted_tags`); only those go through the Choi pass.
 
-    One loop over the kinds, plain and then, when mn = 2k, affine. Each kind
-    with an admitted candidate computes Choi(Phi) once, its one map-sized
-    working copy, reflects it in place if affine (:func:`_reflect_choi`), and
-    Hermitises it in place, taking its Hermiticity defect in the same pass
-    (:func:`_hermitise`). Each varphi permutes the matrix units,
-    E_pq -> E_sigma(p,q), and commutes with the transpose, so composing with
-    it is an entry permutation that carries mirrored pairs (C[a, b], C[b, a])
-    to mirrored pairs, and commutes with the reflection. So the defect and the
-    Hermitian part of each candidate of the kind are those of the kind's one
-    matrix, bitwise, and each candidate's Hermitised Choi matrix is a
-    transpose of it (:func:`_compose_varphi`).
+    One loop over the admitted candidates. Each builds its own Choi matrix,
+    its one map-sized working copy, as one axis transpose of the map matrix
+    (maps._choi_matrix), reflects it in place if affine, and Hermitises it in
+    place, taking its Hermiticity defect in the same pass
+    (:func:`_hermitian_choi`).
 
     A candidate matches when it passes, in turn (H its Hermitised Choi matrix):
     - the Hermiticity defect, max|C - C*| <= tol d;
@@ -479,36 +465,29 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     only at mn = 2.
     """
     _check_tol(tol)
-    shape = phi.shape
-    d = shape.dim
+    d = phi.shape.dim
     bounds: dict[str, float] = {}
     matched: CandidateMatch | None = None
-    for affine, tags in zip((False, True), _admitted_tags(phi, tol)):
-        if not tags:
+    for tag, affine in _admitted_tags(phi, tol):
+        key = f"{tag}+affine" if affine else tag
+        herm, defect = _hermitian_choi(phi, tag, affine)
+        v, lam, spread = _rank_one_fit(herm)
+        del herm  # overwritten by the fit; freed before any other Choi matrix
+        bounds[key] = (spread + max(0.0, -lam)) / d
+        if defect > tol * d:
             continue
-        herm = choi_matrix(phi)
-        if affine:
-            _reflect_choi(herm, shape.k)
-        defect = _hermitise(herm)
-        for tag in tags:
-            key = f"{tag}+affine" if affine else tag
-            v, lam, spread = _rank_one_fit(_compose_varphi(herm, shape, tag))
-            bounds[key] = (spread + max(0.0, -lam)) / d
-            if defect > tol * d:
+        u = _normalize_phase(unvec(v, d) * np.sqrt(d))
+        if _unitarity_defect(u) > UNITARITY_TOL:
+            continue  # recovered matrix not unitary enough: near-miss, no match
+        residual = _rebuild_residual(phi, u, tag, affine)
+        if residual > tol:
+            continue
+        if spread > tol * d or abs(lam - d) + spread > tol * d:  # the bound cannot decide
+            w = np.linalg.eigvalsh(_hermitian_choi(phi, tag, affine)[0])
+            bounds[key] = max(abs(float(w[-2])), abs(float(w[0]))) / d
+            if bounds[key] > tol or abs(float(w[-1]) - d) > tol * d:
                 continue
-            u = _normalize_phase(unvec(v, d) * np.sqrt(d))
-            if _unitarity_defect(u) > UNITARITY_TOL:
-                continue  # recovered matrix not unitary enough: near-miss, no match
-            residual = _rebuild_residual(phi, u, tag, affine)
-            if residual > tol:
-                continue
-            if spread > tol * d or abs(lam - d) + spread > tol * d:  # the bound cannot decide
-                w = np.linalg.eigvalsh(_compose_varphi(herm, shape, tag))
-                bounds[key] = max(abs(float(w[-2])), abs(float(w[0]))) / d
-                if bounds[key] > tol or abs(float(w[-1]) - d) > tol * d:
-                    continue
-            matched = CandidateMatch(varphi=tag, affine=affine, unitary=u, residual=residual)
-        del herm  # before the next kind's Choi matrix
+        matched = CandidateMatch(varphi=tag, affine=affine, unitary=u, residual=residual)
 
     verdict = "not_a_preserver" if matched is None else "classified"
     return ClassificationReport(verdict=verdict, matched=matched, choi_gap_bounds=bounds)

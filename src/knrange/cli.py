@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import checks, classify
-from .matcore import BipartiteShape, is_hermitian, load_matrix, save_matrix
+from .matcore import BipartiteShape, _load_json, is_hermitian, load_matrix, save_matrix
 from .maps import (
     DESCRIPTOR_KEYS,
     MAP_KEYS,
@@ -79,8 +79,7 @@ def _cmd_range(args) -> int:
 
 
 def _load_map_input(args):
-    with open(args.input, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _load_json(args.input)
     if not isinstance(payload, dict):
         raise ValueError(f"{args.input}: expected a JSON object")
     if "varphi" in payload:

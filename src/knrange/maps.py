@@ -35,6 +35,7 @@ import numpy as np
 
 from .matcore import (
     BipartiteShape,
+    _VARPHI_AXES,
     _check_int,
     _payload_fields,
     as_matrix,
@@ -45,14 +46,6 @@ from .matcore import (
     vec,
 )
 
-# Each varphi's index action: the transpose of the (m, n, m, n) view [a, b, c, e]
-# of X, X[(a, b), (c, e)], that gives varphi(X). Each is an involution.
-_VARPHI_AXES = {
-    "id": (0, 1, 2, 3),
-    "t": (2, 3, 0, 1),  # (a, b) <-> (c, e)
-    "pt_right": (0, 3, 2, 1),  # b <-> e
-    "pt_left": (2, 1, 0, 3),  # a <-> c
-}
 VARPHI_TAGS = tuple(_VARPHI_AXES)
 UNITARITY_TOL = 1e-10
 
@@ -222,10 +215,25 @@ def compose(outer: LinearMapMatrix, inner: LinearMapMatrix) -> LinearMapMatrix:
     return LinearMapMatrix(shape=outer.shape, matrix=outer.matrix @ inner.matrix)
 
 
-def _reshuffle(mat: np.ndarray, d: int) -> np.ndarray:
-    """The map-matrix <-> Choi-matrix index reshuffle; an involution. The last
-    reshape, of a transposed view, is the one copy."""
-    return mat.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+def _choi_matrix(mat: np.ndarray, shape: BipartiteShape, tag: str) -> np.ndarray:
+    """Choi matrix of Phi o varphi, sum_{p,q} E_pq x Phi(varphi(E_pq)), from
+    the map matrix mat of Phi, as a (mn)^2 x (mn)^2 array with memory of its
+    own: the classifier overwrites it.
+
+    With row index j*d+i and column index q*d+p, M[(j,i),(q,p)] = Phi(E_pq)[i,j]
+    while the Choi entry C[(p,i),(q,j)] equals the same value: for varphi =
+    id the Choi matrix is the transpose [p, i, q, j] of the (d, d, d, d) view
+    [j, i, q, p] of M. varphi moves the matrix unit E_pq as it moves X's
+    entries, by the transpose in _VARPHI_AXES of the (m, n, m, n) view
+    [a, b, c, e], p = (a, b), q = (c, e). So the Choi matrix of Phi o varphi
+    is one transpose of the (d, d, m, n, m, n) view [j, i, c, e, a, b] of M,
+    copied once. For tag "id" it is an involution: applied to a Choi matrix
+    it gives back the map matrix.
+    """
+    m, n, d = shape.m, shape.n, shape.dim
+    a, b, c, e = ((4, 5, 2, 3)[axis] for axis in _VARPHI_AXES[tag])
+    view = mat.reshape(d, d, m, n, m, n).transpose(a, b, 1, c, e, 0)
+    return view.copy().reshape(d * d, d * d)
 
 
 def choi_matrix(phi: LinearMapMatrix) -> np.ndarray:
@@ -233,11 +241,9 @@ def choi_matrix(phi: LinearMapMatrix) -> np.ndarray:
 
     For Phi: X -> U X U* this is exactly vec(U) vec(U)* under the
     column-stacking convention: Hermitian, PSD, rank one with eigenvalue mn.
-    Computed here as an index reshuffle of the map matrix; with row index
-    j*d+i and column index q*d+p, M[(j,i),(q,p)] = Phi(E_pq)[i,j] while the
-    Choi entry C[(p,i),(q,j)] equals the same value.
+    Computed as an index reshuffle of the map matrix (:func:`_choi_matrix`).
     """
-    return _reshuffle(phi.matrix, phi.shape.dim)
+    return _choi_matrix(phi.matrix, phi.shape, "id")
 
 
 def map_from_choi(choi: np.ndarray, shape: BipartiteShape) -> LinearMapMatrix:
@@ -246,7 +252,7 @@ def map_from_choi(choi: np.ndarray, shape: BipartiteShape) -> LinearMapMatrix:
     c = as_matrix(choi)
     if c.shape[0] != d * d:
         raise ValueError(f"Choi matrix must be {d * d} x {d * d}, got {c.shape}")
-    return LinearMapMatrix(shape=shape, matrix=_reshuffle(c, d))
+    return LinearMapMatrix(shape=shape, matrix=_choi_matrix(c, shape, "id"))
 
 
 # ---------------------------------------------------------------------------

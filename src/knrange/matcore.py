@@ -32,6 +32,16 @@ MAX_ENTRY = 1e150
 # The scale of each part of a standard complex Gaussian (see :func:`_ginibre`).
 _GINIBRE_SCALE = 1 / np.sqrt(2.0)
 
+# The four varphi of :mod:`knrange.maps`, each as the transpose of the
+# (m, n, m, n) view [a, b, c, e] of X, X[(a, b), (c, e)], that gives varphi(X).
+# Each is an involution.
+_VARPHI_AXES = {
+    "id": (0, 1, 2, 3),
+    "t": (2, 3, 0, 1),  # (a, b) <-> (c, e)
+    "pt_right": (0, 3, 2, 1),  # b <-> e
+    "pt_left": (2, 1, 0, 3),  # a <-> c
+}
+
 
 def _check_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
     """Reject bool, non-integers (floats and numpy integers included) and
@@ -149,14 +159,10 @@ def partial_transpose(x, shape: BipartiteShape, side: str) -> np.ndarray:
     m = as_matrix(x)
     if m.shape[0] != shape.dim:
         raise ValueError(f"matrix dim {m.shape[0]} does not match shape m*n={shape.dim}")
-    t = m.reshape(shape.m, shape.n, shape.m, shape.n)
-    if side == "right":
-        t = t.transpose(0, 3, 2, 1)
-    elif side == "left":
-        t = t.transpose(2, 1, 0, 3)
-    else:
+    if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return t.reshape(shape.dim, shape.dim).copy()
+    t = m.reshape(shape.m, shape.n, shape.m, shape.n).transpose(_VARPHI_AXES[f"pt_{side}"])
+    return t.copy().reshape(shape.dim, shape.dim)
 
 
 def _ginibre(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -173,12 +179,18 @@ def _ginibre(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     return g
 
 
+def _absorb_phases(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Q times the phases of R's diagonal, column by column, for the QR of a
+    matrix or of a stack: the factor that makes Q of a Ginibre draw Haar
+    distributed (Mezzadri, 2007)."""
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def random_haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary: QR of a Ginibre matrix with R's diagonal phases absorbed."""
     _check_int("dim", dim, 1)
-    q, r = np.linalg.qr(_ginibre((dim, dim), np.random.default_rng(seed)))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _absorb_phases(*np.linalg.qr(_ginibre((dim, dim), np.random.default_rng(seed))))
 
 
 def random_hermitian(dim: int, seed) -> np.ndarray:
@@ -287,6 +299,16 @@ def save_matrix(a, path) -> None:
         json.dump(matrix_to_payload(a), fh)
 
 
-def load_matrix(path) -> np.ndarray:
+def _load_json(path):
+    """The JSON value in the file at path. A file that is not JSON, or that
+    nests arrays and objects deeper than the parser can recurse, raises
+    ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_payload(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON is nested too deeply to parse") from None
+
+
+def load_matrix(path) -> np.ndarray:
+    return matrix_from_payload(_load_json(path))

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
+    _absorb_phases,
     _check_int,
     _check_tol,
     _ginibre,
@@ -400,9 +401,8 @@ def sample_points(a, k: int, count: int, seed) -> np.ndarray:
     d = m.shape[0]
     rng = np.random.default_rng(seed)
     # The first k columns of the full QR are the QR of the first k columns.
-    q, r = np.linalg.qr(_ginibre((count, d, d), rng)[:, :, :k])
-    diag = np.einsum("tii->ti", r)
-    return _frame_points(m, q * (diag / np.abs(diag))[:, None, :], k)
+    frames = _absorb_phases(*np.linalg.qr(_ginibre((count, d, d), rng)[:, :, :k]))
+    return _frame_points(m, frames, k)
 
 
 # ---------------------------------------------------------------------------

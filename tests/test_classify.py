@@ -10,7 +10,7 @@ from knrange import classify
 from knrange.classify import (
     FALSIFY_REJECT_TOL,
     _admitted_tags,
-    _compose_varphi,
+    _hermitian_choi,
     _hermitise,
     _project_marginals,
     _rank_one_fit,
@@ -40,6 +40,7 @@ from knrange.maps import (
     CanonicalFormSpec,
     LinearMapMatrix,
     VARPHI_TAGS,
+    _choi_matrix,
     _unitarity_defect,
     _varphi_perm,
     build_canonical,
@@ -83,14 +84,13 @@ def buildable_forms(shape):
 
 def admitted_keys(phi, tol=1e-8):
     """The choi_gap_bounds keys of the candidates that the probe admits."""
-    return {f"{tag}+affine" if affine else tag
-            for affine, tags in zip((False, True), _admitted_tags(phi, tol)) for tag in tags}
+    return {f"{tag}+affine" if affine else tag for tag, affine in _admitted_tags(phi, tol)}
 
 
 def admit_all(phi, tol):
     """Stand-in for the probe that admits every candidate of every kind: the
     full loop."""
-    return [list(VARPHI_TAGS) for _ in range(2 if phi.shape.is_half else 1)]
+    return canonical_forms(phi.shape)
 
 
 class TestVerify:
@@ -451,12 +451,12 @@ class TestAgainstEighOracle:
 
     def test_random_dense_map_solves_nothing(self):
         """A map that does not preserve traces: the probe admits none of the
-        eight candidates, so neither kind builds a Choi matrix, and nothing
-        is solved."""
+        eight candidates, so no Choi matrix is built, and nothing is
+        solved."""
         shape = BipartiteShape(2, 4, 4)
         phi = LinearMapMatrix(shape, random_complex(64, np.random.default_rng(1)))
         with solver_log() as log, \
-                mock.patch.object(classify, "choi_matrix", wraps=classify.choi_matrix) as built:
+                mock.patch.object(classify, "_choi_matrix", wraps=classify._choi_matrix) as built:
             report = classify_preserver(phi)
         assert report.verdict == "not_a_preserver"
         assert report.choi_gap_bounds == {}
@@ -546,12 +546,15 @@ def gathered_choi(phi, tag, affine):
 
 
 def candidate_choi(phi, tag, affine, herm=False):
-    """The candidate's Choi matrix as classify_preserver forms it: Choi(Phi),
-    reflected if affine, Hermitised if asked, then transposed by varphi."""
-    c = choi_matrix(phi)
+    """The candidate's Choi matrix as classify_preserver forms it: one
+    transpose of the map matrix, reflected if affine, and Hermitised in
+    place if asked (classify._hermitian_choi)."""
+    if herm:
+        return _hermitian_choi(phi, tag, affine)[0]
+    c = _choi_matrix(phi.matrix, phi.shape, tag)
     if affine:
         _reflect_choi(c, phi.shape.k)
-    return _compose_varphi(hermitian_part(c) if herm else c, phi.shape, tag)
+    return c
 
 
 def trace_perturbed(shape, seed):
@@ -563,8 +566,8 @@ def trace_perturbed(shape, seed):
 
 
 class TestCandidateChoi:
-    """Each candidate's Choi matrix is a transpose of Choi(Phi), reflected in
-    Choi coordinates first if affine: bitwise the map-coordinate
+    """Each candidate's Choi matrix is one transpose of the map matrix,
+    reflected in Choi coordinates if affine: bitwise the map-coordinate
     construction and the closed-form gather."""
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
@@ -584,35 +587,54 @@ class TestCandidateChoi:
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
     def test_transposed_copy_owns_its_memory(self, shape):
-        """_rank_one_fit overwrites its argument, so no candidate, the id one
-        included, may alias the shared Hermitised matrix."""
-        herm = hermitian_part(choi_matrix(dense_map(shape, 8)))
-        before = herm.copy()
+        """The reflection, _hermitise and _rank_one_fit overwrite the
+        candidate's Choi matrix, so no candidate, the id one included, may
+        alias the map matrix."""
+        phi = dense_map(shape, 8)
+        before = phi.matrix.copy()
         for tag in VARPHI_TAGS:
-            candidate = _compose_varphi(herm, shape, tag)
-            assert not np.shares_memory(candidate, herm), tag
-            assert candidate.flags.c_contiguous, tag
-            _rank_one_fit(candidate)
-        assert herm.tobytes() == before.tobytes()
+            for affine in (False, True):
+                candidate = _choi_matrix(phi.matrix, shape, tag)
+                assert not np.shares_memory(candidate, phi.matrix), tag
+                assert candidate.flags.c_contiguous, tag
+                herm, _ = _hermitian_choi(phi, tag, affine)
+                _rank_one_fit(herm)
+        assert phi.matrix.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("shape,kinds", [(BipartiteShape(3, 3, 4), 1),
                                              (BipartiteShape(2, 4, 4), 2)])
     def test_one_choi_matrix_per_kind(self, shape, kinds):
-        """At most one Choi matrix per kind, and only for a kind with an
-        admitted candidate: a form of either kind builds its own kind's, a
-        dense map none."""
+        """One Choi matrix for a form of either kind, that of its own
+        candidate, and none for a dense map."""
         for affine in (False, True)[:kinds]:
             phi = canonical(shape, "t", seed=2, affine=affine)[0]
-            with mock.patch.object(classify, "choi_matrix", wraps=classify.choi_matrix) as counted:
+            with spy(classify, "_choi_matrix") as calls:
                 classify_preserver(phi)
-            assert counted.call_count == 1, affine
-        with mock.patch.object(classify, "choi_matrix", wraps=classify.choi_matrix) as counted:
+            assert [args[2] for args, _ in calls] == ["t"], affine
+        with spy(classify, "_choi_matrix") as calls:
             classify_preserver(dense_map(shape, 3))
-        assert counted.call_count == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("shape", [BipartiteShape(3, 3, 4), BipartiteShape(2, 4, 4)])
+    def test_read_only_and_fortran_ordered_maps(self, shape):
+        """A map matrix that is read-only or F-ordered gives the report of
+        its C-ordered, writable copy, byte for byte, and is not written."""
+        for i, (tag, affine) in enumerate(canonical_forms(shape)):
+            phi, _ = canonical(shape, tag, seed=100 + i, affine=affine)
+            for matrix in (phi.matrix + 1e-9 * random_complex(shape.dim ** 2, i), phi.matrix):
+                expected = json.dumps(classification_to_payload(
+                    classify_preserver(LinearMapMatrix(shape, matrix))))
+                read_only = matrix.copy()
+                read_only.flags.writeable = False
+                for variant in (read_only, np.asfortranarray(matrix)):
+                    before = variant.copy(order="K")
+                    report = classify_preserver(LinearMapMatrix(shape, variant))
+                    assert json.dumps(classification_to_payload(report)) == expected, (tag, affine)
+                    assert variant.tobytes(order="A") == before.tobytes(order="A")
 
     def test_classify_memory_is_bounded(self):
-        """(4, 4, 8): the Choi matrix of Phi is dropped before the affine
-        work, and no candidate holds a second map-sized copy."""
+        """(4, 4, 8): each candidate's Choi matrix is the one map-sized
+        copy that classify holds."""
         shape = BipartiteShape(4, 4, 8)
         forms = canonical_forms(shape)
         maps = [canonical(shape, tag, seed=60 + i, affine=affine)[0]
@@ -625,15 +647,15 @@ class TestCandidateChoi:
             assert peak.bytes < 3.2 * 2**20, (tag, affine, peak.bytes)
 
     def test_classify_holds_two_map_sized_arrays(self):
-        """(6, 6, 18), maps of 25.6 MiB: beyond Phi, the kind's Hermitised
-        Choi matrix and one candidate's transpose of it, plus blocks of
-        _BLOCK_BYTES; no rebuild, no defect or Hermitisation temporary."""
+        """(6, 6, 18), maps of 25.6 MiB: Phi and, beyond it, the candidate's
+        Choi matrix, plus blocks of _BLOCK_BYTES; no rebuild, no defect or
+        Hermitisation temporary."""
         shape = BipartiteShape(6, 6, 18)
         phi, _ = canonical(shape, "pt_left", seed=61, affine=True)
         with peak_alloc() as peak:
             report = classify_preserver(phi)
         assert (report.matched.varphi, report.matched.affine) == ("pt_left", True)
-        assert peak.bytes < 2 * phi.matrix.nbytes + 3 * 2**20, peak.bytes
+        assert peak.bytes < phi.matrix.nbytes + 3 * 2**20, peak.bytes
 
 
 # Block budgets that split matrices of order 1..144 into ragged pieces: one
@@ -732,10 +754,10 @@ class TestEntryPermutation:
     @pytest.mark.parametrize("shape,defect_passes", [(BipartiteShape(3, 3, 4), 1),
                                                      (BipartiteShape(2, 4, 4), 2)])
     def test_classify_computes_each_defect_once(self, shape, defect_passes):
-        """One defect for the kind of the admitted candidate, taken by the
-        pass that Hermitises the kind's Choi matrix, and it is that of each
-        candidate of the kind; a form of each of the defect_passes kinds. A
-        dense map admits no candidate and takes no defect."""
+        """One defect for the admitted candidate, taken by the pass that
+        Hermitises its Choi matrix, and it is that of each candidate of its
+        kind; a form of each of the defect_passes kinds. A dense map admits
+        no candidate and takes no defect."""
         for affine in (False, True)[:defect_passes]:
             phi = canonical(shape, "t", seed=2, affine=affine)[0]
             with spy(classify, "_hermitise") as passes:
@@ -756,25 +778,34 @@ class TestEntryPermutation:
             assert np.array_equal(np.sort(herm.ravel()), entries), tag
 
     def test_classify_hermitises_once_for_the_plain_candidates(self):
-        """One Hermitian part for the admitted plain candidates (the match
-        alone, at (3, 3, 4)): Choi(Phi), Hermitised in place. The zero map
-        admits all four, and they share it too."""
+        """Each admitted plain candidate (the match alone, at (3, 3, 4)) has
+        its own Choi matrix, Hermitised once in place. The zero map admits
+        all four (its probe scores are 0, and the trace term rules out the
+        affine ones): four builds and four Hermitisations, none shared."""
         shape = BipartiteShape(3, 3, 4)
         for phi, admitted in ((canonical(shape, "t", seed=2)[0], ["t"]),
                               (LinearMapMatrix(shape, np.zeros((81, 81))), list(VARPHI_TAGS))):
-            assert _admitted_tags(phi, 1e-8) == [admitted]
-            with spy(classify, "_hermitise") as passes:
+            assert _admitted_tags(phi, 1e-8) == [(tag, False) for tag in admitted]
+            hermitised, original = [], classify._hermitise
+
+            def hermitise(choi):  # the fit overwrites it later, so keep a copy
+                defect = original(choi)
+                hermitised.append(choi.copy())
+                return defect
+            with spy(classify, "_choi_matrix") as calls, \
+                    mock.patch.object(classify, "_hermitise", side_effect=hermitise):
                 classify_preserver(phi)
-            assert len(passes) == 1
-            (herm,), _ = passes[0]  # as the admitted candidates left it
-            assert herm.tobytes() == hermitian_part(choi_matrix(phi)).tobytes()
+            assert [args[2] for args, _ in calls] == admitted
+            assert len(hermitised) == len(admitted)
+            for tag, herm in zip(admitted, hermitised):
+                assert herm.tobytes() == hermitian_part(candidate_choi(phi, tag, False)).tobytes()
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES)
     def test_plain_parts_gathered_from_one_hermitian_part(self, shape):
-        """classify_preserver Hermitises Choi(Phi), reflected if affine, once
-        per kind and transposes each candidate's Hermitised Choi matrix out of
-        it, bitwise the Hermitian part of the map-coordinate construction and
-        the closed-form gather from Herm(Choi(Phi))."""
+        """Each candidate's Hermitised Choi matrix, built from the map matrix
+        and reflected if affine, is bitwise the Hermitian part of the
+        map-coordinate construction, and for a plain candidate the
+        closed-form gather from the one Herm(Choi(Phi))."""
         phi = dense_map(shape, 13)
         plain = hermitian_part(choi_matrix(phi))
         for tag in VARPHI_TAGS:
@@ -783,7 +814,7 @@ class TestEntryPermutation:
                 reference = hermitian_part(map_coordinate_choi(phi, tag, affine))
                 assert got.tobytes() == reference.tobytes(), (tag, affine)
             gathered = plain.ravel()[plain_choi_index(shape, tag)]
-            assert _compose_varphi(plain, shape, tag).tobytes() == gathered.tobytes(), tag
+            assert candidate_choi(phi, tag, False, herm=True).tobytes() == gathered.tobytes(), tag
 
 
 # Criterion 6's falsifier shapes, plus the largest classified one.
@@ -802,7 +833,7 @@ class TestRejectCertificate:
         for i, (tag, affine) in enumerate(canonical_forms(shape)):
             phi, _ = canonical(shape, tag, seed=20 + i, affine=affine)
             for tol in (FALSIFY_REJECT_TOL, 1e-8, 1e-14):
-                assert tag in _admitted_tags(phi, tol)[affine], (tag, affine, tol)
+                assert (tag, affine) in _admitted_tags(phi, tol), (tag, affine, tol)
 
     @pytest.mark.parametrize("shape,tag,affine", [(BipartiteShape(3, 3, 4), "id", False),
                                                   (BipartiteShape(2, 4, 4), "t", True),
@@ -833,7 +864,7 @@ class TestRejectCertificate:
         maps = [random_constrained_map(shape, rng) for _ in range(50)] + [dense_map(shape, 1)]
         for phi in maps:
             assert admitted_keys(phi, FALSIFY_REJECT_TOL) == set()
-            with mock.patch.object(classify, "choi_matrix", side_effect=AssertionError):
+            with mock.patch.object(classify, "_choi_matrix", side_effect=AssertionError):
                 report = classify_preserver(phi, tol=FALSIFY_REJECT_TOL)
             assert report.verdict == "not_a_preserver" and report.choi_gap_bounds == {}
 
@@ -903,17 +934,18 @@ class TestProbe:
                                                 (BipartiteShape(3, 4, 6), 1),
                                                 (BipartiteShape(2, 2, 2), 2)])
     def test_one_candidate_per_form(self, shape, composed):
-        """One _compose_varphi per canonical form, two at m = n = 2, where
-        the trace reflection of a 2 x 2 factor swaps the probe's types; none,
-        and no Choi matrix, for a falsifier draw or a dense map."""
+        """One Choi matrix per canonical form, two at m = n = 2, where the
+        trace reflection of a 2 x 2 factor swaps the probe's types; none for
+        a falsifier draw or a dense map."""
         for i, (tag, affine) in enumerate(canonical_forms(shape)):
             phi, _ = canonical(shape, tag, seed=40 + i, affine=affine)
-            with spy(classify, "_compose_varphi") as calls:
+            with spy(classify, "_choi_matrix") as calls:
                 report = classify_preserver(phi)
             assert (report.matched.varphi, report.matched.affine) == (tag, affine)
             assert len(calls) == composed, (tag, affine)
+            assert tag in [args[2] for args, _ in calls]
         for phi in (random_constrained_map(shape, np.random.default_rng(7)), dense_map(shape, 7)):
-            with mock.patch.object(classify, "choi_matrix", wraps=classify.choi_matrix) as built:
+            with mock.patch.object(classify, "_choi_matrix", wraps=classify._choi_matrix) as built:
                 assert classify_preserver(phi).verdict == "not_a_preserver"
             assert built.call_count == 0
 
@@ -967,7 +999,7 @@ class TestFalsifierDraw:
         """Each draw is classified once, at FALSIFY_REJECT_TOL, and the probe
         excludes it: no Choi matrix, no Hermitisation."""
         with spy(classify, "classify_preserver") as classified, \
-                mock.patch.object(classify, "choi_matrix", side_effect=AssertionError), \
+                mock.patch.object(classify, "_choi_matrix", side_effect=AssertionError), \
                 mock.patch.object(classify, "_hermitise", side_effect=AssertionError):
             summary = falsify_random(shape, count=3, seed=29)
         assert summary.passes == 0

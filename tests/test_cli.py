@@ -415,6 +415,20 @@ def test_malformed_payload_names_the_fault(tmp_path, capsys, command, payload, a
     assert captured.err == f"error: {message.format(path=path)}\n"
 
 
+@pytest.mark.parametrize("command,argv", [("range", ["--k", "1"]),
+                                          ("verify", ["--m", "2", "--n", "2", "--k", "2"])])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command, argv):
+    """A file nested deeper than the JSON parser can recurse: one error line
+    that names the nesting, exit 2, no output and no traceback."""
+    path, out = tmp_path / "deep.json", tmp_path / "out"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main([command, str(path), "--out", str(out)] + argv) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: JSON is nested too deeply to parse\n"
+
+
 def test_suite_default_trials_is_the_library_constant():
     suite = cli._build_parser().parse_args(["suite", "--m", "2", "--n", "2", "--k", "2"])
     assert suite.trials == checks.DEFAULT_SUITE_TRIALS
