@@ -180,9 +180,10 @@ def _ginibre(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
 
 
 def _absorb_phases(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Q times the phases of R's diagonal, column by column, for the QR of a
-    matrix or of a stack: the factor that makes Q of a Ginibre draw Haar
-    distributed (Mezzadri, 2007)."""
+    """Q times the phases of R's diagonal, column by column: the factor that
+    makes Q of a Ginibre matrix a Haar unitary (Mezzadri, 2007). Only
+    random_haar_unitary needs it; ranges.sample_points reads only range(Q),
+    which is Haar on the Grassmannian without it."""
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
 

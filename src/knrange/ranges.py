@@ -33,7 +33,10 @@ Every point of W_k(A) the module returns, a profile's boundary points,
 and `_frame_points` is the one place that computes it: one product A @ X over
 the frame stack and a two-operand reduction. `boundary_point` traces the same
 frame as the profile at a solved angle, so it returns the profile's point
-there byte for byte.
+there byte for byte. A point depends only on the subspace range(X), so
+`sample_points` draws a Haar subspace from the smaller side, j = min(k, d - k)
+columns of a Ginibre stack factored by QR with no phase fix, and for k > d/2
+returns the complement identity's point (tr A - tr(Q* A Q))/k.
 
 `k_numerical_radius` is the largest support value on the grid, and it asks
 the kernel for fewer angles: a coarse pass over every _RADIUS_STRIDE-th
@@ -51,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
-    _absorb_phases,
     _check_int,
     _check_tol,
     _ginibre,
@@ -64,6 +66,7 @@ from .matcore import (
 DEFAULT_NUM_ANGLES = 360
 DEFAULT_RTOL = 1e-8
 MAX_NUM_ANGLES = 2**20  # the reason is in _angle_grid's docstring
+MAX_SAMPLES = 2**20  # the reason is in sample_points' docstring
 
 # k_numerical_radius: every _RADIUS_STRIDE-th solved angle goes into the
 # coarse pass, and the rounding slack is _RADIUS_SLACK * d * eps * (1 + ||A||_F).
@@ -390,19 +393,29 @@ def k_numerical_radius(a, k: int, num_angles: int = DEFAULT_NUM_ANGLES) -> float
 def sample_points(a, k: int, count: int, seed) -> np.ndarray:
     """`count` members tr(X* A X)/k of W_k(A) for Haar-random isometries X.
 
-    X is the first k columns of a Haar unitary (one (count, d, d) Ginibre
-    draw, the QR of its first k columns, with the R-diagonal phases absorbed),
-    traced by `_frame_points` like every other point of W_k. This is the
-    definition-based inner oracle: every returned point lies in W_k(A).
+    A point depends only on the subspace range(X), so the sampler draws a
+    Haar subspace of dimension j = min(k, d - k): Q from the QR of a
+    (count, d, j) Ginibre stack, with no phase fix, since range(Q) is
+    already Haar distributed on the Grassmannian. For k <= d/2 the points
+    are Q's frame traces; for k > d/2 they come from the complement
+    identity, (tr A - tr(Q* A Q))/k, the trace over the orthogonal
+    complement of range(Q), which is itself a Haar k-subspace. Every trace
+    goes through `_frame_points`, like every other point of W_k. This is
+    the definition-based inner oracle: every returned point lies in W_k(A).
+
+    `count` is at most MAX_SAMPLES: the mean of 2^20 points already has a
+    standard error below 1e-3 of their spread, and the draw alone is then
+    2 GiB at d = 16, k = 8, so a larger count buys no check, only memory.
     """
     m = as_matrix(a)
-    _check_int("k", k, 1, m.shape[0] - 1)
-    _check_int("count", count, 1)
     d = m.shape[0]
-    rng = np.random.default_rng(seed)
-    # The first k columns of the full QR are the QR of the first k columns.
-    frames = _absorb_phases(*np.linalg.qr(_ginibre((count, d, d), rng)[:, :, :k]))
-    return _frame_points(m, frames, k)
+    _check_int("k", k, 1, d - 1)
+    _check_int("count", count, 1, MAX_SAMPLES)
+    j = min(k, d - k)
+    q = np.linalg.qr(_ginibre((count, d, j), np.random.default_rng(seed)))[0]
+    if j == k:
+        return _frame_points(m, q, k)
+    return (np.trace(m) - _frame_points(m, q, 1)) / k
 
 
 # ---------------------------------------------------------------------------

@@ -194,15 +194,18 @@ class TestOneGinibreDraw:
     @pytest.mark.parametrize("d,k", [(3, 1), (6, 2), (12, 5)]
                              + [(d, k) for d in (2, 9, 16) for k in sorted({1, d // 2, d - 1})])
     def test_sample_points(self, d, k):
-        """The QR of the k columns kept is bitwise the first k columns of the
-        full QR of the same draw, and the points are their frame traces."""
+        """Q of the QR of a (40, d, min(k, d - k)) draw, with no phase fix,
+        traced as the points themselves for k <= d/2 and as their complement
+        (tr A - tr(Q* A Q))/k for k > d/2."""
         from knrange.ranges import sample_points
 
         a = random_complex(d, 1)
-        q, r = np.linalg.qr(inline_ginibre(np.random.default_rng(2), (40, d, d)))
-        diag = np.einsum("tii->ti", r)
-        x = (q * (diag / np.abs(diag))[:, None, :])[:, :, :k]
-        expected = frame_trace(a, x, k)
+        j = min(k, d - k)
+        q = np.linalg.qr(inline_ginibre(np.random.default_rng(2), (40, d, j)))[0]
+        if j == k:
+            expected = frame_trace(a, q, k)
+        else:
+            expected = (np.trace(a) - frame_trace(a, q, 1)) / k
         assert sample_points(a, k, 40, 2).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mnk", [(2, 2, 1), (2, 3, 3), (3, 4, 6)])

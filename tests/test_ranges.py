@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knrange
+from knrange import ranges
 from knrange.matcore import (
     HERMITICITY_RTOL,
     BipartiteShape,
@@ -23,6 +25,7 @@ from knrange.matcore import (
 from knrange.classify import counterexample_matrices
 from knrange.ranges import (
     MAX_NUM_ANGLES,
+    MAX_SAMPLES,
     _angle_grid,
     _check_angles,
     _rotated_eigs,
@@ -387,6 +390,38 @@ class TestSamplePoints:
         a = random_complex(4, 3)
         assert np.array_equal(sample_points(a, 1, 10, seed=7), sample_points(a, 1, 10, seed=7))
 
+    @pytest.mark.parametrize("d,k", [(3, 2), (5, 3), (5, 4), (9, 5), (9, 8), (16, 9), (16, 15)])
+    def test_complement_identity(self, d, k):
+        """For k > d/2 a point is the complement of the (d - k)-point drawn
+        from the same seed: k W_k = tr A - (d - k) W_{d-k}."""
+        a = random_complex(d, d + k)
+        got = sample_points(a, k, 50, 4)
+        expected = (np.trace(a) - (d - k) * sample_points(a, d - k, 50, 4)) / k
+        bound = 4 * d * np.finfo(float).eps * np.linalg.norm(a, 2)
+        assert np.max(np.abs(got - expected)) <= bound
+
+    @pytest.mark.parametrize("d", [5, 16])
+    def test_mean_is_normalised_trace(self, d):
+        """E tr(X* A X)/k = tr(A)/d, since E XX* = (k/d) I for a Haar
+        isometry X; 20 000 points keep their mean within 5 standard errors.
+        A wrong complement (a missing trace, a wrong divisor) moves the mean
+        by O(|tr A|/d) or more."""
+        a = random_complex(d, d) + 2.0 * np.eye(d)
+        for k in sorted({1, d // 2, d - 1}):
+            pts = sample_points(a, k, 20_000, k)
+            stderr = np.sqrt((pts.real.var() + pts.imag.var()) / len(pts))
+            assert abs(pts.mean() - np.trace(a) / d) <= 5 * stderr, k
+
+    def test_memory_is_the_smaller_side(self):
+        """At d = 16, k = 15 the draw is one column per point: a (4096, 16, 1)
+        stack of 1 MiB, where drawing the full (4096, 16, 16) stack would
+        alone take 16 MiB."""
+        a = random_complex(16, 0)
+        sample_points(a, 15, 4096, 0)  # warm-up
+        with peak_alloc() as peak:
+            sample_points(a, 15, 4096, 0)
+        assert peak.bytes < 6 * 2**20, peak.bytes
+
 
 class TestStructuralProperties:
     @given(seed=st.integers(0, 2**32 - 1))
@@ -576,6 +611,17 @@ class TestRotatedEigs:
     def test_sample_points_rejects_non_integer_count(self, bad):
         with pytest.raises(ValueError, match="count must be an integer"):
             sample_points(shift3(), 1, bad, 0)
+
+    def test_sample_count_has_an_inclusive_maximum(self):
+        """count is bounded by MAX_SAMPLES before anything is drawn."""
+        assert len(sample_points(np.diag([1.0, -1.0]), 1, MAX_SAMPLES, 0)) == MAX_SAMPLES
+        a = shift3()
+        with mock.patch.object(ranges, "_ginibre") as draw, peak_alloc() as peak:
+            for bad in (MAX_SAMPLES + 1, 10**12):
+                with pytest.raises(ValueError, match=f"count must be <= {MAX_SAMPLES}, got {bad}"):
+                    sample_points(a, 1, bad, 0)
+        draw.assert_not_called()
+        assert peak.bytes < 2**16, peak.bytes
 
     def test_rejects_bool_k(self):
         a = np.diag([1.0, 2.0, 3.0]) + 0.5j * unit_matrix(3, 0, 1)
