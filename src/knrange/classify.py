@@ -2,21 +2,24 @@
 canonical form it is.
 
 Verification is statistical: random factor pairs (A, B), all drawn in one
-call, support functions of A x B and Phi(A x B) compared on a shared angle
-grid. Classification is exact up to tolerance: composing Phi with each
-candidate varphi (and the trace reflection for affine candidates) must yield
-a pure unitary conjugation, which is detected by its Choi matrix being
-Hermitian PSD of rank one. A probe first applies Phi to eight 0/1 inputs
-and tests whether it is multiplicative or anti-multiplicative on each
-factor subalgebra; that admits the candidates that can match, for a
-canonical form its own alone (and one of the other kind at m = n = 2),
-with no Choi matrix (:func:`_admitted_tags`). Each admitted candidate holds
-one map-sized working copy, its own Choi matrix: one axis transpose of the
-map matrix, reflected in place if affine and Hermitised in place. Its
-unitary is read off by one power step and checked against Phi by a rebuild
-residual, written and compared a column block at a time; Weyl's
-inequality then certifies the rank-one gates, and a Choi spectrum is solved
-only where it cannot (:func:`classify_preserver`).
+call. A pass whose trials' rotated Hermitian-part spectra agree to rounding
+at d + 1 nodes, which fix them at every angle, is certified by them; every
+other map has the support functions of A x B and Phi(A x B) compared on a
+shared angle grid (:func:`verify_preserver`). Classification is exact up to
+tolerance: composing Phi with each candidate varphi (and the trace
+reflection for affine candidates) must yield a pure unitary conjugation,
+which is detected by its Choi matrix being Hermitian PSD of rank one. A
+probe first applies Phi to eight 0/1 inputs and tests whether it is
+multiplicative or anti-multiplicative on each factor subalgebra; that admits
+the candidates that can match, for a canonical form its own alone (and one
+of the other kind at m = n = 2), with no Choi matrix
+(:func:`_admitted_tags`). Each admitted candidate holds one map-sized
+working copy, its own Choi matrix: one axis transpose of the map matrix,
+reflected in place if affine and Hermitised in place. Its unitary is read
+off by one power step and checked against Phi by a rebuild residual, written
+and compared a column block at a time; Weyl's inequality then certifies the
+rank-one gates, and a Choi spectrum is solved only where it cannot
+(:func:`classify_preserver`).
 
 The random falsifier classifies each draw at FALSIFY_REJECT_TOL; the probe
 turns a random draw away with no Choi matrix.
@@ -57,6 +60,7 @@ from .ranges import (
     _angle_grid,
     support_values_batch,
 )
+from . import ranges  # the kernel is looked up at each call, as in support_values_batch
 
 DEFAULT_TRIALS = 50
 MAX_TRIALS = 10_000  # the reason is in verify_preserver's docstring
@@ -65,6 +69,8 @@ MAX_TRIALS = 10_000  # the reason is in verify_preserver's docstring
 FALSIFY_TRIALS = 8
 FALSIFY_NUM_ANGLES = 120
 FALSIFY_REJECT_TOL = 1e-6
+# verify_preserver's spectral certificate is capped at this many d * eps.
+_SPECTRAL_SLACK = 64
 # The classifier's passes over a map-sized matrix (Hermitisation, the rank-one
 # subtraction, the rebuild residual) work in blocks of about this many bytes:
 # one block for a map up to d = 13, and a few MiB of temporaries at any size.
@@ -90,6 +96,7 @@ class VerificationReport:
     verdict: str  # "pass" | "fail"
     tol: float
     num_angles: int
+    decided_by: str = "grid"  # "spectra" | "grid"; not in the JSON payload
 
     @property
     def passed(self) -> bool:
@@ -167,6 +174,21 @@ def _trial_pairs(
     return a, b, xs
 
 
+def _spectral_defects(xs: np.ndarray, ys: np.ndarray, shape: BipartiteShape,
+                      angles: np.ndarray) -> np.ndarray:
+    """Per trial, max |w_x - w_y| / (1 + max |w_x|, |w_y|) over `angles`, w
+    the ascending spectra of Herm(e^{-i theta} X) and of its image; at
+    mn = 2k, the smaller of that and the same for the reflected branch,
+    Re(e^{-i theta} tr X) / k - w_x reversed in place of w_x."""
+    wx, wy = ranges._rotated_eigs(xs, angles), ranges._rotated_eigs(ys, angles)
+    scale = 1.0 + np.maximum(np.abs(wx).max(axis=(1, 2)), np.abs(wy).max(axis=(1, 2)))
+    gap = np.abs(wx - wy).max(axis=(1, 2))
+    if shape.is_half:
+        shift = (np.exp(-1j * angles) * np.trace(xs, axis1=1, axis2=2)[:, None]).real / shape.k
+        gap = np.minimum(gap, np.abs(shift[..., None] - wx[..., ::-1] - wy).max(axis=(1, 2)))
+    return gap / scale
+
+
 def verify_preserver(
     phi: LinearMapMatrix,
     trials: int = DEFAULT_TRIALS,
@@ -176,12 +198,28 @@ def verify_preserver(
 ) -> VerificationReport:
     """Check W_k(Phi(A x B)) = W_k(A x B) on seeded witness plus random pairs.
 
-    Trial 1 uses the deterministic witness pair; later trials alternate
+    Trial 0 uses the deterministic witness pair; later trials alternate
     Hermitian and fully complex factor pairs, all drawn in one call
-    (:func:`_trial_pairs`). The per-trial defect is the max over the angle
-    grid of the support-function discrepancy, relative to 1 + the larger
-    support magnitude. The two sides are solved one after the other, each one
-    matrix at a time (see :mod:`knrange.ranges`).
+    (:func:`_trial_pairs`).
+
+    The spectra decide first: tr Herm(e^{-i theta} X)^j has degree j <= d = mn
+    in theta, so d + 1 angles distinct mod pi fix the spectrum at every angle
+    (Kippenhahn), and a canonical preserver keeps it (or at mn = 2k reflects
+    it: Re(e^{-i theta} tr X) / k minus it, reversed). The witness trial is
+    checked at theta = 0 (one solve per side; nearly every non-preserver
+    fails there), then every trial at pi j / (d + 1), j = 0..d
+    (:func:`_spectral_defects`). If each defect is at most the rounding cap
+    min(tol, _SPECTRAL_SLACK d eps), since agreement within tol proves
+    nothing between the nodes, the report is a pass decided_by "spectra"
+    with no witnesses, and num_angles is only echoed. Its max_support_defect
+    is the largest spectral defect; times 1 + a trial's largest |eigenvalue|
+    it bounds the trial's support gap at each node and antipode, for every k
+    (k = mn/2 on the reflected branch).
+
+    Every other report is the grid's: the per-trial defect is the max over
+    the angle grid of the support-function discrepancy, relative to 1 + the
+    larger support magnitude. The two sides are solved one after the other,
+    each one matrix at a time (see :mod:`knrange.ranges`).
 
     trials is at most MAX_TRIALS, 200 times DEFAULT_TRIALS. Every trial is
     held at once: at mn = 16 and 360 angles one costs about 17 KB (its A x B
@@ -195,6 +233,13 @@ def verify_preserver(
     angles = _angle_grid(num_angles)
     a, b, xs = _trial_pairs(shape, trials, seed)
     ys = apply_map_batch(phi, xs)
+    cap = min(tol, _SPECTRAL_SLACK * shape.dim * _EPS)
+    nodes = np.pi * np.arange(shape.dim + 1) / (shape.dim + 1)
+    if _spectral_defects(xs[:1], ys[:1], shape, nodes[:1])[0] <= cap:
+        spectral = float(_spectral_defects(xs, ys, shape, nodes).max())
+        if spectral <= cap:
+            return VerificationReport(trials, spectral, [], "pass", tol, num_angles,
+                                      decided_by="spectra")
     hx = support_values_batch(xs, shape.k, angles)
     hy = support_values_batch(ys, shape.k, angles)
 

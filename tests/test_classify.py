@@ -16,6 +16,7 @@ from knrange.classify import (
     _rank_one_fit,
     _rebuild_residual,
     _reflect_choi,
+    _spectral_defects,
     _trial_pairs,
     _witness_pair,
     classification_to_payload,
@@ -43,6 +44,7 @@ from knrange.maps import (
     _choi_matrix,
     _unitarity_defect,
     _varphi_perm,
+    apply_map_batch,
     build_canonical,
     canonical_forms,
     choi_matrix,
@@ -51,11 +53,12 @@ from knrange.maps import (
     reflect_map,
     varphi_map,
 )
-from knrange.checks import counterexample_matrices
+from knrange.checks import _invalid_forms, _valid_forms, counterexample_matrices
 
 from knrange.ranges import MAX_NUM_ANGLES
 
 from conftest import peak_alloc, random_constrained_map, solver_log
+from test_acceptance import SWEEP_SHAPES
 
 
 @contextmanager
@@ -173,6 +176,140 @@ class TestVerify:
         json.dumps(payload)  # serializable
 
 
+EPS = float(np.finfo(float).eps)
+
+
+def shape_id(shape):
+    return f"{shape.m}x{shape.n}k{shape.k}"
+
+
+def grid_report(phi, **kwargs):
+    """verify_preserver's report with the spectra kept from deciding: the grid's."""
+    with mock.patch.object(classify, "_spectral_defects",
+                           side_effect=lambda xs, *args: np.full(len(xs), np.inf)):
+        return verify_preserver(phi, **kwargs)
+
+
+def assert_grid_decides(phi, **kwargs):
+    """The report is not certified and is the grid's, byte for byte."""
+    report = verify_preserver(phi, **kwargs)
+    assert report.decided_by == "grid"
+    ref = grid_report(phi, **kwargs)
+    assert json.dumps(verification_to_payload(report)) == json.dumps(verification_to_payload(ref))
+    return report
+
+
+def constrained_direction(shape, seed):
+    """E with max|E| = 1, a Hermitian Choi matrix and zero marginals, so that
+    Phi0 + eps E stays unital, trace- and Hermiticity-preserving."""
+    d = shape.dim
+    choi = random_hermitian(d * d, np.random.default_rng(seed))
+    e = map_from_choi(_project_marginals(choi, d) - _project_marginals(np.zeros_like(choi), d),
+                      shape).matrix
+    return e / max_abs(e)
+
+
+def near_canonical(shape, tag, affine, eps, seed):
+    phi, _ = canonical(shape, tag, seed=seed, affine=affine)
+    return LinearMapMatrix(shape, phi.matrix + eps * constrained_direction(shape, seed))
+
+
+HALF_SHAPES = [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3), BipartiteShape(2, 4, 4),
+               BipartiteShape(3, 4, 6), BipartiteShape(4, 4, 8)]
+
+
+class TestSpectralCertificate:
+    """A pass is decided by the spectra at the d + 1 nodes when every trial
+    agrees to rounding, on the plain or (at mn = 2k) the reflected branch;
+    every other report is the grid's."""
+
+    @pytest.mark.parametrize(
+        "shape", [BipartiteShape(*mnk) for mnk in SWEEP_SHAPES + [(4, 4, 8), (2, 8, 8)]], ids=shape_id)
+    def test_valid_forms_are_decided_by_the_spectra(self, shape):
+        for i, (tag, affine) in enumerate(_valid_forms(shape)):
+            phi, _ = canonical(shape, tag, seed=i, affine=affine)
+            report = verify_preserver(phi, seed=i)
+            assert report.decided_by == "spectra", (tag, affine)
+            assert report.passed and report.witnesses == []
+            assert report.max_support_defect <= classify._SPECTRAL_SLACK * shape.dim * EPS
+
+    @pytest.mark.parametrize("shape", HALF_SHAPES, ids=shape_id)
+    def test_affine_forms_match_on_the_reflected_branch_alone(self, shape):
+        nodes = np.pi * np.arange(shape.dim + 1) / (shape.dim + 1)
+        plain_only = BipartiteShape(shape.m, shape.n, 1)  # mn != 2k: no reflected branch
+        cap = classify._SPECTRAL_SLACK * shape.dim * EPS
+        for i, (tag, affine) in enumerate(_valid_forms(shape)):
+            phi, _ = canonical(shape, tag, seed=i, affine=affine)
+            _, _, xs = _trial_pairs(shape, 20, seed=i)
+            ys = apply_map_batch(phi, xs)
+            plain = _spectral_defects(xs, ys, plain_only, nodes)
+            assert _spectral_defects(xs, ys, shape, nodes).max() <= cap, (tag, affine)
+            if affine:  # some trials match the reflected branch alone
+                assert plain.max() > 1e-2, tag
+            else:
+                assert plain.max() <= cap, tag
+
+    @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 1), BipartiteShape(2, 3, 2),
+                                       BipartiteShape(3, 3, 4), BipartiteShape(2, 4, 3)],
+                             ids=shape_id)
+    def test_trace_reflection_off_half_is_not_certified(self, shape):
+        """X -> (tr X / k) I - X, hand-built at mn != 2k, where the reflected
+        branch is not compared."""
+        assert not assert_grid_decides(reflect_map(shape), trials=20, num_angles=90, seed=3).passed
+
+    @pytest.mark.parametrize("shape", [BipartiteShape(3, 3, 2), BipartiteShape(3, 3, 4),
+                                       BipartiteShape(3, 4, 6), BipartiteShape(4, 4, 8)],
+                             ids=shape_id)
+    def test_invalid_partial_transposes_are_not_certified(self, shape):
+        for i, (tag, affine) in enumerate(_invalid_forms(shape)):
+            phi, _ = canonical(shape, tag, seed=i, affine=affine)
+            assert not assert_grid_decides(phi, trials=10, num_angles=120, seed=i).passed
+
+    @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3),
+                                       BipartiteShape(3, 3, 4)], ids=shape_id)
+    def test_falsifier_draws_pay_two_solves(self, shape):
+        """The witness trial at theta = 0 rejects a random draw: one
+        Hermitian-part solve per side beyond the grid's."""
+        rng = np.random.default_rng(shape.dim)
+        for _ in range(5):
+            phi = random_constrained_map(shape, rng)
+            kwargs = dict(trials=classify.FALSIFY_TRIALS, num_angles=classify.FALSIFY_NUM_ANGLES,
+                          seed=int(rng.integers(2**63)))
+            assert not assert_grid_decides(phi, **kwargs).passed
+            with solver_log() as log:
+                verify_preserver(phi, **kwargs)
+            with solver_log() as ref:
+                grid_report(phi, **kwargs)
+            assert log.matrices() == ref.matrices() + 2
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 3e-7, 1e-4])
+    @pytest.mark.parametrize("shape,tag,affine", [
+        (BipartiteShape(2, 2, 2), "t", False), (BipartiteShape(2, 3, 3), "pt_right", True),
+        (BipartiteShape(3, 3, 4), "id", False), (BipartiteShape(4, 4, 8), "t", True)],
+        ids=["2x2k2-t", "2x3k3-pt_right+affine", "3x3k4-id", "4x4k8-t+affine"])
+    def test_near_canonical_maps_are_not_certified(self, shape, tag, affine, eps):
+        assert_grid_decides(near_canonical(shape, tag, affine, eps, seed=5), trials=20, seed=2)
+
+    def test_certificate_is_capped_at_rounding_not_tol(self):
+        """A canonical map plus 1e-3 noise: its trials' spectra agree at the
+        nodes within tol = 0.1, which proves nothing between them, so the
+        grid decides."""
+        shape = BipartiteShape(3, 3, 2)
+        phi = near_canonical(shape, "t", False, 1e-3, seed=4)
+        _, _, xs = _trial_pairs(shape, 20, seed=1)
+        nodes = np.pi * np.arange(shape.dim + 1) / (shape.dim + 1)
+        defect = _spectral_defects(xs, apply_map_batch(phi, xs), shape, nodes).max()
+        assert classify._SPECTRAL_SLACK * shape.dim * EPS < defect <= 0.1
+        assert assert_grid_decides(phi, trials=20, tol=0.1, seed=1).passed
+
+    def test_payload_keys_are_unchanged(self):
+        phi, _ = canonical(BipartiteShape(2, 3, 3), "t", seed=1)
+        report = verify_preserver(phi, trials=4, num_angles=8)
+        assert report.decided_by == "spectra"
+        assert list(verification_to_payload(report)) == [
+            "trials", "num_angles", "tol", "max_support_defect", "verdict", "witnesses"]
+
+
 def per_trial_pairs(shape, trials, seed):
     """Oracle: the witness pair, then per-trial random_hermitian (odd trials)
     and random_complex (even trials) calls on one generator, and np.kron."""
@@ -209,15 +346,18 @@ class TestTrialStack:
             assert not np.shares_memory(factors[i], factors[j]), (i, j)
 
     def test_verify_memory_is_bounded(self):
-        """(3, 4, 6) with 50 trials at 360 angles: one matrix's rotated
-        family at a time, instead of a (50, 180, 12, 12) stack per side."""
+        """(3, 4, 6) with 50 trials at 360 angles, on both paths: the spectra
+        at 13 nodes, and the grid, one matrix's rotated family at a time,
+        instead of a (50, 180, 12, 12) stack per side."""
         shape = BipartiteShape(3, 4, 6)
-        phi, _ = canonical(shape, "t", seed=1)
-        verify_preserver(phi, trials=3, num_angles=360, seed=0)  # warm-up
-        with peak_alloc() as peak:
-            report = verify_preserver(phi, trials=50, num_angles=360, seed=0)
-        assert report.passed
-        assert peak.bytes < 8 * 2**20, peak.bytes
+        for tag, decided_by in (("t", "spectra"), ("pt_right", "grid")):
+            phi, _ = canonical(shape, tag, seed=1)
+            verify_preserver(phi, trials=3, num_angles=360, seed=0)  # warm-up
+            with peak_alloc() as peak:
+                report = verify_preserver(phi, trials=50, num_angles=360, seed=0)
+            assert report.decided_by == decided_by, tag
+            assert report.passed == (decided_by == "spectra"), tag
+            assert peak.bytes < 8 * 2**20, (tag, peak.bytes)
 
 
 class TestClassify:

@@ -463,6 +463,8 @@ def test_flags_are_deterministic(tmp_path):
 
 
 def test_suite_bytes_independent_of_blas_threads(tmp_path):
+    """At (3, 3, 2) the spectra decide the valid forms' verifies and the grid
+    the partial transposes', so both paths are byte-checked."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(knrange.__file__)))
     outputs = []
     for threads in ("1", "2"):
@@ -470,7 +472,7 @@ def test_suite_bytes_independent_of_blas_threads(tmp_path):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         subprocess.run(
-            [sys.executable, "-m", "knrange.cli", "suite", "--m", "2", "--n", "3", "--k", "3",
+            [sys.executable, "-m", "knrange.cli", "suite", "--m", "3", "--n", "3", "--k", "2",
              "--trials", "6", "--angles", "90", "--out", str(out)],
             env=env, check=True, capture_output=True, timeout=300,
         )
