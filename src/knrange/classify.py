@@ -14,10 +14,10 @@ multiplicative or anti-multiplicative on each factor subalgebra; that admits
 the candidates that can match, for a canonical form its own alone (and one
 of the other kind at m = n = 2), with no Choi matrix
 (:func:`_admitted_tags`). Each admitted candidate holds one map-sized
-working copy, its own Choi matrix: one axis transpose of the map matrix,
-reflected in place if affine and Hermitised in place. Its unitary is read
-off by one power step and checked against Phi by a rebuild residual, written
-and compared a column block at a time; Weyl's inequality then certifies the
+working array, the Hermitian part of its own Choi matrix, written from two
+axis-transposed views of the map matrix (reflected first if affine). Its
+unitary is read off by one power step and checked against Phi by a rebuild
+residual, written and compared a column block at a time; Weyl's inequality then certifies the
 rank-one gates, and a Choi spectrum is solved only where it cannot
 (:func:`classify_preserver`).
 
@@ -48,7 +48,7 @@ from .maps import (
     UNITARITY_TOL,
     LinearMapMatrix,
     _canonical_blocks,
-    _choi_matrix,
+    _choi_view,
     _unitarity_defect,
     apply_map_batch,
     canonical_forms,
@@ -71,8 +71,8 @@ FALSIFY_NUM_ANGLES = 120
 FALSIFY_REJECT_TOL = 1e-6
 # verify_preserver's spectral certificate is capped at this many d * eps.
 _SPECTRAL_SLACK = 64
-# The classifier's passes over a map-sized matrix (Hermitisation, the rank-one
-# subtraction, the rebuild residual) work in blocks of about this many bytes:
+# The classifier's passes over a map-sized matrix (the rank-one subtraction,
+# the rebuild residual) work in blocks of about this many bytes:
 # one block for a map up to d = 13, and a few MiB of temporaries at any size.
 _BLOCK_BYTES = 2**19
 _EPS = float(np.finfo(float).eps)
@@ -280,33 +280,6 @@ def _frobenius(a: np.ndarray) -> float:
     return math.sqrt(float(np.einsum("i,i->", x, x)))
 
 
-def _hermitise(c: np.ndarray) -> float:
-    """Overwrite the square matrix c with its Hermitian part (C + C*) / 2 and
-    return max|C - C*|, entrywise: bitwise hermitian_part(c) and
-    hermiticity_defect(c), with no matrix-sized temporary.
-
-    Works on mirrored pairs of blocks (C_IJ, C_JI), I <= J, of about
-    _BLOCK_BYTES each. Each block of a pair is written from a copy of the
-    other taken before that other is written, by the sum and halving that
-    hermitian_part makes. |C_IJ - C_JI*| holds the moduli of both blocks'
-    defects, so the pair's defect is read once.
-    """
-    n = len(c)
-    side = max(1, math.isqrt(_BLOCK_BYTES // c.itemsize))
-    defect = 0.0
-    for i in range(0, n, side):
-        for j in range(i, n, side):
-            top, bottom = c[i:i + side, j:j + side], c[j:j + side, i:i + side]
-            bottom_h = bottom.conj().T
-            defect = max(defect, max_abs(top - bottom_h))
-            if j > i:  # a diagonal block is its own mirror
-                bottom += top.conj().T
-                bottom /= 2
-            top += bottom_h
-            top /= 2
-    return defect
-
-
 def _rank_one_fit(herm: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Fit lam vv* to a Hermitian (d^2, d^2) herm = c uu* + E, c > 0, E small.
 
@@ -344,26 +317,36 @@ def _rebuild_residual(phi: LinearMapMatrix, u: np.ndarray, tag: str, affine: boo
     return residual
 
 
-def _reflect_choi(choi: np.ndarray, k: int) -> None:
-    """Turn the Choi matrix C of Psi, in place, into that of X -> (tr X / k) I
-    - Psi(X): (T x I) / k - C, with T_pq = tr C_pq its block traces."""
-    d = math.isqrt(choi.shape[0])
-    c4 = choi.reshape(d, d, d, d)
-    trace_form = np.einsum("piqi->pq", c4)
-    np.negative(choi, out=choi)
-    i = np.arange(d)
-    c4[:, i, :, i] += trace_form / k
+def _hermitian_choi(phi: LinearMapMatrix, tag: str, affine: bool) -> np.ndarray:
+    """H, the Hermitian part of the candidate's Choi matrix C, of Psi o varphi
+    with Psi = Phi, or (tr / k) I - Phi if affine: C* written into memory of
+    its own from a view of the map matrix (maps._choi_view), C added from
+    another, then halved; bitwise hermitian_part of a copied C.
 
-
-def _hermitian_choi(phi: LinearMapMatrix, tag: str, affine: bool) -> tuple[np.ndarray, float]:
-    """The candidate's Hermitised Choi matrix, of Psi o varphi with Psi = Phi,
-    or (tr / k) I - Phi if affine, and its Hermiticity defect: built as one
-    transpose of the map matrix (maps._choi_matrix), reflected in place if
-    affine (:func:`_reflect_choi`), Hermitised in place (:func:`_hermitise`)."""
-    choi = _choi_matrix(phi.matrix, phi.shape, tag)
+    Affine: C = (T x I) / k - Choi(Phi o varphi), T_pq the trace of block
+    (p, q), so each side is reflected before the sum. On the block diagonal
+    of T x I, d^3 entries, that is (T* / k - C*) + (T / k - C), summed aside;
+    every other entry is -C* - C, rounded as -(C + C*) is."""
+    shape, d = phi.shape, phi.shape.dim
+    view = _choi_view(phi.matrix, shape, tag)
+    herm = np.empty((d * d, d * d), dtype=complex)
+    h6 = herm.reshape(view.shape)
+    np.conjugate(view.transpose(3, 4, 5, 0, 1, 2), out=h6)
     if affine:
-        _reflect_choi(choi, phi.shape.k)
-    return choi, _hermitise(choi)
+        i = np.arange(d)
+        trace_form = np.einsum("abicei->abce", view) / shape.k  # T / k, [p, q]
+        mirror = h6[:, :, i, :, :, i]
+        np.subtract(trace_form.transpose(2, 3, 0, 1).conj(), mirror, out=mirror)
+        own = view[:, :, i, :, :, i]
+        np.subtract(trace_form, own, out=own)
+        mirror += own
+        np.negative(herm, out=herm)
+        h6 -= view
+        h6[:, :, i, :, :, i] = mirror
+    else:
+        h6 += view
+    herm /= 2
+    return herm
 
 
 @functools.lru_cache(maxsize=64)
@@ -479,14 +462,11 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     match, for a canonical form its own alone but at m = n = 2
     (:func:`_admitted_tags`); only those go through the Choi pass.
 
-    One loop over the admitted candidates. Each builds its own Choi matrix,
-    its one map-sized working copy, as one axis transpose of the map matrix
-    (maps._choi_matrix), reflects it in place if affine, and Hermitises it in
-    place, taking its Hermiticity defect in the same pass
-    (:func:`_hermitian_choi`).
+    One loop over the admitted candidates. Each writes H, the Hermitian part
+    of its Choi matrix C and its one map-sized working array, from two views
+    of the map matrix (:func:`_hermitian_choi`); C itself is never held.
 
-    A candidate matches when it passes, in turn (H its Hermitised Choi matrix):
-    - the Hermiticity defect, max|C - C*| <= tol d;
+    A candidate matches when it passes, in turn:
     - the read-off: U = sqrt(d) unvec(v), phase-normalized, with v one power
       step on H (:func:`_rank_one_fit`), is unitary within maps.UNITARITY_TOL;
     - the rebuild from U equals Phi entrywise within tol (on the vec basis,
@@ -498,6 +478,13 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
       {lam, 0, ..., 0} (Weyl), so ||E||_F <= tol d and
       |lam - d| + ||E||_F <= tol d certify both. Only where they do not is H
       solved, by one eigvalsh.
+    The rebuild implies that C is Hermitian within tol d, so that is no gate
+    of its own. The rebuild's Choi matrix is exactly Hermitian, and C differs
+    from it by a map of entries R, |R| <= tol (affine: reflected, with the
+    block traces of R over k = d / 2 on the block diagonal). So max|C - C*|
+    is at most 2 tol for a plain candidate and 2 tol (3 - 4 / d) for an
+    affine one, both at most tol d as d = mn >= 4, with equality only for
+    the affine kind at d = 4, where rounding decides either way.
     choi_gap_bounds holds (||E||_F + max(0, -lam)) / d per admitted
     candidate, by the same argument a bound on the gap
     max(|w_2nd|, |w_min|) / d, or that exact gap for a candidate that was
@@ -515,12 +502,10 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     matched: CandidateMatch | None = None
     for tag, affine in _admitted_tags(phi, tol):
         key = f"{tag}+affine" if affine else tag
-        herm, defect = _hermitian_choi(phi, tag, affine)
+        herm = _hermitian_choi(phi, tag, affine)
         v, lam, spread = _rank_one_fit(herm)
-        del herm  # overwritten by the fit; freed before any other Choi matrix
+        del herm  # overwritten by the fit; freed before any other candidate's
         bounds[key] = (spread + max(0.0, -lam)) / d
-        if defect > tol * d:
-            continue
         u = _normalize_phase(unvec(v, d) * np.sqrt(d))
         if _unitarity_defect(u) > UNITARITY_TOL:
             continue  # recovered matrix not unitary enough: near-miss, no match
@@ -528,7 +513,7 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
         if residual > tol:
             continue
         if spread > tol * d or abs(lam - d) + spread > tol * d:  # the bound cannot decide
-            w = np.linalg.eigvalsh(_hermitian_choi(phi, tag, affine)[0])
+            w = np.linalg.eigvalsh(_hermitian_choi(phi, tag, affine))
             bounds[key] = max(abs(float(w[-2])), abs(float(w[0]))) / d
             if bounds[key] > tol or abs(float(w[-1]) - d) > tol * d:
                 continue

@@ -215,10 +215,11 @@ def compose(outer: LinearMapMatrix, inner: LinearMapMatrix) -> LinearMapMatrix:
     return LinearMapMatrix(shape=outer.shape, matrix=outer.matrix @ inner.matrix)
 
 
-def _choi_matrix(mat: np.ndarray, shape: BipartiteShape, tag: str) -> np.ndarray:
-    """Choi matrix of Phi o varphi, sum_{p,q} E_pq x Phi(varphi(E_pq)), from
-    the map matrix mat of Phi, as a (mn)^2 x (mn)^2 array with memory of its
-    own: the classifier overwrites it.
+def _choi_view(mat: np.ndarray, shape: BipartiteShape, tag: str) -> np.ndarray:
+    """Choi matrix of Phi o varphi, sum_{p,q} E_pq x Phi(varphi(E_pq)), as a
+    (m, n, d, m, n, d) view [p, i, q, j] of the map matrix mat of Phi, p and
+    q split into their factor indices. It only splits and permutes axes, so
+    no entry is copied, whatever mat's memory order.
 
     With row index j*d+i and column index q*d+p, M[(j,i),(q,p)] = Phi(E_pq)[i,j]
     while the Choi entry C[(p,i),(q,j)] equals the same value: for varphi =
@@ -226,14 +227,17 @@ def _choi_matrix(mat: np.ndarray, shape: BipartiteShape, tag: str) -> np.ndarray
     [j, i, q, p] of M. varphi moves the matrix unit E_pq as it moves X's
     entries, by the transpose in _VARPHI_AXES of the (m, n, m, n) view
     [a, b, c, e], p = (a, b), q = (c, e). So the Choi matrix of Phi o varphi
-    is one transpose of the (d, d, m, n, m, n) view [j, i, c, e, a, b] of M,
-    copied once. For tag "id" it is an involution: applied to a Choi matrix
-    it gives back the map matrix.
+    is one transpose of the (d, d, m, n, m, n) view [j, i, c, e, a, b] of M.
     """
     m, n, d = shape.m, shape.n, shape.dim
     a, b, c, e = ((4, 5, 2, 3)[axis] for axis in _VARPHI_AXES[tag])
-    view = mat.reshape(d, d, m, n, m, n).transpose(a, b, 1, c, e, 0)
-    return view.copy().reshape(d * d, d * d)
+    return mat.reshape(d, d, m, n, m, n).transpose(a, b, 1, c, e, 0)
+
+
+def _choi_matrix(mat: np.ndarray, shape: BipartiteShape, tag: str) -> np.ndarray:
+    """:func:`_choi_view` copied, as a (mn)^2 x (mn)^2 matrix. For tag "id" it
+    is an involution: applied to a Choi matrix it gives back the map matrix."""
+    return _choi_view(mat, shape, tag).copy().reshape(shape.dim ** 2, -1)
 
 
 def choi_matrix(phi: LinearMapMatrix) -> np.ndarray:

@@ -179,19 +179,15 @@ def _ginibre(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     return g
 
 
-def _absorb_phases(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Q times the phases of R's diagonal, column by column: the factor that
-    makes Q of a Ginibre matrix a Haar unitary (Mezzadri, 2007). Only
-    random_haar_unitary needs it; ranges.sample_points reads only range(Q),
-    which is Haar on the Grassmannian without it."""
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
-
-
 def random_haar_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary: QR of a Ginibre matrix with R's diagonal phases absorbed."""
+    """Haar-distributed unitary: Q of the QR of a Ginibre matrix times the
+    phases of R's diagonal, column by column, the factor that makes Q Haar
+    (Mezzadri, 2007). ranges.sample_points needs no such factor: it reads only
+    range(Q), which is Haar on the Grassmannian without it."""
     _check_int("dim", dim, 1)
-    return _absorb_phases(*np.linalg.qr(_ginibre((dim, dim), np.random.default_rng(seed))))
+    q, r = np.linalg.qr(_ginibre((dim, dim), np.random.default_rng(seed)))
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
 
 
 def random_hermitian(dim: int, seed) -> np.ndarray:

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from knrange import checks
 from knrange.checks import (
     check_block_split,
     check_counterexample,
@@ -61,6 +64,13 @@ class TestCounterexampleReport:
     @pytest.mark.parametrize("m,n", [(3, 4), (4, 3)])
     def test_rectangular_factor_sizes(self, m, n):
         assert check_counterexample(m, n).passed
+
+    def test_each_hermitian_part_is_taken_once(self):
+        """One Hermitian part per side, shared by the spectra and every k."""
+        with mock.patch.object(checks, "hermitian_part", wraps=checks.hermitian_part) as herm:
+            report = check_counterexample(3, 4)
+        assert herm.call_count == 2
+        assert len(report.gap_per_k) == 11
 
 
 class TestBlockSplit:
@@ -124,6 +134,21 @@ class TestOrthogonalityCriterion:
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError, match="semidefinite"):
             check_orthogonality_criterion(-np.eye(3), np.eye(3), 1)
+
+
+class TestRangePropertyItems:
+    def test_detection_errors_count_the_misread_draws(self, monkeypatch):
+        """The draws pass with no detection error. With a Hermiticity
+        tolerance no profile exceeds, every Ginibre draw reads as Hermitian:
+        each draw is one detection error, and the item fails on them alone."""
+        shape = BipartiteShape(2, 3, 3)
+        (item,) = checks._range_property_items(shape, np.random.default_rng(4))
+        assert item.passed
+        assert item.detail["detection_errors"] == 0.0 and item.detail["detection_ok"] is True
+        monkeypatch.setattr(checks, "HERMITICITY_RTOL", 1e300)
+        (item,) = checks._range_property_items(shape, np.random.default_rng(4))
+        assert item.detail["detection_errors"] == checks.PROPERTY_DRAWS
+        assert item.detail["detection_ok"] is False and not item.passed
 
 
 class TestPreserverSuite:

@@ -11,11 +11,9 @@ from knrange.classify import (
     FALSIFY_REJECT_TOL,
     _admitted_tags,
     _hermitian_choi,
-    _hermitise,
     _project_marginals,
     _rank_one_fit,
     _rebuild_residual,
-    _reflect_choi,
     _spectral_defects,
     _trial_pairs,
     _witness_pair,
@@ -94,6 +92,20 @@ def admit_all(phi, tol):
     """Stand-in for the probe that admits every candidate of every kind: the
     full loop."""
     return canonical_forms(phi.shape)
+
+
+@contextmanager
+def hermitised_copies():
+    """Record (tag, affine, H) for every classify._hermitian_choi call in the
+    block, H copied before the rank-one fit overwrites it."""
+    builds, original = [], classify._hermitian_choi
+
+    def recording(phi, tag, affine):
+        herm = original(phi, tag, affine)
+        builds.append((tag, affine, herm.copy()))
+        return herm
+    with mock.patch.object(classify, "_hermitian_choi", side_effect=recording):
+        yield builds
 
 
 class TestVerify:
@@ -596,7 +608,7 @@ class TestAgainstEighOracle:
         shape = BipartiteShape(2, 4, 4)
         phi = LinearMapMatrix(shape, random_complex(64, np.random.default_rng(1)))
         with solver_log() as log, \
-                mock.patch.object(classify, "_choi_matrix", wraps=classify._choi_matrix) as built:
+                mock.patch.object(classify, "_hermitian_choi", wraps=classify._hermitian_choi) as built:
             report = classify_preserver(phi)
         assert report.verdict == "not_a_preserver"
         assert report.choi_gap_bounds == {}
@@ -624,8 +636,10 @@ class TestAgainstEighOracle:
         as the oracle does."""
         phi = self.near_rank_one_map(2.5e-9)
         d = phi.shape.dim
+        before = phi.matrix.copy()
         with solver_log() as log:
             report = classify_preserver(phi)
+        assert phi.matrix.tobytes() == before.tobytes()
         assert [name for name, _, _ in log] == ["eigvalsh"]
         assert log.matrices(order=d * d) == 1
         gaps, matched = eigh_classifier(phi)
@@ -677,23 +691,35 @@ def plain_choi_index(shape, tag):
     return (rs[:, None, :, None] + (ij * d * d)[None, :, None, None] + ij).reshape(d * d, d * d)
 
 
+def reflect_choi(choi, k):
+    """Reference: turn the Choi matrix C of Psi, in place, into that of
+    X -> (tr X / k) I - Psi(X): (T x I) / k - C, with T_pq = tr C_pq its
+    block traces."""
+    d = int(round(np.sqrt(choi.shape[0])))
+    c4 = choi.reshape(d, d, d, d)
+    trace_form = np.einsum("piqi->pq", c4)
+    np.negative(choi, out=choi)
+    i = np.arange(d)
+    c4[:, i, :, i] += trace_form / k
+
+
 def gathered_choi(phi, tag, affine):
     """Oracle: Choi(Phi) gathered by plain_choi_index, then reflected."""
     c = choi_matrix(phi).ravel()[plain_choi_index(phi.shape, tag)]
     if affine:
-        _reflect_choi(c, phi.shape.k)
+        reflect_choi(c, phi.shape.k)
     return c
 
 
 def candidate_choi(phi, tag, affine, herm=False):
-    """The candidate's Choi matrix as classify_preserver forms it: one
-    transpose of the map matrix, reflected if affine, and Hermitised in
-    place if asked (classify._hermitian_choi)."""
+    """The candidate's Choi matrix C: one transpose of the map matrix, copied
+    (maps._choi_matrix) and reflected if affine; or, if asked, the Hermitian
+    part that classify_preserver builds (classify._hermitian_choi)."""
     if herm:
-        return _hermitian_choi(phi, tag, affine)[0]
+        return _hermitian_choi(phi, tag, affine)
     c = _choi_matrix(phi.matrix, phi.shape, tag)
     if affine:
-        _reflect_choi(c, phi.shape.k)
+        reflect_choi(c, phi.shape.k)
     return c
 
 
@@ -712,9 +738,17 @@ class TestCandidateChoi:
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
     def test_bitwise_equal_to_map_coordinates(self, shape):
+        """Every form, a dense map, a trace-perturbed one, one whose Choi
+        matrix is anti-Hermitian (a Hermitian part of signed zeros) and a
+        real one with a -0.0 entry; H, written from two views of the map
+        matrix, is bitwise hermitian_part of the reflected copy."""
+        rng = np.random.default_rng(14)
+        real = random_complex(shape.dim ** 2, rng).real.astype(complex)
+        real[3, 5] = -0.0
         maps = [canonical(shape, tag, seed=50 + i, affine=affine)[0]
                 for i, (tag, affine) in enumerate(canonical_forms(shape))]
-        maps += [dense_map(shape, 5), trace_perturbed(shape, 6)]
+        maps += [dense_map(shape, 5), trace_perturbed(shape, 6), LinearMapMatrix(shape, real),
+                 map_from_choi(1j * random_hermitian(shape.dim ** 2, rng), shape)]
         for phi in maps:
             for tag in VARPHI_TAGS:
                 for affine in (False, True):
@@ -726,34 +760,56 @@ class TestCandidateChoi:
                     assert herm.tobytes() == hermitian_part(reference).tobytes(), (tag, affine)
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
-    def test_transposed_copy_owns_its_memory(self, shape):
-        """The reflection, _hermitise and _rank_one_fit overwrite the
-        candidate's Choi matrix, so no candidate, the id one included, may
-        alias the map matrix."""
+    def test_transposed_copy_owns_its_memory(self, monkeypatch, shape):
+        """_rank_one_fit overwrites each candidate's Hermitised Choi matrix,
+        and the copied Choi matrix is a caller's to change, so neither may
+        alias the map matrix, the id candidate's included. The map matrix is
+        only read: not written by the builds, nor by a classify that runs
+        every candidate of a dense and of a canonical map through the Choi
+        pass."""
         phi = dense_map(shape, 8)
         before = phi.matrix.copy()
         for tag in VARPHI_TAGS:
+            candidate = _choi_matrix(phi.matrix, shape, tag)
+            assert not np.shares_memory(candidate, phi.matrix), tag
+            assert candidate.flags.c_contiguous, tag
             for affine in (False, True):
-                candidate = _choi_matrix(phi.matrix, shape, tag)
-                assert not np.shares_memory(candidate, phi.matrix), tag
-                assert candidate.flags.c_contiguous, tag
-                herm, _ = _hermitian_choi(phi, tag, affine)
+                herm = _hermitian_choi(phi, tag, affine)
+                assert not np.shares_memory(herm, phi.matrix), (tag, affine)
+                assert herm.flags.c_contiguous, (tag, affine)
                 _rank_one_fit(herm)
         assert phi.matrix.tobytes() == before.tobytes()
+        monkeypatch.setattr(classify, "_admitted_tags", admit_all)
+        for phi in (phi, canonical(shape, "t", seed=8)[0]):
+            before = phi.matrix.copy()
+            classify_preserver(phi)
+            assert phi.matrix.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("shape,kinds", [(BipartiteShape(3, 3, 4), 1),
                                              (BipartiteShape(2, 4, 4), 2)])
     def test_one_choi_matrix_per_kind(self, shape, kinds):
-        """One Choi matrix for a form of either kind, that of its own
-        candidate, and none for a dense map."""
+        """One Hermitised Choi matrix for a form of either kind, that of its
+        own candidate, and none for a dense map."""
         for affine in (False, True)[:kinds]:
             phi = canonical(shape, "t", seed=2, affine=affine)[0]
-            with spy(classify, "_choi_matrix") as calls:
+            with spy(classify, "_hermitian_choi") as calls:
                 classify_preserver(phi)
-            assert [args[2] for args, _ in calls] == ["t"], affine
-        with spy(classify, "_choi_matrix") as calls:
+            assert [args[1:] for args, _ in calls] == [("t", affine)]
+        with spy(classify, "_hermitian_choi") as calls:
             classify_preserver(dense_map(shape, 3))
         assert calls == []
+
+    def test_hermitian_choi_peak_is_one_map(self):
+        """(4, 4, 8): H is the one map-sized allocation of its build; the
+        affine kind adds two block-diagonal arrays of d^3 entries, 2 / d of
+        a map."""
+        shape = BipartiteShape(4, 4, 8)
+        for i, affine in enumerate((False, True)):
+            phi, _ = canonical(shape, "pt_right", seed=62 + i, affine=affine)
+            _hermitian_choi(phi, "pt_right", affine)  # warm-up
+            with peak_alloc() as peak:
+                _hermitian_choi(phi, "pt_right", affine)
+            assert peak.bytes < 1.5 * phi.matrix.nbytes, (affine, peak.bytes)
 
     @pytest.mark.parametrize("shape", [BipartiteShape(3, 3, 4), BipartiteShape(2, 4, 4)])
     def test_read_only_and_fortran_ordered_maps(self, shape):
@@ -773,8 +829,8 @@ class TestCandidateChoi:
                     assert variant.tobytes(order="A") == before.tobytes(order="A")
 
     def test_classify_memory_is_bounded(self):
-        """(4, 4, 8): each candidate's Choi matrix is the one map-sized
-        copy that classify holds."""
+        """(4, 4, 8): each candidate's Hermitised Choi matrix is the one
+        map-sized array that classify holds."""
         shape = BipartiteShape(4, 4, 8)
         forms = canonical_forms(shape)
         maps = [canonical(shape, tag, seed=60 + i, affine=affine)[0]
@@ -788,8 +844,8 @@ class TestCandidateChoi:
 
     def test_classify_holds_two_map_sized_arrays(self):
         """(6, 6, 18), maps of 25.6 MiB: Phi and, beyond it, the candidate's
-        Choi matrix, plus blocks of _BLOCK_BYTES; no rebuild, no defect or
-        Hermitisation temporary."""
+        Hermitised Choi matrix, plus blocks of _BLOCK_BYTES and two
+        block-diagonal arrays of d^3 entries; no rebuild and no Choi copy."""
         shape = BipartiteShape(6, 6, 18)
         phi, _ = canonical(shape, "pt_left", seed=61, affine=True)
         with peak_alloc() as peak:
@@ -798,34 +854,16 @@ class TestCandidateChoi:
         assert peak.bytes < phi.matrix.nbytes + 3 * 2**20, peak.bytes
 
 
-# Block budgets that split matrices of order 1..144 into ragged pieces: one
-# entry, sides of 5 and 7, and the default.
+# Block budgets that split the rank-one fit's matrices into row blocks: one
+# row; 6 and 12 rows at order 4 and 2 and 5 at order 9, both ragged; and the
+# default.
 BLOCK_BYTES = [16, 16 * 5**2, 16 * 7**2 + 8, classify._BLOCK_BYTES]
-
-
-def hermitise_cases():
-    rng = np.random.default_rng(14)
-    anti = 1j * random_hermitian(9, rng)  # Hermitian part 0, with signed zeros
-    real = random_complex(12, rng).real.astype(complex)
-    real[3, 5] = -0.0
-    return [random_complex(n, rng) for n in (1, 2, 16, 37)] + [anti, real] + [
-        choi_matrix(canonical(BipartiteShape(2, 3, 3), "t", seed=1)[0]),  # Hermitian to rounding
-        choi_matrix(dense_map(BipartiteShape(3, 4, 6), 2)),
-    ]
 
 
 class TestBlockedPasses:
     """The classifier's passes over a map-sized matrix go by blocks of
     classify._BLOCK_BYTES, and give the bytes of the whole-matrix
     computations they replace for any block size."""
-
-    @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
-    def test_hermitise_is_defect_and_hermitian_part(self, monkeypatch, block_bytes):
-        monkeypatch.setattr(classify, "_BLOCK_BYTES", block_bytes)
-        for c in hermitise_cases():
-            work = c.copy()
-            assert _hermitise(work) == hermiticity_defect(c)
-            assert work.tobytes() == hermitian_part(c).tobytes()
 
     @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
     def test_rank_one_fit_subtracts_the_outer_product(self, monkeypatch, block_bytes):
@@ -891,23 +929,23 @@ class TestEntryPermutation:
             defects = {hermiticity_defect(candidate_choi(phi, tag, affine)) for tag in VARPHI_TAGS}
             assert len(defects) == 1, (affine, defects)
 
-    @pytest.mark.parametrize("shape,defect_passes", [(BipartiteShape(3, 3, 4), 1),
-                                                     (BipartiteShape(2, 4, 4), 2)])
-    def test_classify_computes_each_defect_once(self, shape, defect_passes):
-        """One defect for the admitted candidate, taken by the pass that
-        Hermitises its Choi matrix, and it is that of each candidate of its
-        kind; a form of each of the defect_passes kinds. A dense map admits
-        no candidate and takes no defect."""
-        for affine in (False, True)[:defect_passes]:
+    @pytest.mark.parametrize("shape,kinds", [(BipartiteShape(3, 3, 4), 1),
+                                             (BipartiteShape(2, 4, 4), 2)])
+    def test_classify_builds_each_hermitian_part_once(self, shape, kinds):
+        """One Hermitian part for the admitted candidate, of a form of each of
+        the `kinds` kinds: bitwise that of its reflected Choi matrix, and
+        exactly Hermitian. A dense map admits no candidate and builds none."""
+        for affine in (False, True)[:kinds]:
             phi = canonical(shape, "t", seed=2, affine=affine)[0]
-            with spy(classify, "_hermitise") as passes:
+            with hermitised_copies() as builds:
                 classify_preserver(phi)
-            ((_, defect),) = passes
-            for tag in VARPHI_TAGS:
-                assert defect == hermiticity_defect(candidate_choi(phi, tag, affine))
-        with spy(classify, "_hermitise") as passes:
+            ((tag, kind, herm),) = builds
+            assert (tag, kind) == ("t", affine)
+            assert herm.tobytes() == hermitian_part(candidate_choi(phi, tag, affine)).tobytes()
+            assert hermiticity_defect(herm) == 0.0
+        with hermitised_copies() as builds:
             classify_preserver(dense_map(shape, 3))
-        assert passes == []
+        assert builds == []
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
     def test_hermitian_parts_share_entries(self, shape):
@@ -919,25 +957,17 @@ class TestEntryPermutation:
 
     def test_classify_hermitises_once_for_the_plain_candidates(self):
         """Each admitted plain candidate (the match alone, at (3, 3, 4)) has
-        its own Choi matrix, Hermitised once in place. The zero map admits
+        its own Hermitised Choi matrix, built once. The zero map admits
         all four (its probe scores are 0, and the trace term rules out the
-        affine ones): four builds and four Hermitisations, none shared."""
+        affine ones): four builds, none shared."""
         shape = BipartiteShape(3, 3, 4)
         for phi, admitted in ((canonical(shape, "t", seed=2)[0], ["t"]),
                               (LinearMapMatrix(shape, np.zeros((81, 81))), list(VARPHI_TAGS))):
             assert _admitted_tags(phi, 1e-8) == [(tag, False) for tag in admitted]
-            hermitised, original = [], classify._hermitise
-
-            def hermitise(choi):  # the fit overwrites it later, so keep a copy
-                defect = original(choi)
-                hermitised.append(choi.copy())
-                return defect
-            with spy(classify, "_choi_matrix") as calls, \
-                    mock.patch.object(classify, "_hermitise", side_effect=hermitise):
+            with hermitised_copies() as builds:
                 classify_preserver(phi)
-            assert [args[2] for args, _ in calls] == admitted
-            assert len(hermitised) == len(admitted)
-            for tag, herm in zip(admitted, hermitised):
+            assert [(tag, affine) for tag, affine, _ in builds] == [(tag, False) for tag in admitted]
+            for tag, _, herm in builds:
                 assert herm.tobytes() == hermitian_part(candidate_choi(phi, tag, False)).tobytes()
 
     @pytest.mark.parametrize("shape", CHOI_SHAPES)
@@ -955,6 +985,67 @@ class TestEntryPermutation:
                 assert got.tobytes() == reference.tobytes(), (tag, affine)
             gathered = plain.ravel()[plain_choi_index(shape, tag)]
             assert candidate_choi(phi, tag, False, herm=True).tobytes() == gathered.tobytes(), tag
+
+
+def block_diagonal_residual(shape, size, seed):
+    """An anti-Hermitian (d^2, d^2) R in Choi coordinates, nonzero only on
+    the block diagonals of T x I, the entries (p, l, q, l), each of modulus
+    size. At (p, q) = (0, 1) it is -size in block l = 0 and +size in every
+    other block, which takes an affine candidate's Hermiticity defect at
+    (0, 0, 1, 0) to its bound 2 size (3 - 4 / d); every other entry of the
+    upper triangle has a random phase, the diagonal a random sign times i."""
+    d = shape.dim
+    rng = np.random.default_rng(seed)
+    z = size * np.exp(2j * np.pi * rng.random((d, d, d)))  # [l, p, q]
+    z[:, 0, 1] = size
+    z[0, 0, 1] = -size
+    z = np.triu(z, 1)
+    z -= z.conj().transpose(0, 2, 1)
+    z[:, np.arange(d), np.arange(d)] = 1j * size * rng.choice([-1.0, 1.0], (d, d))
+    r = np.zeros((d, d, d, d), dtype=complex)  # [p, l, q, l']
+    r[:, np.arange(d), :, np.arange(d)] = z
+    return r.reshape(d * d, d * d)
+
+
+class TestHermiticityBound:
+    """classify_preserver takes no Hermiticity defect: a rebuild residual
+    within tol bounds the matched candidate's max|C - C*| by 2 tol, or
+    2 tol (3 - 4 / d) if affine, and both are within tol d."""
+
+    @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3),
+                                       BipartiteShape(3, 3, 4)])
+    def test_matched_candidate_is_hermitian_within_tol_d(self, shape):
+        """Every form plus Ginibre noise of max modulus tol / 2 and tol, and
+        the id forms plus the block-diagonal residual at 0.5, 0.99 and 1.0
+        tol, where the affine defect reaches its bound: every map that
+        classifies has max|C - C*| <= tol d + 64 d eps for its match."""
+        d = shape.dim
+        slack = 64 * d * np.finfo(float).eps
+        for tol in (1e-6, 1e-8, 1e-12):
+            cases = []
+            for i, (tag, affine) in enumerate(canonical_forms(shape)):
+                phi, _ = canonical(shape, tag, seed=110 + i, affine=affine)
+                noise = random_complex(d * d, np.random.default_rng(i))
+                noise /= np.abs(noise).max()
+                cases += [(False, LinearMapMatrix(shape, phi.matrix + size * tol * noise))
+                          for size in (0.5, 1.0)]
+                if tag == "id":
+                    cases += [(True, map_from_choi(
+                        choi_matrix(phi) + block_diagonal_residual(shape, size * tol, i), shape))
+                        for size in (0.5, 0.99, 1.0)]
+            tight = {}
+            for adversarial, phi in cases:
+                match = classify_preserver(phi, tol).matched
+                if match is None:
+                    continue
+                defect = hermiticity_defect(candidate_choi(phi, match.varphi, match.affine))
+                assert defect <= tol * d + slack, (tol, match.varphi, match.affine, defect)
+                if adversarial:
+                    bound = 2 * tol * (3 - 4 / d if match.affine else 1)
+                    tight[match.affine] = max(tight.get(match.affine, 0.0), defect / bound)
+            # the residual at 0.5 tol classifies, and 0.99 tol reaches the bound
+            assert set(tight) == ({False, True} if shape.is_half else {False})
+            assert min(tight.values()) > 0.98, (tol, tight)
 
 
 # Criterion 6's falsifier shapes, plus the largest classified one.
@@ -1004,7 +1095,7 @@ class TestRejectCertificate:
         maps = [random_constrained_map(shape, rng) for _ in range(50)] + [dense_map(shape, 1)]
         for phi in maps:
             assert admitted_keys(phi, FALSIFY_REJECT_TOL) == set()
-            with mock.patch.object(classify, "_choi_matrix", side_effect=AssertionError):
+            with mock.patch.object(classify, "_hermitian_choi", side_effect=AssertionError):
                 report = classify_preserver(phi, tol=FALSIFY_REJECT_TOL)
             assert report.verdict == "not_a_preserver" and report.choi_gap_bounds == {}
 
@@ -1079,13 +1170,14 @@ class TestProbe:
         a falsifier draw or a dense map."""
         for i, (tag, affine) in enumerate(canonical_forms(shape)):
             phi, _ = canonical(shape, tag, seed=40 + i, affine=affine)
-            with spy(classify, "_choi_matrix") as calls:
+            with spy(classify, "_hermitian_choi") as calls:
                 report = classify_preserver(phi)
             assert (report.matched.varphi, report.matched.affine) == (tag, affine)
             assert len(calls) == composed, (tag, affine)
-            assert tag in [args[2] for args, _ in calls]
+            assert (tag, affine) in [args[1:] for args, _ in calls]
         for phi in (random_constrained_map(shape, np.random.default_rng(7)), dense_map(shape, 7)):
-            with mock.patch.object(classify, "_choi_matrix", wraps=classify._choi_matrix) as built:
+            with mock.patch.object(classify, "_hermitian_choi",
+                                   wraps=classify._hermitian_choi) as built:
                 assert classify_preserver(phi).verdict == "not_a_preserver"
             assert built.call_count == 0
 
@@ -1137,10 +1229,9 @@ class TestFalsifierDraw:
     @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
     def test_draws_are_probed_without_a_choi_matrix(self, shape):
         """Each draw is classified once, at FALSIFY_REJECT_TOL, and the probe
-        excludes it: no Choi matrix, no Hermitisation."""
+        excludes it: no Choi matrix, Hermitised or not."""
         with spy(classify, "classify_preserver") as classified, \
-                mock.patch.object(classify, "_choi_matrix", side_effect=AssertionError), \
-                mock.patch.object(classify, "_hermitise", side_effect=AssertionError):
+                mock.patch.object(classify, "_hermitian_choi", side_effect=AssertionError):
             summary = falsify_random(shape, count=3, seed=29)
         assert summary.passes == 0
         assert [(args[1], report.verdict) for args, report in classified] == [
