@@ -257,15 +257,16 @@ def _range_property_items(shape: BipartiteShape, rng: np.random.Generator) -> li
 
 
 def _complement_item(shape: BipartiteShape, rng: np.random.Generator) -> SuiteItem:
-    """(d-k) W_{d-k}(A) = tr(A) - k W_k(A) for Hermitian A, as intervals."""
+    """(d-k) W_{d-k}(A) = tr(A) - k W_k(A) for Hermitian A, as intervals,
+    each W_j, j = 1..d-1, computed once per draw."""
     d = shape.dim
     worst = 0.0
     for _ in range(PROPERTY_DRAWS):
         h = random_hermitian(d, rng)
         tr = float(np.trace(h).real)
+        intervals = [krange_hermitian(h, j) for j in range(1, d)]  # [j - 1]: W_j
         for k in range(1, d):
-            left = krange_hermitian(h, d - k)
-            right = krange_hermitian(h, k)
+            left, right = intervals[d - k - 1], intervals[k - 1]
             worst = max(
                 worst,
                 abs((d - k) * left.hi - (tr - k * right.lo)),

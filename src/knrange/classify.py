@@ -21,8 +21,11 @@ residual, written and compared a column block at a time; Weyl's inequality then 
 rank-one gates, and a Choi spectrum is solved only where it cannot
 (:func:`classify_preserver`).
 
-The random falsifier classifies each draw at FALSIFY_REJECT_TOL; the probe
-turns a random draw away with no Choi matrix.
+The random falsifier draws each map's Choi matrix as a scaled Gaussian
+Hermitian matrix projected onto the unital, trace-preserving maps, O((mn)^4)
+with no matrix product (:func:`_random_constrained_choi`). It classifies each
+draw at FALSIFY_REJECT_TOL; the probe turns a random draw away with no Choi
+matrix.
 """
 
 from __future__ import annotations
@@ -572,11 +575,28 @@ def _project_marginals(choi: np.ndarray, d: int) -> np.ndarray:
 
 
 def _random_constrained_choi(shape: BipartiteShape, rng: np.random.Generator) -> np.ndarray:
-    """Choi matrix of a random unital, trace-preserving, Hermiticity-preserving map."""
+    """Choi matrix of a random unital, trace-preserving, Hermiticity-preserving
+    map: P(Z / d^2), d = mn, with Z = (G + G*) / sqrt(2) for one (d^2, d^2)
+    Ginibre draw G (unit-variance entries, exactly Hermitian) and P the
+    marginal projection (:func:`_project_marginals`).
+
+    Entry by entry, Z / d^2 is the central limit of the fluctuation of the
+    trace-normalised Wishart draw W d / tr W, W = G G*: each entry of
+    W d / tr W is that of I / d + Z / d^2 plus smaller terms (the spectra
+    differ: semicircle, not Marchenko-Pastur). The projection supplies the
+    I / d exactly. P is
+    affine: P(C) = P(0) + Pi(C), Pi the orthogonal projection onto the
+    marginal-free directions {X : Tr_1 X = Tr_2 X = 0}. Those are traceless,
+    so I is orthogonal to them, and I / d has both marginals I: P(0) = I / d,
+    and P(Z / d^2) = I / d + Pi(Z) / d^2. The draw is O(d^4) work with no
+    matrix product, where G G* is O(d^6). It is not positive semidefinite,
+    and no check needs it to be."""
     d = shape.dim
     g = _ginibre((d * d, d * d), rng)
-    choi = g @ g.conj().T
-    choi *= d / np.trace(choi).real
+    choi = np.empty_like(g)  # C-contiguous, as the projection needs
+    np.conjugate(g.T, out=choi)
+    choi += g
+    choi *= _GINIBRE_SCALE / (d * d)
     return _project_marginals(choi, d)
 
 
@@ -588,6 +608,11 @@ def falsify_random(
 ) -> FalsifySummary:
     """Generate `count` random unital, trace-preserving, Hermiticity-preserving
     maps that are not of canonical form, and verify each. Expected: 0 passes.
+
+    Each map's Choi matrix is the projection of Z / (mn)^2, Z a Gaussian
+    Hermitian matrix with unit-variance entries, onto the unital,
+    trace-preserving maps (:func:`_random_constrained_choi`). A draw is one
+    Ginibre matrix and O((mn)^4) work, with no BLAS call.
 
     Candidates within FALSIFY_REJECT_TOL of a canonical form are redrawn: a
     draw is kept when classify_preserver(phi, FALSIFY_REJECT_TOL) says

@@ -151,6 +151,37 @@ class TestRangePropertyItems:
         assert item.detail["detection_ok"] is False and not item.passed
 
 
+def complement_worst(shape, rng):
+    """Oracle: the complement item's worst gap with both intervals of each
+    k solved afresh, W_{d-k} and W_k for k = 1..d-1."""
+    from knrange.matcore import random_hermitian
+    from knrange.ranges import krange_hermitian
+
+    d, worst = shape.dim, 0.0
+    for _ in range(checks.PROPERTY_DRAWS):
+        h = random_hermitian(d, rng)
+        tr = float(np.trace(h).real)
+        for k in range(1, d):
+            left, right = krange_hermitian(h, d - k), krange_hermitian(h, k)
+            worst = max(worst, abs((d - k) * left.hi - (tr - k * right.lo)),
+                        abs((d - k) * left.lo - (tr - k * right.hi)))
+    return worst
+
+
+class TestComplementItem:
+    @pytest.mark.parametrize("mnk", [(2, 2, 1), (3, 3, 2), (3, 4, 6)])
+    def test_each_interval_once_per_draw(self, mnk):
+        """d - 1 intervals per draw, W_1 to W_{d-1}, and the worst gap of
+        solving both intervals of each k, bit for bit."""
+        shape = BipartiteShape(*mnk)
+        with mock.patch.object(checks, "krange_hermitian", wraps=checks.krange_hermitian) as solve:
+            item = checks._complement_item(shape, np.random.default_rng(6))
+        d = shape.dim
+        assert [c.args[1] for c in solve.call_args_list] == list(range(1, d)) * checks.PROPERTY_DRAWS
+        assert item.passed
+        assert item.detail["worst"] == complement_worst(shape, np.random.default_rng(6))
+
+
 class TestPreserverSuite:
     def test_2x2_half_all_pass(self):
         items = preserver_suite(BipartiteShape(2, 2, 2), seed=3, trials=8, num_angles=120)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
 from itertools import combinations
 from unittest import mock
@@ -1214,6 +1217,16 @@ class TestFalsifierDraw:
             assert choi.tobytes() == expected.tobytes()
             assert choi_matrix(map_from_choi(choi, shape)).tobytes() == choi.tobytes()
 
+    @pytest.mark.parametrize("shape", [BipartiteShape(3, 4, 6), BipartiteShape(4, 4, 8)])
+    def test_draw_holds_two_choi_sized_arrays(self, shape):
+        """The Ginibre draw and its Hermitian part, with no product of the
+        draw and its adjoint beside them."""
+        rng = np.random.default_rng(5)
+        classify._random_constrained_choi(shape, rng)  # warm-up
+        with peak_alloc() as peak:
+            choi = classify._random_constrained_choi(shape, rng)
+        assert peak.bytes < 2.5 * choi.nbytes, peak.bytes
+
     @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
     def test_payload_equals_kron_and_round_trip(self, shape):
         def round_trip(choi, shape):
@@ -1246,17 +1259,20 @@ class TestFalsify:
         assert all(r.verdict == "fail" for r in summary.results)
         assert min(r.defect for r in summary.results) > 1e-3
 
-    def test_generated_maps_share_coarse_properties(self):
+    @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
+    def test_generated_maps_share_coarse_properties(self, shape):
+        """The draw is not positive semidefinite: the projection alone makes
+        the map unital and trace-preserving, and the exactly Hermitian draw
+        makes it Hermiticity-preserving."""
         from knrange.maps import apply_map
-        from knrange.matcore import random_complex, random_hermitian
 
-        shape = BipartiteShape(2, 3, 3)
+        d = shape.dim
         rng = np.random.default_rng(3)
         phi = random_constrained_map(shape, rng)
-        assert np.max(np.abs(apply_map(phi, np.eye(6)) - np.eye(6))) <= 1e-12  # unital
-        x = random_complex(6, rng)
+        assert np.max(np.abs(apply_map(phi, np.eye(d)) - np.eye(d))) <= 1e-12  # unital
+        x = random_complex(d, rng)
         assert abs(np.trace(apply_map(phi, x)) - np.trace(x)) <= 1e-12  # trace-preserving
-        h = random_hermitian(6, rng)
+        h = random_hermitian(d, rng)
         image = apply_map(phi, h)
         assert np.max(np.abs(image - image.conj().T)) <= 1e-12  # Hermiticity-preserving
 
@@ -1288,6 +1304,22 @@ class TestFalsify:
     def test_empty_summary(self):
         summary = falsify_random(BipartiteShape(2, 2, 2), count=0, seed=0)
         assert summary.count == 0 and summary.passes == 0 and summary.results == []
+
+    def test_payload_bytes_independent_of_blas_threads(self):
+        """Each run in a child process with OPENBLAS_NUM_THREADS=1 and 2: the
+        draws, their probes and the verifies of the kept maps."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(classify.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import json\nfrom knrange import BipartiteShape\n"
+                  "from knrange.classify import falsify_random, falsify_to_payload\n"
+                  "print(json.dumps([falsify_to_payload(falsify_random(BipartiteShape(*mnk), count))\n"
+                  "                  for mnk, count in (((3, 3, 4), 3), ((4, 4, 8), 1))]))")
+        outputs = [subprocess.run([sys.executable, "-c", script],
+                                  env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True,
+                                  capture_output=True, timeout=300).stdout
+                   for threads in ("1", "2")]
+        assert [len(p["results"]) for p in json.loads(outputs[0])] == [3, 1]
+        assert outputs[0] == outputs[1]
 
     def test_zero_passes_at_the_largest_shape(self):
         summary = falsify_random(BipartiteShape(4, 4, 8), count=3, seed=8)
