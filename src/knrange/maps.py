@@ -202,10 +202,16 @@ def apply_map(phi: LinearMapMatrix, x) -> np.ndarray:
 
 
 def apply_map_batch(phi: LinearMapMatrix, stack: np.ndarray) -> np.ndarray:
-    """Apply the map to a (count, d, d) stack of matrices at once."""
+    """Apply the map to a (count, d, d) stack of matrices at once.
+
+    Each image has the same bits whatever count is: numpy multiplies a single
+    row by gemv, which rounds differently from the gemm it uses for two rows
+    or more, so a stack of one is multiplied as two copies of itself."""
     count, d = stack.shape[0], phi.shape.dim
     vecs = stack.transpose(0, 2, 1).reshape(count, d * d)  # rows are vec(X_t)
-    out = vecs @ phi.matrix.T
+    if count == 1:
+        vecs = np.repeat(vecs, 2, axis=0)
+    out = (vecs @ phi.matrix.T)[:count]
     return out.reshape(count, d, d).transpose(0, 2, 1)
 
 

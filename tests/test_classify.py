@@ -11,7 +11,9 @@ import pytest
 
 from knrange import classify
 from knrange.classify import (
+    FALSIFY_NUM_ANGLES,
     FALSIFY_REJECT_TOL,
+    FALSIFY_TRIALS,
     _admitted_tags,
     _hermitian_choi,
     _project_marginals,
@@ -1217,15 +1219,33 @@ class TestFalsifierDraw:
             assert choi.tobytes() == expected.tobytes()
             assert choi_matrix(map_from_choi(choi, shape)).tobytes() == choi.tobytes()
 
+    @pytest.mark.parametrize("mnk", [(2, 2, 2), (3, 4, 6), (4, 4, 8)])
+    def test_random_constrained_map(self, mnk):
+        """One real standard-normal draw R, written as ((1 + i) R + (1 - i) R^T)
+        / (2 (mn)^2): exactly Hermitian with a real diagonal before the
+        projection, and projected after."""
+        shape = BipartiteShape(*mnk)
+        d = shape.dim
+        r = np.random.default_rng(3).standard_normal((d * d, d * d))
+        draw = ((1 + 1j) * r + (1 - 1j) * r.T) * (1 / (2 * d * d))
+        with mock.patch.object(classify, "_project_marginals", side_effect=lambda choi, d: choi):
+            raw = classify._random_constrained_choi(shape, np.random.default_rng(3))
+        assert raw.tobytes() == draw.tobytes()
+        assert np.array_equal(raw, raw.conj().T) and not raw.diagonal().imag.any()
+        expected = map_from_choi(_project_marginals(draw, d), shape).matrix
+        got = random_constrained_map(shape, np.random.default_rng(3)).matrix
+        assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("shape", [BipartiteShape(3, 4, 6), BipartiteShape(4, 4, 8)])
     def test_draw_holds_two_choi_sized_arrays(self, shape):
-        """The Ginibre draw and its Hermitian part, with no product of the
-        draw and its adjoint beside them."""
+        """The real normal draw, half a Choi-sized array, and the Choi array
+        it is written into, with no product of the draw and its adjoint
+        beside them."""
         rng = np.random.default_rng(5)
         classify._random_constrained_choi(shape, rng)  # warm-up
         with peak_alloc() as peak:
             choi = classify._random_constrained_choi(shape, rng)
-        assert peak.bytes < 2.5 * choi.nbytes, peak.bytes
+        assert peak.bytes < 2 * choi.nbytes, peak.bytes
 
     @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
     def test_payload_equals_kron_and_round_trip(self, shape):
@@ -1292,6 +1312,58 @@ class TestFalsify:
         assert summary.passes == 2
         assert [(r.verdict, r.pass_kind) for r in summary.results] == [("pass", "defect_below_tol")] * 2
 
+    @pytest.mark.parametrize("seed", [5, 6])
+    @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
+    def test_witness_trial_decides_as_the_full_verify(self, shape, seed):
+        """Each kept map is verified on its witness trial alone, and that
+        fails: the verdict is the FALSIFY_TRIALS verify's on the same map and
+        seed, and the defect is bitwise its trial 0's, the witness pair's."""
+        with mock.patch.object(classify, "verify_preserver", wraps=verify_preserver) as verify:
+            summary = falsify_random(shape, count=3, seed=seed)
+        assert [call.kwargs["trials"] for call in verify.call_args_list] == [1] * 3
+        for result, call in zip(summary.results, verify.call_args_list):
+            assert call.kwargs["num_angles"] == FALSIFY_NUM_ANGLES
+            full = verify_preserver(*call.args, **dict(call.kwargs, trials=FALSIFY_TRIALS))
+            assert result.verdict == full.verdict == "fail"
+            witness = full.witnesses[0]
+            assert witness.a.tobytes() == _witness_pair(shape)[0].tobytes()
+            assert result.defect == witness.defect
+
+    @pytest.mark.parametrize("shape,solved", [(BipartiteShape(2, 2, 2), 4),
+                                              (BipartiteShape(2, 4, 4), 4),
+                                              (BipartiteShape(3, 4, 6), 2 + 2 * 60),
+                                              (BipartiteShape(4, 4, 8), 2 + 2 * 60)])
+    def test_one_op_solves_the_witness_trial_only(self, shape, solved):
+        """One falsify op solves the witness pair and its image at theta = 0,
+        then on the grid: one solve per side for the Hermitian E_11 x E_11,
+        60 of the 120 angles per side for the counterexample pair."""
+        with solver_log() as log:
+            falsify_random(shape, count=1, seed=2)
+        assert log.matrices() == log.matrices(order=shape.dim) == solved
+
+    def test_a_witness_pass_runs_every_trial(self):
+        """When the witness trial passes, the FALSIFY_TRIALS verify of the
+        same map and seed decides: its verdict and its defect."""
+        passing = classify.VerificationReport(
+            trials=1, max_support_defect=0.0, witnesses=[], verdict="pass", tol=1e-8,
+            num_angles=FALSIFY_NUM_ANGLES
+        )
+        calls = []
+
+        def verify(phi, **kwargs):
+            calls.append((phi, kwargs))
+            return passing if kwargs["trials"] == 1 else verify_preserver(phi, **kwargs)
+        with mock.patch.object(classify, "verify_preserver", side_effect=verify):
+            summary = falsify_random(BipartiteShape(3, 3, 4), count=2, seed=3)
+        assert [kwargs["trials"] for _, kwargs in calls] == [1, FALSIFY_TRIALS] * 2
+        assert summary.passes == 0
+        for result, witness, full in zip(summary.results, calls[::2], calls[1::2]):
+            assert witness[0] is full[0]
+            assert dict(witness[1], trials=FALSIFY_TRIALS) == full[1]
+            report = verify_preserver(full[0], **full[1])
+            assert result.verdict == report.verdict == "fail"
+            assert result.defect == report.max_support_defect
+
     def test_gives_up_after_64_canonical_draws(self):
         shape = BipartiteShape(2, 2, 2)
         phi, _ = canonical(shape, "t", seed=1)
@@ -1307,18 +1379,21 @@ class TestFalsify:
 
     def test_payload_bytes_independent_of_blas_threads(self):
         """Each run in a child process with OPENBLAS_NUM_THREADS=1 and 2: the
-        draws, their probes and the verifies of the kept maps."""
+        draws, their probes and the verifies of the kept maps, on both
+        witness pairs: the counterexample pair at (3,3,4) and (4,4,8), the
+        Hermitian E_11 x E_11 at (2,4,4)."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(classify.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         script = ("import json\nfrom knrange import BipartiteShape\n"
                   "from knrange.classify import falsify_random, falsify_to_payload\n"
                   "print(json.dumps([falsify_to_payload(falsify_random(BipartiteShape(*mnk), count))\n"
-                  "                  for mnk, count in (((3, 3, 4), 3), ((4, 4, 8), 1))]))")
+                  "                  for mnk, count in (((3, 3, 4), 3), ((4, 4, 8), 1),\n"
+                  "                                     ((2, 4, 4), 1))]))")
         outputs = [subprocess.run([sys.executable, "-c", script],
                                   env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True,
                                   capture_output=True, timeout=300).stdout
                    for threads in ("1", "2")]
-        assert [len(p["results"]) for p in json.loads(outputs[0])] == [3, 1]
+        assert [len(p["results"]) for p in json.loads(outputs[0])] == [3, 1, 1]
         assert outputs[0] == outputs[1]
 
     def test_zero_passes_at_the_largest_shape(self):

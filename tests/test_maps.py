@@ -269,6 +269,18 @@ class TestApply:
         for t in range(5):
             np.testing.assert_allclose(batch[t], apply_map(phi, stack[t]), atol=1e-13)
 
+    @pytest.mark.parametrize("mnk", [(2, 2, 2), (3, 4, 6), (4, 4, 8)])
+    def test_images_do_not_depend_on_the_stack_length(self, mnk):
+        """Each image has the same bits in a stack of 1, 2, 3 or 8, the one
+        the single-row product would round differently included."""
+        shape = BipartiteShape(*mnk)
+        rng = np.random.default_rng(shape.dim)
+        phi = LinearMapMatrix(shape, random_complex(shape.dim ** 2, rng))
+        stack = np.stack([random_complex(shape.dim, rng) for _ in range(8)])
+        full = apply_map_batch(phi, stack)
+        for count in (1, 2, 3):
+            assert apply_map_batch(phi, stack[:count]).tobytes() == full[:count].tobytes(), count
+
     def test_dim_mismatch(self, rng):
         phi = LinearMapMatrix(BipartiteShape(2, 2, 2), np.eye(16, dtype=complex))
         with pytest.raises(ValueError):

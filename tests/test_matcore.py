@@ -26,7 +26,6 @@ from conftest import (
     SQRT_41_OVER_2,
     SQRT_9_OVER_2,
     frame_trace,
-    random_constrained_map,
     shift3,
     unit_matrix,
 )
@@ -220,20 +219,6 @@ class TestOneGinibreDraw:
             if t % 2 == 1:
                 fa, fb = (fa + fa.conj().T) / 2, (fb + fb.conj().T) / 2
             assert a[t].tobytes() == fa.tobytes() and b[t].tobytes() == fb.tobytes(), t
-
-    @pytest.mark.parametrize("mnk", [(2, 2, 2), (3, 4, 6), (4, 4, 8)])
-    def test_random_constrained_map(self, mnk):
-        """The Hermitian part of one draw, (G + G*) / sqrt(2) / (mn)^2, projected."""
-        from knrange.classify import _project_marginals
-        from knrange.maps import map_from_choi
-
-        shape = BipartiteShape(*mnk)
-        d = shape.dim
-        g = inline_ginibre(np.random.default_rng(3), (d * d, d * d))
-        choi = (g.conj().T + g) * (1 / np.sqrt(2.0) / (d * d))
-        expected = map_from_choi(_project_marginals(choi, d), shape).matrix
-        got = random_constrained_map(shape, np.random.default_rng(3)).matrix
-        assert got.tobytes() == expected.tobytes()
 
 
 class TestOrthogonalPair:
