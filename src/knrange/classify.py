@@ -6,19 +6,20 @@ call. A pass whose trials' rotated Hermitian-part spectra agree to rounding
 at d + 1 nodes, which fix them at every angle, is certified by them; every
 other map has the support functions of A x B and Phi(A x B) compared on a
 shared angle grid (:func:`verify_preserver`). Classification is exact up to
-tolerance: composing Phi with each candidate varphi (and the trace
-reflection for affine candidates) must yield a pure unitary conjugation,
-which is detected by its Choi matrix being Hermitian PSD of rank one. A
-probe first applies Phi to eight 0/1 inputs and tests whether it is
-multiplicative or anti-multiplicative on each factor subalgebra; that admits
-the candidates that can match, for a canonical form its own alone (and one
-of the other kind at m = n = 2), with no Choi matrix
+tolerance: composing Phi, or for an affine candidate its input-trace
+reflection X -> (tr X / k) I - Phi(X), with each candidate varphi must yield
+a pure unitary conjugation, which is detected by its Choi matrix being
+Hermitian PSD of rank one. A probe first applies Phi to eight 0/1 inputs and
+tests whether it is multiplicative or anti-multiplicative on each factor
+subalgebra; that admits the candidates that can match, for a canonical form
+its own alone (and one of the other kind at m = n = 2), with no Choi matrix
 (:func:`_admitted_tags`). Each admitted candidate holds one map-sized
 working array, the Hermitian part of its own Choi matrix, written from two
-axis-transposed views of the map matrix (reflected first if affine). Its
-unitary is read off by one power step and checked against Phi by a rebuild
-residual, written and compared a column block at a time; Weyl's inequality then certifies the
-rank-one gates, and a Choi spectrum is solved only where it cannot
+axis-transposed views of the map matrix (if affine, negated and I / k added:
+the Choi matrix of X -> (tr X) I is I). Its unitary is read off by one power
+step and checked against Phi by a rebuild residual, written and compared a
+column block at a time; Weyl's inequality then certifies the rank-one gates,
+and a Choi spectrum is solved only where it cannot
 (:func:`classify_preserver`).
 
 The random falsifier draws each map's Choi matrix as a scaled Gaussian
@@ -333,26 +334,19 @@ def _hermitian_choi(phi: LinearMapMatrix, tag: str, affine: bool) -> np.ndarray:
     its own from a view of the map matrix (maps._choi_view), C added from
     another, then halved; bitwise hermitian_part of a copied C.
 
-    Affine: C = (T x I) / k - Choi(Phi o varphi), T_pq the trace of block
-    (p, q), so each side is reflected before the sum. On the block diagonal
-    of T x I, d^3 entries, that is (T* / k - C*) + (T / k - C), summed aside;
-    every other entry is -C* - C, rounded as -(C + C*) is."""
+    Affine: X -> (tr X) I has the Choi matrix I, and varphi keeps traces, so
+    C = I / k - Choi(Phi o varphi), and H is I / k minus the plain H. It is
+    written as (2 I / k - C* - C) / 2, with the negated views summed as
+    hermitian_part sums the entries of the reflected copy."""
     shape, d = phi.shape, phi.shape.dim
     view = _choi_view(phi.matrix, shape, tag)
     herm = np.empty((d * d, d * d), dtype=complex)
     h6 = herm.reshape(view.shape)
     np.conjugate(view.transpose(3, 4, 5, 0, 1, 2), out=h6)
     if affine:
-        i = np.arange(d)
-        trace_form = np.einsum("abicei->abce", view) / shape.k  # T / k, [p, q]
-        mirror = h6[:, :, i, :, :, i]
-        np.subtract(trace_form.transpose(2, 3, 0, 1).conj(), mirror, out=mirror)
-        own = view[:, :, i, :, :, i]
-        np.subtract(trace_form, own, out=own)
-        mirror += own
         np.negative(herm, out=herm)
         h6 -= view
-        h6[:, :, i, :, :, i] = mirror
+        herm.reshape(-1)[::d * d + 1] += 2 / shape.k
     else:
         h6 += view
     herm /= 2
@@ -463,10 +457,10 @@ def _admitted_tags(phi: LinearMapMatrix, tol: float) -> list[tuple[str, bool]]:
 def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> ClassificationReport:
     """Identify the canonical form of a map and recover its unitary.
 
-    For each candidate (varphi, affine): Psi = (reflection if affine) o Phi o
-    varphi^{-1} (each varphi is an involution) must be X -> U X U*. Its Choi
-    matrix then is Hermitian PSD rank one, vec(U) vec(U)*, with top eigenvalue
-    d = mn.
+    For each candidate (varphi, affine): Psi o varphi^{-1} (each varphi is an
+    involution), with Psi = Phi, or (tr / k) I - Phi if affine, must be
+    X -> U X U*. Its Choi matrix then is Hermitian PSD rank one,
+    vec(U) vec(U)*, with top eigenvalue d = mn.
 
     A probe of Phi on eight 0/1 inputs admits every candidate that can
     match, for a canonical form its own alone but at m = n = 2
@@ -490,11 +484,10 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
       solved, by one eigvalsh.
     The rebuild implies that C is Hermitian within tol d, so that is no gate
     of its own. The rebuild's Choi matrix is exactly Hermitian, and C differs
-    from it by a map of entries R, |R| <= tol (affine: reflected, with the
-    block traces of R over k = d / 2 on the block diagonal). So max|C - C*|
-    is at most 2 tol for a plain candidate and 2 tol (3 - 4 / d) for an
-    affine one, both at most tol d as d = mn >= 4, with equality only for
-    the affine kind at d = 4, where rounding decides either way.
+    from it by an entry permutation of Phi minus the rebuild, negated if
+    affine (the I / k terms cancel), whose entries are at most tol. So the
+    matched candidate has max|C - C*| <= 2 tol for both kinds, below tol d
+    as d = mn >= 4.
     choi_gap_bounds holds (||E||_F + max(0, -lam)) / d per admitted
     candidate, by the same argument a bound on the gap
     max(|w_2nd|, |w_min|) / d, or that exact gap for a candidate that was

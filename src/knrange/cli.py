@@ -83,6 +83,10 @@ def _load_map_input(args):
     if not isinstance(payload, dict):
         raise ValueError(f"{args.input}: expected a JSON object")
     if "varphi" in payload:
+        missing = [f"--{flag}" for flag in ("m", "n", "k") if getattr(args, flag) is None]
+        if missing:
+            raise ValueError(f"{args.input}: a canonical descriptor needs --m, --n and --k; "
+                             f"missing {', '.join(missing)}")
         shape = BipartiteShape(m=args.m, n=args.n, k=args.k)
         return build_canonical(descriptor_from_payload(payload, shape))
     if not payload.keys() & {"m", "n", "k"}:  # a matrix file, say, has none of them

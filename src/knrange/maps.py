@@ -38,11 +38,11 @@ from .matcore import (
     _VARPHI_AXES,
     _check_int,
     _payload_fields,
+    apply_varphi,  # re-exported: a varphi of the canonical forms
     as_matrix,
     matrix_from_payload,
     matrix_to_payload,
     max_abs,
-    unvec,
     vec,
 )
 
@@ -111,17 +111,6 @@ class LinearMapMatrix:
                 f"got {m.shape}"
             )
         object.__setattr__(self, "matrix", m)  # nested lists become the checked array
-
-
-def apply_varphi(x, tag: str, shape: BipartiteShape) -> np.ndarray:
-    """Apply one of the four varphi involutions to a single matrix."""
-    m = as_matrix(x)
-    if tag not in _VARPHI_AXES:
-        raise ValueError(f"unknown varphi tag {tag!r}")
-    if m.shape[0] != shape.dim:
-        raise ValueError(f"matrix dim {m.shape[0]} does not match shape m*n={shape.dim}")
-    view = m.reshape(shape.m, shape.n, shape.m, shape.n).transpose(_VARPHI_AXES[tag])
-    return view.copy().reshape(shape.dim, shape.dim)
 
 
 def affine_reflect(x, k: int) -> np.ndarray:
@@ -194,11 +183,12 @@ def reflect_map(shape: BipartiteShape) -> LinearMapMatrix:
 
 
 def apply_map(phi: LinearMapMatrix, x) -> np.ndarray:
-    """unvec(M @ vec(X))."""
+    """unvec(M @ vec(X)): the image of X in a stack of one, bitwise that of
+    X in any stack (:func:`apply_map_batch`)."""
     m = as_matrix(x)
     if m.shape[0] != phi.shape.dim:
         raise ValueError(f"matrix dim {m.shape[0]} does not match map dim {phi.shape.dim}")
-    return unvec(phi.matrix @ vec(m), phi.shape.dim)
+    return apply_map_batch(phi, m[None])[0]
 
 
 def apply_map_batch(phi: LinearMapMatrix, stack: np.ndarray) -> np.ndarray:

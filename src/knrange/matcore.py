@@ -43,6 +43,18 @@ _VARPHI_AXES = {
 }
 
 
+def apply_varphi(x, tag: str, shape: BipartiteShape) -> np.ndarray:
+    """Apply one of the four varphi involutions to a single matrix: the
+    transpose in _VARPHI_AXES of its (m, n, m, n) view, copied."""
+    m = as_matrix(x)
+    if tag not in _VARPHI_AXES:
+        raise ValueError(f"unknown varphi tag {tag!r}")
+    if m.shape[0] != shape.dim:
+        raise ValueError(f"matrix dim {m.shape[0]} does not match shape m*n={shape.dim}")
+    view = m.reshape(shape.m, shape.n, shape.m, shape.n).transpose(_VARPHI_AXES[tag])
+    return view.copy().reshape(shape.dim, shape.dim)
+
+
 def _check_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
     """Reject bool, non-integers (floats and numpy integers included) and
     values outside minimum..maximum (inclusive; no upper bound if None),
@@ -156,13 +168,9 @@ def partial_transpose(x, shape: BipartiteShape, side: str) -> np.ndarray:
       side="right" transposes each block in place   (A x B -> A x B^t),
       side="left"  swaps block (i,j) with block (j,i) (A x B -> A^t x B).
     """
-    m = as_matrix(x)
-    if m.shape[0] != shape.dim:
-        raise ValueError(f"matrix dim {m.shape[0]} does not match shape m*n={shape.dim}")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    t = m.reshape(shape.m, shape.n, shape.m, shape.n).transpose(_VARPHI_AXES[f"pt_{side}"])
-    return t.copy().reshape(shape.dim, shape.dim)
+    return apply_varphi(x, f"pt_{side}", shape)
 
 
 def _ginibre(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:

@@ -231,6 +231,21 @@ class TestVerifyCommand:
         write_json(dpath, {"varphi": "id", "affine": False, "unitary": "identity"})
         assert cli.main(["verify", str(dpath)]) == 2
 
+    @pytest.mark.parametrize("flags,missing", [([], "--m, --n, --k"),
+                                               (["--m", "2", "--k", "2"], "--n")])
+    def test_descriptor_names_missing_shape_flags(self, tmp_path, capsys, flags, missing):
+        """A canonical descriptor carries no shape: the one error line names
+        the flags it needs, not a library argument that is None."""
+        dpath, out = tmp_path / "desc.json", tmp_path / "report.json"
+        write_json(dpath, {"varphi": "id", "affine": False, "unitary": "identity"})
+        assert cli.main(["verify", str(dpath), *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and "needs --m, --n and --k" in line
+        assert line.endswith(f"missing {missing}")
+
 
 class TestSuiteCommand:
     def test_small_shape_passes(self, tmp_path, capsys):

@@ -272,7 +272,8 @@ class TestApply:
     @pytest.mark.parametrize("mnk", [(2, 2, 2), (3, 4, 6), (4, 4, 8)])
     def test_images_do_not_depend_on_the_stack_length(self, mnk):
         """Each image has the same bits in a stack of 1, 2, 3 or 8, the one
-        the single-row product would round differently included."""
+        the single-row product would round differently included, and as
+        apply_map's image of the one matrix."""
         shape = BipartiteShape(*mnk)
         rng = np.random.default_rng(shape.dim)
         phi = LinearMapMatrix(shape, random_complex(shape.dim ** 2, rng))
@@ -280,6 +281,8 @@ class TestApply:
         full = apply_map_batch(phi, stack)
         for count in (1, 2, 3):
             assert apply_map_batch(phi, stack[:count]).tobytes() == full[:count].tobytes(), count
+        for t in range(8):
+            assert apply_map(phi, stack[t]).tobytes() == full[t].tobytes(), t
 
     def test_dim_mismatch(self, rng):
         phi = LinearMapMatrix(BipartiteShape(2, 2, 2), np.eye(16, dtype=complex))
