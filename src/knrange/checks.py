@@ -26,13 +26,12 @@ from .classify import counterexample_matrices
 from .matcore import (
     HERMITICITY_RTOL,
     BipartiteShape,
+    _check_hermitian,
     _check_int,
     _check_tol,
     _ginibre,
     as_matrix,
-    hermiticity_defect,
     hermitian_part,
-    is_hermitian,
     is_orthogonal_pair,
     kron,
     max_abs,
@@ -138,10 +137,7 @@ def check_block_split(h, k: int, tol: float = DEFAULT_RTOL) -> ImplicationCheck:
     size k carrying exactly those eigenvalues."""
     _check_tol(tol)
     m = as_matrix(h)
-    if not is_hermitian(m):
-        raise ValueError(
-            f"check_block_split needs a Hermitian matrix (defect {hermiticity_defect(m):.3e})"
-        )
+    _check_hermitian("H", m)
     _check_int("k", k, 1, m.shape[0])
     scale = 1.0 + max_abs(m)
     w = np.linalg.eigvalsh(m)[::-1]  # descending
@@ -158,10 +154,10 @@ def check_orthogonality_criterion(a, b, k: int, tol: float = DEFAULT_RTOL) -> Im
     """For PSD A, B: if tr(A)/k equals the top of W_k(A - B), then A and B are
     orthogonal (AB* = A*B = 0)."""
     _check_tol(tol)
-    ma, mb = as_matrix(a), as_matrix(b)
+    ma = as_matrix(a, name="A")
+    mb = as_matrix(b, len(ma), "B")
     for name, mat in (("A", ma), ("B", mb)):
-        if not is_hermitian(mat):
-            raise ValueError(f"{name} must be Hermitian PSD")
+        _check_hermitian(name, mat)
         if float(np.linalg.eigvalsh(mat)[0]) < -tol:
             raise ValueError(f"{name} must be positive semidefinite")
     hi = krange_hermitian(ma - mb, k).hi

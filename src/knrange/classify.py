@@ -509,7 +509,7 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
         v, lam, spread = _rank_one_fit(herm)
         del herm  # overwritten by the fit; freed before any other candidate's
         bounds[key] = (spread + max(0.0, -lam)) / d
-        u = _normalize_phase(unvec(v, d) * np.sqrt(d))
+        u = _normalize_phase(unvec(v) * np.sqrt(d))
         if _unitarity_defect(u) > UNITARITY_TOL:
             continue  # recovered matrix not unitary enough: near-miss, no match
         residual = _rebuild_residual(phi, u, tag, affine)

@@ -9,14 +9,14 @@ Subcommands:
   suite    run the full check battery for a shape and write artifacts
 
 Exit codes: 0 success/pass, 1 valid run with a failing verdict, 2 usage or
-parse error, 3 numerical or resource failure (a LAPACK routine did not
-converge, np.linalg.LinAlgError, or an allocation failed, MemoryError); 2 and
-3 print one "error:" line. Flag values are checked by the library calls they
-feed, which raise ValueError before any output is written; the counts
---angles and --trials are bounded there too (ranges.MAX_NUM_ANGLES,
-classify.MAX_TRIALS). Flag defaults are the library's own. All randomness is
-seeded; the default seed is DEFAULT_SEED so repeated runs with the same
-flags are reproducible.
+parse error, 3 the run could not complete (a LAPACK routine did not converge,
+np.linalg.LinAlgError; an allocation failed, MemoryError; or any other
+exception, an internal error named by its type); 2 and 3 print one "error:"
+line. Flag values are checked by the library calls they feed, which raise
+ValueError before any output is written; the counts --angles and --trials
+are bounded there too (ranges.MAX_NUM_ANGLES, classify.MAX_TRIALS). Flag
+defaults are the library's own. All randomness is seeded; the default seed
+is DEFAULT_SEED so repeated runs with the same flags are reproducible.
 """
 
 from __future__ import annotations
@@ -195,6 +195,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # no verdict was reached, so not exit 1
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -84,9 +84,7 @@ class CanonicalFormSpec:
     def __post_init__(self):
         if self.varphi not in VARPHI_TAGS:
             raise ValueError(f"varphi must be one of {VARPHI_TAGS}, got {self.varphi!r}")
-        u = as_matrix(self.unitary)
-        if u.shape[0] != self.shape.dim:
-            raise ValueError(f"unitary dim {u.shape[0]} does not match mn={self.shape.dim}")
+        u = as_matrix(self.unitary, self.shape.dim, "unitary")
         defect = _unitarity_defect(u)
         if defect > UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
@@ -104,12 +102,7 @@ class LinearMapMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
-        if m.shape[0] != self.shape.dim ** 2:
-            raise ValueError(
-                f"map matrix must be {self.shape.dim ** 2} x {self.shape.dim ** 2}, "
-                f"got {m.shape}"
-            )
+        m = as_matrix(self.matrix, self.shape.dim ** 2, "map matrix")
         object.__setattr__(self, "matrix", m)  # nested lists become the checked array
 
 
@@ -185,9 +178,7 @@ def reflect_map(shape: BipartiteShape) -> LinearMapMatrix:
 def apply_map(phi: LinearMapMatrix, x) -> np.ndarray:
     """unvec(M @ vec(X)): the image of X in a stack of one, bitwise that of
     X in any stack (:func:`apply_map_batch`)."""
-    m = as_matrix(x)
-    if m.shape[0] != phi.shape.dim:
-        raise ValueError(f"matrix dim {m.shape[0]} does not match map dim {phi.shape.dim}")
+    m = as_matrix(x, phi.shape.dim, "X")
     return apply_map_batch(phi, m[None])[0]
 
 
@@ -230,10 +221,10 @@ def _choi_view(mat: np.ndarray, shape: BipartiteShape, tag: str) -> np.ndarray:
     return mat.reshape(d, d, m, n, m, n).transpose(a, b, 1, c, e, 0)
 
 
-def _choi_matrix(mat: np.ndarray, shape: BipartiteShape, tag: str) -> np.ndarray:
-    """:func:`_choi_view` copied, as a (mn)^2 x (mn)^2 matrix. For tag "id" it
-    is an involution: applied to a Choi matrix it gives back the map matrix."""
-    return _choi_view(mat, shape, tag).copy().reshape(shape.dim ** 2, -1)
+def _choi_matrix(mat: np.ndarray, shape: BipartiteShape) -> np.ndarray:
+    """:func:`_choi_view` with varphi = id copied, as a (mn)^2 x (mn)^2 matrix:
+    an involution, so applied to a Choi matrix it gives back the map matrix."""
+    return _choi_view(mat, shape, "id").copy().reshape(shape.dim ** 2, -1)
 
 
 def choi_matrix(phi: LinearMapMatrix) -> np.ndarray:
@@ -243,16 +234,13 @@ def choi_matrix(phi: LinearMapMatrix) -> np.ndarray:
     column-stacking convention: Hermitian, PSD, rank one with eigenvalue mn.
     Computed as an index reshuffle of the map matrix (:func:`_choi_matrix`).
     """
-    return _choi_matrix(phi.matrix, phi.shape, "id")
+    return _choi_matrix(phi.matrix, phi.shape)
 
 
 def map_from_choi(choi: np.ndarray, shape: BipartiteShape) -> LinearMapMatrix:
     """Inverse of :func:`choi_matrix` (the reshuffle is an involution)."""
-    d = shape.dim
-    c = as_matrix(choi)
-    if c.shape[0] != d * d:
-        raise ValueError(f"Choi matrix must be {d * d} x {d * d}, got {c.shape}")
-    return LinearMapMatrix(shape=shape, matrix=_choi_matrix(c, shape, "id"))
+    c = as_matrix(choi, shape.dim ** 2, "Choi matrix")
+    return LinearMapMatrix(shape=shape, matrix=_choi_matrix(c, shape))
 
 
 # ---------------------------------------------------------------------------

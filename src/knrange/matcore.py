@@ -46,11 +46,9 @@ _VARPHI_AXES = {
 def apply_varphi(x, tag: str, shape: BipartiteShape) -> np.ndarray:
     """Apply one of the four varphi involutions to a single matrix: the
     transpose in _VARPHI_AXES of its (m, n, m, n) view, copied."""
-    m = as_matrix(x)
     if tag not in _VARPHI_AXES:
         raise ValueError(f"unknown varphi tag {tag!r}")
-    if m.shape[0] != shape.dim:
-        raise ValueError(f"matrix dim {m.shape[0]} does not match shape m*n={shape.dim}")
+    m = as_matrix(x, shape.dim, "X")
     view = m.reshape(shape.m, shape.n, shape.m, shape.n).transpose(_VARPHI_AXES[tag])
     return view.copy().reshape(shape.dim, shape.dim)
 
@@ -73,19 +71,21 @@ def _check_tol(tol) -> None:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce input to a square complex matrix, checking its shape, and that
-    its entries are finite with |Re| and |Im| at most MAX_ENTRY: the largest
-    and smallest number of the float view, which a nan carries through."""
+def as_matrix(a, dim: int | None = None, name: str = "matrix") -> np.ndarray:
+    """Coerce the argument `name` to a square complex matrix, dim x dim if dim
+    is given, checking that its entries are finite with |Re| and |Im| at most
+    MAX_ENTRY: the largest and smallest number of the float view, which a nan
+    carries through."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or dim not in (None, m.shape[0]):
+        size = "square" if dim is None else f"{dim} x {dim}"
+        raise ValueError(f"{name} must be {size}, got shape {m.shape}")
     parts = np.ascontiguousarray(m).view(np.float64)
     hi, lo = float(parts.max(initial=0.0)), float(parts.min(initial=0.0))
     if not (-MAX_ENTRY <= lo and hi <= MAX_ENTRY):
         if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError("matrix entries must be finite")
-        raise ValueError(f"matrix entries must have |Re| and |Im| at most {MAX_ENTRY:g}, "
+            raise ValueError(f"{name} entries must be finite")
+        raise ValueError(f"{name} entries must have |Re| and |Im| at most {MAX_ENTRY:g}, "
                          f"got {max(hi, -lo):g}")
     return m
 
@@ -110,6 +110,13 @@ def is_hermitian(a: np.ndarray):
     defect = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
     ok = defect <= HERMITICITY_RTOL * (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0))
     return bool(ok) if ok.ndim == 0 else ok
+
+
+def _check_hermitian(name: str, m: np.ndarray) -> None:
+    """Reject a matrix that :func:`is_hermitian` does not accept, naming its
+    defect max|m - m*|."""
+    if not is_hermitian(m):
+        raise ValueError(f"{name} must be Hermitian, got defect {hermiticity_defect(m):.3e}")
 
 
 @dataclass(frozen=True)
@@ -213,9 +220,8 @@ def random_complex(dim: int, seed) -> np.ndarray:
 def is_orthogonal_pair(a, b, tol: float = 1e-10) -> bool:
     """True iff AB* = A*B = 0 up to tol * (1 + |A|_max)(1 + |B|_max)."""
     _check_tol(tol)
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
+    ma = as_matrix(a, name="A")
+    mb = as_matrix(b, len(ma), "B")
     scale = (1.0 + max_abs(ma)) * (1.0 + max_abs(mb))
     return max_abs(ma @ mb.conj().T) <= tol * scale and max_abs(ma.conj().T @ mb) <= tol * scale
 
@@ -225,11 +231,10 @@ def vec(x: np.ndarray) -> np.ndarray:
     return np.ravel(x, order="F")
 
 
-def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
+def unvec(v: np.ndarray) -> np.ndarray:
     """Inverse of :func:`vec` for square matrices."""
     v = np.asarray(v).ravel()
-    if dim is None:
-        dim = int(round(np.sqrt(v.size)))
+    dim = int(round(np.sqrt(v.size)))
     if dim * dim != v.size:
         raise ValueError(f"vector of length {v.size} is not a square matrix")
     return v.reshape(dim, dim, order="F").copy()

@@ -54,11 +54,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
+    _check_hermitian,
     _check_int,
     _check_tol,
     _ginibre,
     as_matrix,
-    hermiticity_defect,
     is_hermitian,
     max_abs,
 )
@@ -219,10 +219,7 @@ def krange_hermitian(h, k: int) -> KInterval:
     lo is the mean of the k smallest eigenvalues, hi the mean of the k largest.
     """
     m = as_matrix(h)
-    if not is_hermitian(m):
-        raise ValueError(
-            f"krange_hermitian needs a Hermitian matrix (defect {hermiticity_defect(m):.3e})"
-        )
+    _check_hermitian("H", m)
     _check_int("k", k, 1, m.shape[0] - 1)
     w = np.linalg.eigvalsh(m)  # ascending
     return KInterval(lo=float(w[:k].sum() / k), hi=float(w[-k:].sum() / k))
@@ -244,6 +241,10 @@ def support_values_batch(stack: np.ndarray, k: int, angles: np.ndarray) -> np.nd
 
     Returns shape (count, len(angles)). Rows that `is_hermitian` accepts skip
     the per-angle eigensolve.
+
+    The stack's entries need only be finite, not within as_matrix's
+    MAX_ENTRY: verify_preserver passes it the images Phi(A x B), which can
+    exceed that bound even when the entries of Phi, A and B are within it.
     """
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[1] != stack.shape[2]:

@@ -1,6 +1,11 @@
-"""Every public entry checks its integer and tolerance arguments the same way
-(matcore._check_int and matcore._check_tol): a bool, a float or a numpy
-integer is no integer, and a tolerance must be a finite real number > 0."""
+"""Every public entry checks its integer, tolerance, matrix-size and
+Hermitian arguments the same way (matcore._check_int, matcore._check_tol,
+matcore.as_matrix and matcore._check_hermitian): a bool, a float or a numpy
+integer is no integer, a tolerance must be a finite real number > 0, a matrix
+of the wrong size is named with the size it must have, and a non-Hermitian
+one with its defect."""
+
+import re
 
 import numpy as np
 import pytest
@@ -63,18 +68,59 @@ TOL_ENTRIES = {
     "preserver_suite": lambda t: checks.preserver_suite(SHAPE, trials=2, num_angles=8, tol=t),
 }
 
+# name -> (call of one matrix argument x, a valid x, the name the error gives
+# x); a matrix of any other shape is rejected, naming the valid x's size.
+SIZE_ENTRIES = {
+    "CanonicalFormSpec.unitary": (
+        lambda x: maps.CanonicalFormSpec("id", x, False, SHAPE), np.eye(4), "unitary"),
+    "LinearMapMatrix.matrix": (lambda x: maps.LinearMapMatrix(SHAPE, x), np.eye(16), "map matrix"),
+    "apply_map": (lambda x: maps.apply_map(PHI, x), np.eye(4), "X"),
+    "map_from_choi": (lambda x: maps.map_from_choi(x, SHAPE), maps.choi_matrix(PHI), "Choi matrix"),
+    "apply_varphi": (lambda x: matcore.apply_varphi(x, "t", SHAPE), np.eye(4), "X"),
+    "partial_transpose": (lambda x: matcore.partial_transpose(x, SHAPE, "left"), np.eye(4), "X"),
+    "is_orthogonal_pair.b": (
+        lambda x: matcore.is_orthogonal_pair(PSD_PAIR[0], x), PSD_PAIR[1], "B"),
+    "check_orthogonality_criterion.b": (
+        lambda x: checks.check_orthogonality_criterion(PSD_PAIR[0], x, 1), PSD_PAIR[1], "B"),
+}
+
+# name -> (call of one Hermitian argument x, a valid x, the name the error
+# gives x); NON_HERMITIAN, whose defect max|x - x*| is 1, is rejected.
+NON_HERMITIAN = np.array([[1.0, 1.0], [0.0, 1.0]])
+HERMITIAN_ENTRIES = {
+    "krange_hermitian": (lambda x: ranges.krange_hermitian(x, 1), PSD_PAIR[0], "H"),
+    "check_block_split": (lambda x: checks.check_block_split(x, 1), PSD_PAIR[0], "H"),
+    "check_orthogonality_criterion.a": (
+        lambda x: checks.check_orthogonality_criterion(x, PSD_PAIR[1], 1), PSD_PAIR[0], "A"),
+    "check_orthogonality_criterion.b": (
+        lambda x: checks.check_orthogonality_criterion(PSD_PAIR[0], x, 1), PSD_PAIR[1], "B"),
+}
+
+
+def wrong_shapes(d):
+    return [np.eye(d + 1), np.eye(d - 1), np.zeros((d, d + 1)), np.zeros((d, d, 1))]
+
+
 CASES = (
     [pytest.param(call, valid, bad, "must be an integer", id=f"{name}-{bad!r}")
      for name, (call, valid) in INT_ENTRIES.items() for bad in (True, 2.0, np.int64(2))]
     + [pytest.param(call, 1e-8, bad, "tol must be finite and > 0", id=f"{name}-tol={bad!r}")
        for name, call in TOL_ENTRIES.items() for bad in (np.nan, np.inf, 0.0, -1.0, True, None)]
+    + [pytest.param(call, valid, bad, re.escape(f"{arg} must be {len(valid)} x {len(valid)}, "
+                                                f"got shape {bad.shape}"),
+                    id=f"{name}-shape={bad.shape}")
+       for name, (call, valid, arg) in SIZE_ENTRIES.items() for bad in wrong_shapes(len(valid))]
+    + [pytest.param(call, valid, NON_HERMITIAN, re.escape(f"{arg} must be Hermitian, got defect "
+                                                          "1.000e+00"), id=f"{name}-non-hermitian")
+       for name, (call, valid, arg) in HERMITIAN_ENTRIES.items()]
 )
 
 
 @pytest.mark.parametrize("call,valid,bad,message", CASES)
 def test_rejects_with_value_error(call, valid, bad, message):
     """The type check comes first, so the message names the type even where
-    the value would be out of range too."""
+    the value would be out of range too. A matrix's message names the
+    argument and the size it must have, or its Hermiticity defect."""
     call(valid)  # the rejection below is of `bad` alone
     with pytest.raises(ValueError, match=message):
         call(bad)

@@ -44,7 +44,7 @@ from knrange.maps import (
     CanonicalFormSpec,
     LinearMapMatrix,
     VARPHI_TAGS,
-    _choi_matrix,
+    _choi_view,
     _unitarity_defect,
     _varphi_perm,
     apply_map_batch,
@@ -543,7 +543,7 @@ def eigh_classifier(phi, tol=1e-8):
         gaps[f"{tag}+affine" if affine else tag] = gap
         if max_abs(choi - choi.conj().T) > tol * d or gap > tol or abs(w[-1] - d) > tol * d:
             continue
-        u = unvec(v[:, -1], d) * np.sqrt(d)
+        u = unvec(v[:, -1]) * np.sqrt(d)
         pivot = u.flat[np.argmax(np.abs(u))]
         u = u * (abs(pivot) / pivot)
         try:
@@ -718,12 +718,13 @@ def gathered_choi(phi, tag, affine):
 
 def candidate_choi(phi, tag, affine, herm=False):
     """The candidate's Choi matrix C: one transpose of the map matrix, reflected
-    in map coordinates first if affine, copied (maps._choi_matrix); or, if
+    in map coordinates first if affine, copied (maps._choi_view); or, if
     asked, the Hermitian part that classify_preserver builds
     (classify._hermitian_choi)."""
     if herm:
         return _hermitian_choi(phi, tag, affine)
-    return _choi_matrix(reflected_matrix(phi, affine), phi.shape, tag)
+    choi = _choi_view(reflected_matrix(phi, affine), phi.shape, tag)
+    return choi.copy().reshape(phi.shape.dim ** 2, -1)
 
 
 def trace_perturbed(shape, seed):
@@ -773,7 +774,7 @@ class TestCandidateChoi:
         phi = dense_map(shape, 8)
         before = phi.matrix.copy()
         for tag in VARPHI_TAGS:
-            candidate = _choi_matrix(phi.matrix, shape, tag)
+            candidate = _choi_view(phi.matrix, shape, tag).copy().reshape(shape.dim ** 2, -1)
             assert not np.shares_memory(candidate, phi.matrix), tag
             assert candidate.flags.c_contiguous, tag
             for affine in (False, True):

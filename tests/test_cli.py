@@ -179,8 +179,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(classify, "verify_preserver", broken)
         dpath = tmp_path / "desc.json"
         write_json(dpath, {"varphi": "id", "affine": False, "unitary": "identity"})
-        with pytest.raises(KeyError):
-            cli.main(["verify", str(dpath), "--m", "2", "--n", "2", "--k", "2"])
+        assert cli.main(["verify", str(dpath), "--m", "2", "--n", "2", "--k", "2"]) == 3
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
     def test_non_finite_or_non_positive_tol_exit_2(self, tmp_path, tol):
@@ -364,6 +363,23 @@ def test_solver_failure_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
     assert cli.main(["range", str(mpath), "--k", "1", "--out", str(out)]) == 3
     assert not out.exists()
     assert capsys.readouterr().err == "error: numerical failure: Eigenvalues did not converge\n"
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    """An exception that is neither a usage error nor a numerical or resource
+    failure is a fault of the program, not a failing verdict: exit 3, with one
+    error line that names its type, and no output."""
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand\nsecond line")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    mpath, out = tmp_path / "m.json", tmp_path / "out.csv"
+    save_matrix(random_complex(3, np.random.default_rng(2)), mpath)
+    assert cli.main(["range", str(mpath), "--k", "1", "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: TypeError('unsupported operand\\nsecond line')\n"
 
 
 def test_huge_entries_exit_2_without_warnings(tmp_path, capsys):

@@ -207,7 +207,7 @@ class TestApplyVarphi:
         shape = BipartiteShape(2, 3, 2)
         with pytest.raises(ValueError, match="unknown varphi tag"):
             apply_varphi(np.eye(6), "middle", shape)
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ValueError, match=r"X must be 6 x 6, got shape \(5, 5\)"):
             apply_varphi(np.eye(5), "t", shape)
 
 
