@@ -17,10 +17,10 @@ its own alone (and one of the other kind at m = n = 2), with no Choi matrix
 working array, the Hermitian part of its own Choi matrix, written from two
 axis-transposed views of the map matrix (if affine, negated and I / k added:
 the Choi matrix of X -> (tr X) I is I). Its unitary is read off by one power
-step and checked against Phi by a rebuild residual, written and compared a
-column block at a time; Weyl's inequality then certifies the rank-one gates,
-and a Choi spectrum is solved only where it cannot
-(:func:`classify_preserver`).
+step and checked against Phi by a rebuild residual, written and compared
+through the Choi view a block of rows at a time; Weyl's inequality then
+certifies the rank-one gates, and a Choi spectrum is solved only where it
+cannot (:func:`classify_preserver`).
 
 The random falsifier draws each map's Choi matrix as a scaled Gaussian
 Hermitian matrix, from one real normal per real degree of freedom, projected
@@ -54,9 +54,9 @@ from .matcore import (
 from .maps import (
     UNITARITY_TOL,
     LinearMapMatrix,
-    _canonical_blocks,
     _choi_view,
     _unitarity_defect,
+    _write_choi,
     apply_map_batch,
     canonical_forms,
     map_from_choi,
@@ -82,8 +82,9 @@ FALSIFY_REJECT_TOL = 1e-6
 # verify_preserver's spectral certificate is capped at this many d * eps.
 _SPECTRAL_SLACK = 64
 # The classifier's passes over a map-sized matrix (the rank-one subtraction,
-# the rebuild residual) work in blocks of about this many bytes:
-# one block for a map up to d = 13, and a few MiB of temporaries at any size.
+# the rebuild residual) work in blocks of about this many bytes: one block for
+# a map up to d = 13. A block holds at least one row, which for the residual
+# is d^3 entries of the Choi view: more than this from d = 33, 4 MiB at d = 64.
 _BLOCK_BYTES = 2**19
 _EPS = float(np.finfo(float).eps)
 
@@ -317,13 +318,20 @@ def _rank_one_fit(herm: np.ndarray) -> tuple[np.ndarray, float, float]:
 def _rebuild_residual(phi: LinearMapMatrix, u: np.ndarray, tag: str, affine: bool) -> float:
     """max|Phi - rebuild|, entrywise, with the rebuild the map matrix of the
     canonical form (tag, U, affine): bitwise max_abs of the difference with
-    build_canonical's matrix. The rebuild is written and compared a column
-    block of about _BLOCK_BYTES at a time (maps._canonical_blocks), so no
-    map-sized copy of it is held."""
-    width = max(1, _BLOCK_BYTES // (phi.matrix.itemsize * len(phi.matrix)))
+    build_canonical's matrix. Both are compared through their Choi view
+    (maps._choi_view), the rebuild written a block of rows i of about
+    _BLOCK_BYTES at a time (maps._write_choi), so no map-sized copy of it is
+    held."""
+    shape, d = phi.shape, phi.shape.dim
+    view = _choi_view(phi.matrix, shape, tag)
+    rows = max(1, _BLOCK_BYTES // (phi.matrix.itemsize * d ** 3))
     residual = 0.0
-    for c0, block in _canonical_blocks(u, phi.shape, tag, affine, width):
-        np.subtract(phi.matrix[:, c0:c0 + width], block, out=block)
+    for i0 in range(0, d, rows):
+        i = slice(i0, i0 + rows)
+        target = view[:, :, i]
+        block = np.empty(target.shape, dtype=complex)
+        _write_choi(block, u, shape, affine, i)
+        np.subtract(target, block, out=block)
         residual = max(residual, max_abs(block))
     return residual
 
@@ -474,8 +482,8 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     - the read-off: U = sqrt(d) unvec(v), phase-normalized, with v one power
       step on H (:func:`_rank_one_fit`), is unitary within maps.UNITARITY_TOL;
     - the rebuild from U equals Phi entrywise within tol (on the vec basis,
-      which is the matrix unit tensor products), compared a column block at
-      a time (:func:`_rebuild_residual`);
+      which is the matrix unit tensor products), compared through their
+      Choi views a block of rows at a time (:func:`_rebuild_residual`);
     - the rank-one gates max(|w_2nd|, |w_min|) <= tol d and |w_max - d| <= tol d
       on the spectrum w of H. With lam = v* H v and E = H - lam vv*, every
       eigenvalue of H is within ||E||_2 <= ||E||_F of the spectrum
@@ -515,7 +523,7 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
         residual = _rebuild_residual(phi, u, tag, affine)
         if residual > tol:
             continue
-        if spread > tol * d or abs(lam - d) + spread > tol * d:  # the bound cannot decide
+        if abs(lam - d) + spread > tol * d:  # the bound cannot decide
             w = np.linalg.eigvalsh(_hermitian_choi(phi, tag, affine))
             bounds[key] = max(abs(float(w[-2])), abs(float(w[0]))) / d
             if bounds[key] > tol or abs(float(w[-1]) - d) > tol * d:

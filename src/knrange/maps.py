@@ -12,18 +12,14 @@ with varphi one of: identity, full transpose, right partial transpose
 transposes preserve W_k on tensor products exactly when min(m, n) <= 2; they
 stay constructible for larger factors so they can serve as negative witnesses.
 
-Every varphi only moves entries, so vec(varphi(X)) = vec(X)[pi] for an index
-permutation pi, and pi is its own inverse. With the vec-permutation identity
-vec(A X B) = (B^T x A) vec(X) (Henderson and Searle, 1981) the plain form is
-kron(conj(U), U) times the permutation matrix I[pi, :]; multiplying by that
-on the right permutes columns by pi^{-1} = pi, so
-
-    M = kron(conj(U), U)[:, pi].
-
-Since tr X = vec(I)^T vec(X), the trace term is the rank-one matrix
-vec(I) vec(I)^T / k: 1/k at the (diagonal, diagonal) positions, which are
-the vec indices (d + 1) * [0, ..., d - 1], and zero elsewhere. The affine
-form is that minus M.
+Every varphi is an involution, so Phi o varphi = U . U* for the plain form,
+whose Choi matrix sum_{p,q} E_pq x U E_pq U* is vec(U) vec(U)* (Choi, 1975):
+U[i, p] conj(U[j, q]) at [(p, i), (q, j)]. varphi keeps traces and the Choi
+matrix of X |-> (tr X) I is I, so for the affine form it is I / k minus
+that. The Choi matrix of Phi o varphi is one axis-transposed view of the map
+matrix of Phi (:func:`_choi_view`), so a canonical form is built by writing
+those entries through the view into the map matrix's own memory
+(:func:`_canonical_matrix`).
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ from .matcore import (
     matrix_from_payload,
     matrix_to_payload,
     max_abs,
-    vec,
 )
 
 VARPHI_TAGS = tuple(_VARPHI_AXES)
@@ -113,44 +108,24 @@ def affine_reflect(x, k: int) -> np.ndarray:
     return (np.trace(m) / k) * np.eye(m.shape[0], dtype=complex) - m
 
 
-def _varphi_perm(shape: BipartiteShape, tag: str) -> np.ndarray:
-    """The index permutation pi with vec(varphi(X)) = vec(X)[pi].
-
-    Read off by applying varphi's transpose to the matrix of vec indices.
-    Each varphi is an involution, so pi is its own inverse.
-    """
+def _write_choi(out: np.ndarray, u: np.ndarray, shape: BipartiteShape, affine: bool,
+                rows: slice = slice(None)) -> None:
+    """Write rows i of the Choi matrix of X -> U X U*, U[i, p] conj(U[j, q]) at
+    [p, i, q, j], or I / k minus that if affine, into out: an (m, n, w, m, n, d)
+    array [p, i, q, j] of the rows i in u[rows], as _choi_view splits them."""
     m, n, d = shape.m, shape.n, shape.dim
-    index = np.arange(d * d).reshape(d, d, order="F")  # index[i, j] = j*d + i
-    return vec(index.reshape(m, n, m, n).transpose(_VARPHI_AXES[tag]).reshape(d, d))
-
-
-def _canonical_blocks(u: np.ndarray, shape: BipartiteShape, tag: str, affine: bool, width: int):
-    """Yield (c0, block) for c0 = 0, width, 2 width, ...: block is columns
-    c0, c0 + 1, ... (at most width of them) of kron(conj U, U)[:, pi], and of
-    vec(I) vec(I)^T / k minus that if affine, as a C-order (d^2, w) array of
-    its own. Column c is conj U[:, j1] x U[:, j2] with (j1, j2) = divmod(pi[c],
-    d), so one broadcast product, bitwise np.kron's, writes the permuted
-    columns with no second copy."""
-    d = shape.dim
-    j1, j2 = np.divmod(_varphi_perm(shape, tag), d)
-    u_conj = u.conj()
-    diag = np.arange(d) * (d + 1)  # the support of vec(I)
-    for c0 in range(0, d * d, width):
-        cols1, cols2 = j1[c0:c0 + width], j2[c0:c0 + width]
-        block = np.empty((d, d, len(cols1)), dtype=complex)  # C order, as np.kron's
-        np.multiply(u_conj[:, None, cols1], u[None, :, cols2], out=block)
-        block = block.reshape(d * d, -1)
-        if affine:
-            np.negative(block, out=block)
-            in_block = diag[(diag >= c0) & (diag < c0 + width)]
-            block[np.ix_(diag, in_block - c0)] += 1.0 / shape.k
-        yield c0, block
+    np.multiply(u.conj().T.reshape(m, n, d), u[rows].T.reshape(m, n, -1, 1, 1, 1), out=out)
+    if affine:
+        np.negative(out, out=out)
+        diagonal = np.einsum("abiabi->abi", out[..., rows])  # a view: [p, i, p, i]
+        diagonal += 1.0 / shape.k
 
 
 def _canonical_matrix(u: np.ndarray, shape: BipartiteShape, tag: str, affine: bool) -> np.ndarray:
-    """kron(conj U, U)[:, pi], and vec(I) vec(I)^T / k minus that if affine: the
-    one block of :func:`_canonical_blocks` that holds every column."""
-    _, mat = next(_canonical_blocks(u, shape, tag, affine, shape.dim ** 2))
+    """The map matrix of the canonical form (tag, U, affine), written through
+    its Choi view (module docstring)."""
+    mat = np.empty((shape.dim ** 2, shape.dim ** 2), dtype=complex)
+    _write_choi(_choi_view(mat, shape, tag), u, shape, affine)
     return mat
 
 

@@ -202,12 +202,6 @@ def _top_means(w: np.ndarray, k: int, antipodes: bool) -> np.ndarray:
     return top / k
 
 
-def _support_grid(w: np.ndarray, k: int, num_angles: int) -> np.ndarray:
-    """Means of the k largest eigenvalues on the whole grid, from the spectra
-    w of shape (count, half, d) at the solved angles."""
-    return _top_means(w, k, w.shape[1] < num_angles)
-
-
 def _frame_points(m: np.ndarray, frames: np.ndarray, k: int) -> np.ndarray:
     """tr(X* M X)/k for every (d, k) frame X of a (count, d, k) stack."""
     return np.einsum("jis,jis->j", frames.conj(), m @ frames) / k
@@ -253,7 +247,8 @@ def support_values_batch(stack: np.ndarray, k: int, angles: np.ndarray) -> np.nd
         raise ValueError("stack entries must be finite")
     angles = _check_angles(angles)
     _check_int("k", k, 1, stack.shape[1] - 1)
-    return _support_grid(_rotated_eigs(stack, angles), k, len(angles))
+    w = _rotated_eigs(stack, angles)
+    return _top_means(w, k, w.shape[1] < len(angles))
 
 
 def boundary_point(a, k: int, theta: float) -> complex:
@@ -280,8 +275,8 @@ def krange_profile(a, k: int, num_angles: int = DEFAULT_NUM_ANGLES) -> SupportPr
     _check_int("k", k, 1, m.shape[0] - 1)
     angles = _angle_grid(num_angles)
     w, v, flip = _rotated_eigs(m[None], angles, vectors=True)
-    support = _support_grid(w, k, num_angles)[0]
     antipodal = w.shape[1] < num_angles
+    support = _top_means(w, k, antipodal)[0]
     if len(v) < w.shape[1]:
         # One eigenbasis for every angle, so two distinct top-k frames: v's
         # last k columns, and its first k reversed where the frame is
@@ -356,9 +351,9 @@ def k_numerical_radius(a, k: int, num_angles: int = DEFAULT_NUM_ANGLES) -> float
     m = as_matrix(a)
     _check_int("k", k, 1, m.shape[0] - 1)
     angles = _angle_grid(num_angles)
+    antipodal = num_angles % 2 == 0  # _angle_grid's grids have 8 or more angles
     if is_hermitian(m):
-        return float(np.max(_support_grid(_rotated_eigs(m[None], angles), k, num_angles)))
-    antipodal = _is_antipodal_grid(angles)
+        return float(np.max(_top_means(_rotated_eigs(m[None], angles), k, antipodal)))
     half = num_angles // 2 if antipodal else num_angles
     solved = np.zeros(half, dtype=bool)
     solved[::_RADIUS_STRIDE] = True

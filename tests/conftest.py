@@ -8,6 +8,7 @@ from hypothesis import settings
 
 from knrange.classify import _random_constrained_choi
 from knrange.maps import map_from_choi
+from knrange.matcore import _VARPHI_AXES, vec
 
 # Every @given test draws the same examples on every run, and no example
 # database carries failures from one run into the next; each test's own
@@ -34,6 +35,15 @@ def frame_trace(a, frames, k):
     """Oracle for every point of W_k: tr(X* A X)/k for each (d, k) frame X of
     a (count, d, k) stack, as one product A @ X and a two-operand reduction."""
     return np.einsum("jis,jis->j", frames.conj(), a @ frames) / k
+
+
+def varphi_perm(shape, tag):
+    """Oracle: the index permutation pi with vec(varphi(X)) = vec(X)[pi], read
+    off by applying varphi's transpose to the matrix of vec indices. Each
+    varphi is an involution, so pi is its own inverse."""
+    m, n, d = shape.m, shape.n, shape.dim
+    index = np.arange(d * d).reshape(d, d, order="F")  # index[i, j] = j*d + i
+    return vec(index.reshape(m, n, m, n).transpose(_VARPHI_AXES[tag]).reshape(d, d))
 
 
 def random_constrained_map(shape, rng):

@@ -46,7 +46,6 @@ from knrange.maps import (
     VARPHI_TAGS,
     _choi_view,
     _unitarity_defect,
-    _varphi_perm,
     apply_map_batch,
     build_canonical,
     canonical_forms,
@@ -60,7 +59,7 @@ from knrange.checks import _invalid_forms, _valid_forms, counterexample_matrices
 
 from knrange.ranges import MAX_NUM_ANGLES
 
-from conftest import peak_alloc, random_constrained_map, solver_log
+from conftest import peak_alloc, random_constrained_map, solver_log, varphi_perm
 from test_acceptance import SWEEP_SHAPES
 
 
@@ -686,7 +685,7 @@ def map_coordinate_choi(phi, tag, affine):
     input-trace reflection is vec(I) vec(I)^T / k minus the permuted
     matrix."""
     shape = phi.shape
-    psi = phi.matrix[:, _varphi_perm(shape, tag)]
+    psi = phi.matrix[:, varphi_perm(shape, tag)]
     if affine:
         psi = input_reflected(psi, shape)
     return choi_matrix(LinearMapMatrix(shape, psi))
@@ -698,7 +697,7 @@ def plain_choi_index(shape, tag):
     s d + r = pi[q d + p], so Choi(Phi o varphi)[(p, i), (q, j)] =
     C[(r, i), (s, j)], whose flat position is r d^3 + i d^2 + s d + j."""
     d = shape.dim
-    s, r = np.divmod(_varphi_perm(shape, tag).reshape(d, d), d)  # indexed [q, p]
+    s, r = np.divmod(varphi_perm(shape, tag).reshape(d, d), d)  # indexed [q, p]
     rs = (r * d**3 + s * d).T  # indexed [p, q]
     ij = np.arange(d)
     return (rs[:, None, :, None] + (ij * d * d)[None, :, None, None] + ij).reshape(d * d, d * d)
@@ -888,9 +887,9 @@ class TestBlockedPasses:
     @pytest.mark.parametrize("shape", CHOI_SHAPES + [BipartiteShape(3, 4, 6)])
     def test_streamed_residual_is_the_rebuild_residual(self, monkeypatch, shape):
         """Every form, and every candidate's rebuild of it, with noise of
-        1e-9 to 1e-7 on the map, in column blocks of 3 and 7 (ragged at
-        every shape) and at the default budget."""
-        d2 = shape.dim ** 2
+        1e-9 to 1e-7 on the map, in blocks of one row i, of d // 2 + 1 rows
+        (ragged at every shape) and at the default budget (one block)."""
+        d, d2 = shape.dim, shape.dim ** 2
         for i, (tag, affine) in enumerate(canonical_forms(shape)):
             phi, u = canonical(shape, tag, seed=80 + i, affine=affine)
             noise = random_complex(d2, np.random.default_rng(i))
@@ -899,7 +898,8 @@ class TestBlockedPasses:
                 for candidate in VARPHI_TAGS:
                     spec = CanonicalFormSpec(candidate, u, affine, shape)
                     expected = max_abs(noisy.matrix - build_canonical(spec).matrix)
-                    for block_bytes in (16 * d2 * 3, 16 * d2 * 7 + 1, classify._BLOCK_BYTES):
+                    for block_bytes in (16 * d**3, 16 * d**3 * (d // 2 + 1),
+                                        classify._BLOCK_BYTES):
                         monkeypatch.setattr(classify, "_BLOCK_BYTES", block_bytes)
                         got = _rebuild_residual(noisy, u, candidate, affine)
                         assert got == expected, (tag, affine, scale, candidate, block_bytes)

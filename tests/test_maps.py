@@ -28,7 +28,6 @@ from knrange.maps import (
     CanonicalFormSpec,
     LinearMapMatrix,
     VARPHI_TAGS,
-    _varphi_perm,
     affine_reflect,
     apply_map,
     apply_map_batch,
@@ -46,7 +45,7 @@ from knrange.maps import (
     varphi_map,
 )
 
-from conftest import SQRT_9_OVER_2, peak_alloc, shift3, unit_matrix
+from conftest import SQRT_9_OVER_2, peak_alloc, shift3, unit_matrix, varphi_perm
 
 
 def spec_for(shape, tag="id", seed=0, affine=False):
@@ -148,7 +147,7 @@ class TestBuildCanonical:
         """vec(varphi(X)) = vec(X)[pi], and pi is an involution."""
         x = random_complex(shape.dim, np.random.default_rng(shape.dim))
         for tag in VARPHI_TAGS:
-            pi = _varphi_perm(shape, tag)
+            pi = varphi_perm(shape, tag)
             assert pi.dtype == np.intp
             assert np.array_equal(vec(apply_varphi(x, tag, shape)), vec(x)[pi]), tag
             assert np.array_equal(pi[pi], np.arange(shape.dim ** 2)), tag
@@ -157,12 +156,13 @@ class TestBuildCanonical:
                                        BipartiteShape(3, 3, 4), BipartiteShape(2, 4, 4),
                                        BipartiteShape(3, 4, 6), BipartiteShape(4, 4, 8)])
     def test_bitwise_equal_to_kron_then_permute(self, shape):
-        """The broadcast product written in the permuted column order is
-        np.kron(conj U, U)[:, pi] (negated, plus vec(I) vec(I)^T / k, if
-        affine) byte for byte, and C-ordered like it."""
+        """The product written through the Choi view is np.kron(conj U,
+        U)[:, pi], with pi from the test-side oracle (negated, plus
+        vec(I) vec(I)^T / k, if affine), byte for byte, and C-ordered like
+        it."""
         for i, (tag, affine) in enumerate(all_buildable_forms(shape)):
             spec = spec_for(shape, tag, seed=i, affine=affine)
-            ref = np.kron(spec.unitary.conj(), spec.unitary)[:, _varphi_perm(shape, tag)]
+            ref = np.kron(spec.unitary.conj(), spec.unitary)[:, varphi_perm(shape, tag)]
             if affine:
                 ref = -ref
                 diag = np.arange(shape.dim) * (shape.dim + 1)

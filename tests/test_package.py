@@ -1,3 +1,4 @@
+import ast
 import functools
 import importlib.util
 import os
@@ -9,7 +10,11 @@ import knrange
 import knrange.cli  # bench/ reads knrange.cli.main
 from knrange import checks, classify
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
+# Names imported with no use in their module: the future import, and
+# apply_varphi, which maps re-exports as a varphi of the canonical forms.
+UNUSED_IMPORTS_ALLOWED = {"annotations", "maps.apply_varphi"}
 
 
 def test_every_export_resolves():
@@ -29,23 +34,18 @@ def test_counterexample_matrices_has_one_definition():
 
 
 def test_traced_benchmark_installs():
-    """bench/tracing.py wraps knrange functions by name, and bench/workloads.py
-    reads a few more: a rename in src must fail here, not in the benchmark.
-    Run in a child process, since install() rebinds the package's functions."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    """bench/tracing.py's install() wraps the traced knrange functions in
+    place: it must run against the package as it is (the names it and the
+    workloads reach are checked by test_benchmark_names_resolve). Run in a
+    child process, since install() rebinds the package's functions."""
     script = (
         "import sys\n"
         "sys.path[:0] = sys.argv[1:]\n"
         "import tracing\n"
         "tracing.Tracer().install()\n"
-        "from knrange import checks, maps, matcore\n"
-        "for module, name in [(checks, '_valid_forms'), (maps, 'VARPHI_TAGS'),\n"
-        "                     (maps, 'map_to_payload'), (maps, 'descriptor_to_payload'),\n"
-        "                     (matcore, 'save_matrix')]:\n"
-        "    getattr(module, name)\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", script, os.path.join(root, "src"), os.path.join(root, "bench")],
+        [sys.executable, "-c", script, os.path.join(ROOT, "src"), BENCH],
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
@@ -75,3 +75,27 @@ def test_benchmark_names_resolve():
         except AttributeError:
             missing.append(name)
     assert not missing, missing
+
+
+def test_src_imports_are_used():
+    """Every name that a module of src/knrange imports with `from ... import`
+    is read in that module, but for UNUSED_IMPORTS_ALLOWED. __init__ only
+    re-exports, so it is not scanned."""
+    src = os.path.join(ROOT, "src", "knrange")
+    imported, unused = 0, []
+    for filename in sorted(os.listdir(src)):
+        if not filename.endswith(".py") or filename == "__init__.py":
+            continue
+        with open(os.path.join(src, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name
+                imported += 1
+                if name not in used and not {name, f"{filename[:-3]}.{name}"} & UNUSED_IMPORTS_ALLOWED:
+                    unused.append(f"{filename}: {name}")
+    assert imported, src  # the scan still sees the modules' imports
+    assert not unused, unused
