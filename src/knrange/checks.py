@@ -26,6 +26,7 @@ from .classify import counterexample_matrices
 from .matcore import (
     HERMITICITY_RTOL,
     BipartiteShape,
+    UsageError,
     _check_hermitian,
     _check_int,
     _check_tol,
@@ -159,7 +160,7 @@ def check_orthogonality_criterion(a, b, k: int, tol: float = DEFAULT_RTOL) -> Im
     for name, mat in (("A", ma), ("B", mb)):
         _check_hermitian(name, mat)
         if float(np.linalg.eigvalsh(mat)[0]) < -tol:
-            raise ValueError(f"{name} must be positive semidefinite")
+            raise UsageError(f"{name} must be positive semidefinite")
     hi = krange_hermitian(ma - mb, k).hi
     if abs(float(np.trace(ma).real) / k - hi) > tol:
         return ImplicationCheck(hypothesis_holds=False, conclusion_holds=None)
@@ -315,7 +316,7 @@ def preserver_suite(
                 )
             )
             rejected = False
-        except ValueError:
+        except UsageError:
             rejected = True
         reflected = krange_hermitian(affine_reflect(np.eye(shape.dim), shape.k), shape.k)
         moved = abs(reflected.hi - 1.0) > GAP_THRESHOLD

@@ -31,6 +31,12 @@ A kept map is verified on its witness trial alone, and on all
 FALSIFY_TRIALS only if that passes; a result's defect is the grid defect of
 the report that decides, the witness trial's or all FALSIFY_TRIALS' largest
 (:func:`falsify_random`).
+
+Trial 0 of every verify is the witness pair, fixed by (m, n), so the
+spectra of its A x B at an angle set are too: a bounded memo, filled on
+first use, holds them per (m, n, angle set), read-only
+(:func:`_witness_spectra`). A verify solves only trials 1.. of A x B, and
+every image; a falsify op whose memo is warm solves the map's side alone.
 """
 
 from __future__ import annotations
@@ -65,6 +71,8 @@ from .ranges import (
     DEFAULT_NUM_ANGLES,
     DEFAULT_RTOL,
     _angle_grid,
+    _top_means,
+    _uniform_grid,
     support_values_batch,
 )
 from . import ranges  # the kernel is looked up at each call, as in support_values_batch
@@ -86,6 +94,10 @@ _SPECTRAL_SLACK = 64
 # a map up to d = 13. A block holds at least one row, which for the residual
 # is d^3 entries of the Choi view: more than this from d = 33, 4 MiB at d = 64.
 _BLOCK_BYTES = 2**19
+# The witness memo (see _witness_spectra) keeps the spectra of at most this
+# many (m, n, angle set) keys, each of at most this many bytes: 1 MiB in all.
+_WITNESS_MEMO_ENTRIES = 16
+_WITNESS_ENTRY_BYTES = 2**16
 _EPS = float(np.finfo(float).eps)
 
 
@@ -185,13 +197,47 @@ def _trial_pairs(
     return a, b, xs
 
 
+def _solve_witness(m: int, n: int, num_angles: int) -> np.ndarray:
+    """Ascending spectra of Herm(e^{-i theta} X), X the witness product A x B
+    of an (m, n) shape, at the angles ranges._rotated_eigs solves of the
+    uniform grid 2*pi*j / num_angles: a read-only (1, solved, mn) array,
+    bitwise trial 0's row of the kernel on any trial stack (X's entries are
+    0, 1 and 3, so np.kron and _trial_pairs' broadcast give the same bits)."""
+    a, b = _witness_pair(BipartiteShape(m, n, 1))  # the pair does not depend on k
+    w = ranges._rotated_eigs(np.kron(a, b)[None], _uniform_grid(num_angles))
+    w.flags.writeable = False
+    return w
+
+
+_witness_memo = functools.lru_cache(maxsize=_WITNESS_MEMO_ENTRIES)(_solve_witness)
+
+
+def _witness_spectra(shape: BipartiteShape, num_angles: int) -> np.ndarray:
+    """:func:`_solve_witness` for this shape, memoized per (m, n, num_angles)
+    when the spectra take at most _WITNESS_ENTRY_BYTES (num_angles rows of mn
+    floats bound them), and solved afresh, not stored, otherwise. The witness
+    pair is fixed by (m, n), so every verify at a shape and angle set reads
+    the same spectra; the memo fills on first use."""
+    kept = num_angles * shape.dim * 8 <= _WITNESS_ENTRY_BYTES
+    return (_witness_memo if kept else _solve_witness)(shape.m, shape.n, num_angles)
+
+
 def _spectral_defects(xs: np.ndarray, ys: np.ndarray, shape: BipartiteShape,
-                      angles: np.ndarray) -> np.ndarray:
-    """Per trial, max |w_x - w_y| / (1 + max |w_x|, |w_y|) over `angles`, w
-    the ascending spectra of Herm(e^{-i theta} X) and of its image; at
-    mn = 2k, the smaller of that and the same for the reflected branch,
-    Re(e^{-i theta} tr X) / k - w_x reversed in place of w_x."""
-    wx, wy = ranges._rotated_eigs(xs, angles), ranges._rotated_eigs(ys, angles)
+                      num_angles: int) -> np.ndarray:
+    """Per trial, max |w_x - w_y| / (1 + max |w_x|, |w_y|) over the angles
+    that ranges._rotated_eigs solves of the uniform grid of num_angles
+    (theta = 0 alone for 1; pi j / (d + 1), j = 0..d, for 2 (d + 1)), w the
+    ascending spectra of Herm(e^{-i theta} X) and of its image; at mn = 2k,
+    the smaller of that and the same for the reflected branch,
+    Re(e^{-i theta} tr X) / k - w_x reversed in place of w_x. xs is a trial
+    stack (:func:`_trial_pairs`), so trial 0's w_x is the witness product's,
+    which :func:`_witness_spectra` gives and which is not solved here."""
+    angles = _uniform_grid(num_angles)
+    wx = _witness_spectra(shape, num_angles)
+    if len(xs) > 1:
+        wx = np.concatenate([wx, ranges._rotated_eigs(xs[1:], angles)])
+    wy = ranges._rotated_eigs(ys, angles)
+    angles = angles[:wx.shape[1]]  # the solved angles
     scale = 1.0 + np.maximum(np.abs(wx).max(axis=(1, 2)), np.abs(wy).max(axis=(1, 2)))
     gap = np.abs(wx - wy).max(axis=(1, 2))
     if shape.is_half:
@@ -217,9 +263,11 @@ def verify_preserver(
     in theta, so d + 1 angles distinct mod pi fix the spectrum at every angle
     (Kippenhahn), and a canonical preserver keeps it (or at mn = 2k reflects
     it: Re(e^{-i theta} tr X) / k minus it, reversed). The witness trial is
-    checked at theta = 0 (one solve per side; nearly every non-preserver
-    fails there), then every trial at pi j / (d + 1), j = 0..d
-    (:func:`_spectral_defects`). If each defect is at most the rounding cap
+    checked at theta = 0 (one solve per side, the image's alone once the
+    witness memo holds the angle; nearly every non-preserver fails there),
+    then every trial at the nodes pi j / (d + 1), j = 0..d, the solved half
+    of the uniform grid of 2 (d + 1) angles (:func:`_spectral_defects`). If
+    each defect is at most the rounding cap
     min(tol, _SPECTRAL_SLACK d eps), since agreement within tol proves
     nothing between the nodes, the report is a pass decided_by "spectra"
     with no witnesses, and num_angles is only echoed. Its max_support_defect
@@ -231,6 +279,10 @@ def verify_preserver(
     the angle grid of the support-function discrepancy, relative to 1 + the
     larger support magnitude. The two sides are solved one after the other,
     each one matrix at a time (see :mod:`knrange.ranges`).
+
+    At theta = 0, at the nodes and on the grid, trial 0's A x B side is read
+    from the witness memo (:func:`_witness_spectra`), bitwise the spectra
+    the kernel would solve for it; only trials 1.. of A x B are solved.
 
     trials is at most MAX_TRIALS, 200 times DEFAULT_TRIALS. Every trial is
     held at once: at mn = 16 and 360 angles one costs about 17 KB (its A x B
@@ -246,13 +298,16 @@ def verify_preserver(
     a, b, xs = _trial_pairs(shape, trials, seed)
     ys = apply_map_batch(phi, xs)
     cap = min(tol, _SPECTRAL_SLACK * shape.dim * _EPS)
-    nodes = np.pi * np.arange(shape.dim + 1) / (shape.dim + 1)
-    if _spectral_defects(xs[:1], ys[:1], shape, nodes[:1])[0] <= cap:
+    nodes = 2 * (shape.dim + 1)  # the solved half of this grid is pi j / (d + 1)
+    if _spectral_defects(xs[:1], ys[:1], shape, 1)[0] <= cap:
         spectral = float(_spectral_defects(xs, ys, shape, nodes).max())
         if spectral <= cap:
             return VerificationReport(trials, spectral, [], "pass", tol, num_angles,
                                       decided_by="spectra")
-    hx = support_values_batch(xs, shape.k, angles)
+    witness = _witness_spectra(shape, num_angles)
+    hx = _top_means(witness, shape.k, witness.shape[1] < num_angles)
+    if trials > 1:
+        hx = np.concatenate([hx, support_values_batch(xs[1:], shape.k, angles)])
     hy = support_values_batch(ys, shape.k, angles)
 
     gaps = np.abs(hx - hy)
@@ -646,7 +701,11 @@ def falsify_random(
     draw fails there by an O(1) margin. Only a witness pass runs the
     FALSIFY_TRIALS verify, with the same seed. The report that decides gives
     the verdict and the defect: the witness trial's grid defect, or the
-    largest of all FALSIFY_TRIALS' when the witness passes.
+    largest of all FALSIFY_TRIALS' when the witness passes. The witness
+    pair's spectra at theta = 0 and on the FALSIFY_NUM_ANGLES grid come from
+    the witness memo after the first op at a shape, so a later draw solves
+    its image alone: at (4,4,8), 61 matrices of order 16 (1 + 60 grid
+    angles), where the first op solves 122.
 
     A pass is a reportable finding, not an assertion failure; the result
     records whether the passing map secretly classified as canonical or

@@ -9,14 +9,17 @@ Subcommands:
   suite    run the full check battery for a shape and write artifacts
 
 Exit codes: 0 success/pass, 1 valid run with a failing verdict, 2 usage or
-parse error, 3 the run could not complete (a LAPACK routine did not converge,
+parse error (an argparse error, an OSError, or matcore.UsageError: a flag
+value, or an input file that is not UTF-8 JSON or not a valid payload), 3
+the run could not complete (a LAPACK routine did not converge,
 np.linalg.LinAlgError; an allocation failed, MemoryError; or any other
-exception, an internal error named by its type); 2 and 3 print one "error:"
-line. Flag values are checked by the library calls they feed, which raise
-ValueError before any output is written; the counts --angles and --trials
-are bounded there too (ranges.MAX_NUM_ANGLES, classify.MAX_TRIALS). Flag
-defaults are the library's own. All randomness is seeded; the default seed
-is DEFAULT_SEED so repeated runs with the same flags are reproducible.
+exception, ValueError included, an internal error named by its type); 2 and
+3 print one "error:" line. Flag values are checked by the library calls they
+feed, which raise UsageError before any output is written; the counts
+--angles and --trials are bounded there too (ranges.MAX_NUM_ANGLES,
+classify.MAX_TRIALS). Flag defaults are the library's own. All randomness
+is seeded; the default seed is DEFAULT_SEED so repeated runs with the same
+flags are reproducible.
 """
 
 from __future__ import annotations
@@ -30,7 +33,14 @@ import sys
 import numpy as np
 
 from . import checks, classify
-from .matcore import BipartiteShape, _load_json, is_hermitian, load_matrix, save_matrix
+from .matcore import (
+    BipartiteShape,
+    UsageError,
+    _load_json,
+    is_hermitian,
+    load_matrix,
+    save_matrix,
+)
 from .maps import (
     DESCRIPTOR_KEYS,
     MAP_KEYS,
@@ -81,16 +91,16 @@ def _cmd_range(args) -> int:
 def _load_map_input(args):
     payload = _load_json(args.input)
     if not isinstance(payload, dict):
-        raise ValueError(f"{args.input}: expected a JSON object")
+        raise UsageError(f"{args.input}: expected a JSON object")
     if "varphi" in payload:
         missing = [f"--{flag}" for flag in ("m", "n", "k") if getattr(args, flag) is None]
         if missing:
-            raise ValueError(f"{args.input}: a canonical descriptor needs --m, --n and --k; "
+            raise UsageError(f"{args.input}: a canonical descriptor needs --m, --n and --k; "
                              f"missing {', '.join(missing)}")
         shape = BipartiteShape(m=args.m, n=args.n, k=args.k)
         return build_canonical(descriptor_from_payload(payload, shape))
     if not payload.keys() & {"m", "n", "k"}:  # a matrix file, say, has none of them
-        raise ValueError(
+        raise UsageError(
             f"{args.input}: verify expects a map file (keys {', '.join(MAP_KEYS)}) or a "
             f"canonical descriptor file (keys {', '.join(DESCRIPTOR_KEYS)}), got keys "
             f"{reprlib.repr(list(payload))}"
@@ -98,7 +108,7 @@ def _load_map_input(args):
     phi = map_from_payload(payload)
     for flag, declared in (("m", args.m), ("n", args.n), ("k", args.k)):
         if declared is not None and declared != getattr(phi.shape, flag):
-            raise ValueError(
+            raise UsageError(
                 f"--{flag}={declared} conflicts with the map file's "
                 f"{flag}={getattr(phi.shape, flag)}"
             )
@@ -186,13 +196,13 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except np.linalg.LinAlgError as exc:  # a ValueError, but no fault of the input
+    except np.linalg.LinAlgError as exc:  # a solve that did not converge
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # no verdict was reached, so not exit 1

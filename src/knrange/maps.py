@@ -17,9 +17,10 @@ whose Choi matrix sum_{p,q} E_pq x U E_pq U* is vec(U) vec(U)* (Choi, 1975):
 U[i, p] conj(U[j, q]) at [(p, i), (q, j)]. varphi keeps traces and the Choi
 matrix of X |-> (tr X) I is I, so for the affine form it is I / k minus
 that. The Choi matrix of Phi o varphi is one axis-transposed view of the map
-matrix of Phi (:func:`_choi_view`), so a canonical form is built by writing
-those entries through the view into the map matrix's own memory
-(:func:`_canonical_matrix`).
+matrix of Phi (:func:`_choi_view`), so a canonical form is built through
+that view: its two factors U[i, p] and conj(U[j, q]) are written through it,
+each into an array of d^3 entries, and their product is written into the
+map matrix's own memory in order (:func:`_canonical_matrix`).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 
 from .matcore import (
     BipartiteShape,
+    UsageError,
     _VARPHI_AXES,
     _check_int,
     _payload_fields,
@@ -78,13 +80,13 @@ class CanonicalFormSpec:
 
     def __post_init__(self):
         if self.varphi not in VARPHI_TAGS:
-            raise ValueError(f"varphi must be one of {VARPHI_TAGS}, got {self.varphi!r}")
+            raise UsageError(f"varphi must be one of {VARPHI_TAGS}, got {self.varphi!r}")
         u = as_matrix(self.unitary, self.shape.dim, "unitary")
         defect = _unitarity_defect(u)
         if defect > UNITARITY_TOL:
-            raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+            raise UsageError(f"matrix is not unitary (defect {defect:.3e})")
         if self.affine and not self.shape.is_half:
-            raise ValueError(
+            raise UsageError(
                 f"affine form requires mn = 2k, got mn={self.shape.dim}, k={self.shape.k}"
             )
 
@@ -117,15 +119,36 @@ def _write_choi(out: np.ndarray, u: np.ndarray, shape: BipartiteShape, affine: b
     np.multiply(u.conj().T.reshape(m, n, d), u[rows].T.reshape(m, n, -1, 1, 1, 1), out=out)
     if affine:
         np.negative(out, out=out)
-        diagonal = np.einsum("abiabi->abi", out[..., rows])  # a view: [p, i, p, i]
-        diagonal += 1.0 / shape.k
+        _add_identity(out, shape, rows)
+
+
+def _add_identity(choi: np.ndarray, shape: BipartiteShape, rows: slice) -> None:
+    """Add I / k, 1 / k at [p, i, p, i], to the rows i of a Choi array
+    [p, i, q, j] (see _write_choi), in place."""
+    diagonal = np.einsum("abiabi->abi", choi[..., rows])  # a view: [p, i, p, i]
+    diagonal += 1.0 / shape.k
 
 
 def _canonical_matrix(u: np.ndarray, shape: BipartiteShape, tag: str, affine: bool) -> np.ndarray:
-    """The map matrix of the canonical form (tag, U, affine), written through
-    its Choi view (module docstring)."""
-    mat = np.empty((shape.dim ** 2, shape.dim ** 2), dtype=complex)
-    _write_choi(_choi_view(mat, shape, tag), u, shape, affine)
+    """The map matrix of the canonical form (tag, U, affine): its Choi view
+    (module docstring) holds U[i, p] conj(U[j, q]) at [p, i, q, j].
+
+    The view is strided, and for the partial transposes its innermost axis
+    has only n or m entries, so the d^4 products are not written through it.
+    Each factor is written through the same view of a d x d^2 array whose
+    row index is j alone or i alone (the view's other row axis has length
+    one), d^3 entries; the two then multiply, conj(U[j, q]) times U[i, p] as
+    in _write_choi, into the map matrix's own memory in order."""
+    m, n, d = shape.m, shape.n, shape.dim
+    right = np.empty((d, d * d), dtype=complex)  # conj(U[j, q]) in row j
+    left = np.empty((d, d * d), dtype=complex)  # U[i, p] in row i
+    np.copyto(_choi_view(right, shape, tag, (d, 1)), u.conj().T.reshape(m, n, d))
+    np.copyto(_choi_view(left, shape, tag, (1, d)), u.T.reshape(m, n, d, 1, 1, 1))
+    mat = np.empty((d * d, d * d), dtype=complex)
+    np.multiply(right[:, None], left[None], out=mat.reshape(d, d, d * d))
+    if affine:
+        np.negative(mat, out=mat)
+        _add_identity(_choi_view(mat, shape, tag), shape, slice(None))
     return mat
 
 
@@ -173,15 +196,19 @@ def apply_map_batch(phi: LinearMapMatrix, stack: np.ndarray) -> np.ndarray:
 
 def compose(outer: LinearMapMatrix, inner: LinearMapMatrix) -> LinearMapMatrix:
     if outer.shape != inner.shape:
-        raise ValueError("cannot compose maps with different shapes")
+        raise UsageError("cannot compose maps with different shapes")
     return LinearMapMatrix(shape=outer.shape, matrix=outer.matrix @ inner.matrix)
 
 
-def _choi_view(mat: np.ndarray, shape: BipartiteShape, tag: str) -> np.ndarray:
+def _choi_view(mat: np.ndarray, shape: BipartiteShape, tag: str,
+               rows: tuple[int, int] | None = None) -> np.ndarray:
     """Choi matrix of Phi o varphi, sum_{p,q} E_pq x Phi(varphi(E_pq)), as a
     (m, n, d, m, n, d) view [p, i, q, j] of the map matrix mat of Phi, p and
     q split into their factor indices. It only splits and permutes axes, so
-    no entry is copied, whatever mat's memory order.
+    no entry is copied, whatever mat's memory order. mat's row index j*d+i
+    is split into the sizes `rows` of (j, i), (d, d) by default; an array
+    whose rows are indexed by j alone, or by i alone, is split (d, 1) or
+    (1, d).
 
     With row index j*d+i and column index q*d+p, M[(j,i),(q,p)] = Phi(E_pq)[i,j]
     while the Choi entry C[(p,i),(q,j)] equals the same value: for varphi =
@@ -193,7 +220,7 @@ def _choi_view(mat: np.ndarray, shape: BipartiteShape, tag: str) -> np.ndarray:
     """
     m, n, d = shape.m, shape.n, shape.dim
     a, b, c, e = ((4, 5, 2, 3)[axis] for axis in _VARPHI_AXES[tag])
-    return mat.reshape(d, d, m, n, m, n).transpose(a, b, 1, c, e, 0)
+    return mat.reshape(*(rows or (d, d)), m, n, m, n).transpose(a, b, 1, c, e, 0)
 
 
 def _choi_matrix(mat: np.ndarray, shape: BipartiteShape) -> np.ndarray:
@@ -223,7 +250,7 @@ def map_from_choi(choi: np.ndarray, shape: BipartiteShape) -> LinearMapMatrix:
 # Map file:       {"m", "n", "k", "dim": (mn)^2, "entries": [[re, im], ...]}
 # Descriptor:     {"varphi": "id|t|pt_right|pt_left", "affine": bool,
 #                  "unitary": <matrix payload> or "identity"}
-# A malformed payload raises ValueError naming what is wrong (see
+# A malformed payload raises UsageError naming what is wrong (see
 # matcore.matrix_from_payload).
 # ---------------------------------------------------------------------------
 
@@ -246,7 +273,7 @@ def map_from_payload(payload: dict) -> LinearMapMatrix:
     m, n, k, dim, entries = _payload_fields(payload, "map payload", MAP_KEYS)
     shape = BipartiteShape(m=m, n=n, k=k)
     if dim != shape.dim ** 2:
-        raise ValueError(
+        raise UsageError(
             f"declared dim {reprlib.repr(dim)} does not equal (mn)^2 = {shape.dim ** 2}")
     matrix = matrix_from_payload({"dim": dim, "entries": entries})
     return LinearMapMatrix(shape=shape, matrix=matrix)
@@ -263,12 +290,12 @@ def descriptor_to_payload(spec: CanonicalFormSpec) -> dict:
 def descriptor_from_payload(payload: dict, shape: BipartiteShape) -> CanonicalFormSpec:
     varphi, affine, raw = _payload_fields(payload, "canonical descriptor", DESCRIPTOR_KEYS)
     if not isinstance(affine, bool):
-        raise ValueError(f"descriptor 'affine' must be a JSON bool, got {reprlib.repr(affine)}")
+        raise UsageError(f"descriptor 'affine' must be a JSON bool, got {reprlib.repr(affine)}")
     if raw == "identity":
         unitary = np.eye(shape.dim, dtype=complex)
     elif isinstance(raw, dict):
         unitary = matrix_from_payload(raw)
     else:
-        raise ValueError(f"descriptor 'unitary' must be \"identity\" or a matrix payload, "
+        raise UsageError(f"descriptor 'unitary' must be \"identity\" or a matrix payload, "
                          f"got {reprlib.repr(raw)}")
     return CanonicalFormSpec(varphi=varphi, unitary=unitary, affine=affine, shape=shape)

@@ -32,6 +32,13 @@ MAX_ENTRY = 1e150
 # The scale of each part of a standard complex Gaussian (see :func:`_ginibre`).
 _GINIBRE_SCALE = 1 / np.sqrt(2.0)
 
+
+class UsageError(ValueError):
+    """An argument or input that the caller must fix. Every argument check
+    and payload reader of the package raises it, and the CLI exits 2 for it
+    alone among ValueErrors: any other one is a fault of the program."""
+
+
 # The four varphi of :mod:`knrange.maps`, each as the transpose of the
 # (m, n, m, n) view [a, b, c, e] of X, X[(a, b), (c, e)], that gives varphi(X).
 # Each is an involution.
@@ -47,7 +54,7 @@ def apply_varphi(x, tag: str, shape: BipartiteShape) -> np.ndarray:
     """Apply one of the four varphi involutions to a single matrix: the
     transpose in _VARPHI_AXES of its (m, n, m, n) view, copied."""
     if tag not in _VARPHI_AXES:
-        raise ValueError(f"unknown varphi tag {tag!r}")
+        raise UsageError(f"unknown varphi tag {tag!r}")
     m = as_matrix(x, shape.dim, "X")
     view = m.reshape(shape.m, shape.n, shape.m, shape.n).transpose(_VARPHI_AXES[tag])
     return view.copy().reshape(shape.dim, shape.dim)
@@ -58,17 +65,17 @@ def _check_int(name: str, value, minimum: int, maximum: int | None = None) -> No
     values outside minimum..maximum (inclusive; no upper bound if None),
     naming the bound that is crossed."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
+        raise UsageError(f"{name} must be an integer, got {reprlib.repr(value)}")
     if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        raise UsageError(f"{name} must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
-        raise ValueError(f"{name} must be <= {maximum}, got {value}")
+        raise UsageError(f"{name} must be <= {maximum}, got {value}")
 
 
 def _check_tol(tol) -> None:
     """Reject a tol that is not a finite real number > 0: nan, bool and None too."""
     if isinstance(tol, bool) or not isinstance(tol, Real) or not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+        raise UsageError(f"tol must be finite and > 0, got {tol!r}")
 
 
 def as_matrix(a, dim: int | None = None, name: str = "matrix") -> np.ndarray:
@@ -79,13 +86,13 @@ def as_matrix(a, dim: int | None = None, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or dim not in (None, m.shape[0]):
         size = "square" if dim is None else f"{dim} x {dim}"
-        raise ValueError(f"{name} must be {size}, got shape {m.shape}")
+        raise UsageError(f"{name} must be {size}, got shape {m.shape}")
     parts = np.ascontiguousarray(m).view(np.float64)
     hi, lo = float(parts.max(initial=0.0)), float(parts.min(initial=0.0))
     if not (-MAX_ENTRY <= lo and hi <= MAX_ENTRY):
         if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError(f"{name} entries must be finite")
-        raise ValueError(f"{name} entries must have |Re| and |Im| at most {MAX_ENTRY:g}, "
+            raise UsageError(f"{name} entries must be finite")
+        raise UsageError(f"{name} entries must have |Re| and |Im| at most {MAX_ENTRY:g}, "
                          f"got {max(hi, -lo):g}")
     return m
 
@@ -116,7 +123,7 @@ def _check_hermitian(name: str, m: np.ndarray) -> None:
     """Reject a matrix that :func:`is_hermitian` does not accept, naming its
     defect max|m - m*|."""
     if not is_hermitian(m):
-        raise ValueError(f"{name} must be Hermitian, got defect {hermiticity_defect(m):.3e}")
+        raise UsageError(f"{name} must be Hermitian, got defect {hermiticity_defect(m):.3e}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +183,7 @@ def partial_transpose(x, shape: BipartiteShape, side: str) -> np.ndarray:
       side="left"  swaps block (i,j) with block (j,i) (A x B -> A^t x B).
     """
     if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        raise UsageError(f"side must be 'left' or 'right', got {side!r}")
     return apply_varphi(x, f"pt_{side}", shape)
 
 
@@ -236,7 +243,7 @@ def unvec(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v).ravel()
     dim = int(round(np.sqrt(v.size)))
     if dim * dim != v.size:
-        raise ValueError(f"vector of length {v.size} is not a square matrix")
+        raise UsageError(f"vector of length {v.size} is not a square matrix")
     return v.reshape(dim, dim, order="F").copy()
 
 
@@ -253,10 +260,10 @@ def _payload_fields(payload, what: str, keys: tuple[str, ...]) -> list:
     holds them all; the error names every missing key and the keys `what`
     needs. Other keys are ignored."""
     if not isinstance(payload, dict):
-        raise ValueError(f"{what} must be a JSON object, got {reprlib.repr(payload)}")
+        raise UsageError(f"{what} must be a JSON object, got {reprlib.repr(payload)}")
     missing = [key for key in keys if key not in payload]
     if missing:
-        raise ValueError(f"{what} is missing {', '.join(map(repr, missing))}; "
+        raise UsageError(f"{what} is missing {', '.join(map(repr, missing))}; "
                          f"it needs {', '.join(map(repr, keys))}")
     return [payload[key] for key in keys]
 
@@ -284,15 +291,15 @@ def matrix_to_payload(a) -> dict:
 
 
 def matrix_from_payload(payload: dict) -> np.ndarray:
-    """The matrix of a matrix payload. A malformed one raises ValueError
+    """The matrix of a matrix payload. A malformed one raises UsageError
     that names what is wrong: a missing key, the dim, the entry count, or the
     index of the first entry that is not a [re, im] pair of numbers."""
     d, entries = _payload_fields(payload, "matrix payload", MATRIX_KEYS)
     _check_int("dim", d, 1)
     if not isinstance(entries, list):
-        raise ValueError(f"entries must be a list of [re, im] pairs, got {reprlib.repr(entries)}")
+        raise UsageError(f"entries must be a list of [re, im] pairs, got {reprlib.repr(entries)}")
     if len(entries) != d * d:
-        raise ValueError(f"expected {d * d} entries, got {len(entries)}")
+        raise UsageError(f"expected {d * d} entries, got {len(entries)}")
     try:
         flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
         # complex() rejects strings, null and lists, but reads true/false as 1/0
@@ -300,7 +307,7 @@ def matrix_from_payload(payload: dict) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):
         numbers = False
     if not numbers:
-        raise ValueError(_bad_entry(entries))
+        raise UsageError(_bad_entry(entries))
     return as_matrix(flat.reshape(d, d))
 
 
@@ -310,14 +317,16 @@ def save_matrix(a, path) -> None:
 
 
 def _load_json(path):
-    """The JSON value in the file at path. A file that is not JSON, or that
-    nests arrays and objects deeper than the parser can recurse, raises
-    ValueError."""
+    """The JSON value in the file at path. A file that is not UTF-8, not
+    JSON, or that nests arrays and objects deeper than the parser can
+    recurse, raises UsageError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
-            raise ValueError(f"{path}: JSON is nested too deeply to parse") from None
+            raise UsageError(f"{path}: JSON is nested too deeply to parse") from None
+        except ValueError as exc:  # UnicodeDecodeError, json.JSONDecodeError
+            raise UsageError(str(exc)) from None
 
 
 def load_matrix(path) -> np.ndarray:

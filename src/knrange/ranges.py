@@ -54,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
+    UsageError,
     _check_hermitian,
     _check_int,
     _check_tol,
@@ -105,11 +106,11 @@ def _check_angles(angles) -> np.ndarray:
     MAX_NUM_ANGLES values (the bound of the uniform grid, see _angle_grid)."""
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 1 or angles.size == 0:
-        raise ValueError(f"angles must be a non-empty 1-D array, got shape {angles.shape}")
+        raise UsageError(f"angles must be a non-empty 1-D array, got shape {angles.shape}")
     if angles.size > MAX_NUM_ANGLES:
-        raise ValueError(f"angles must hold <= {MAX_NUM_ANGLES} values, got {angles.size}")
+        raise UsageError(f"angles must hold <= {MAX_NUM_ANGLES} values, got {angles.size}")
     if not np.all(np.isfinite(angles)):
-        raise ValueError("angles must be finite")
+        raise UsageError("angles must be finite")
     return angles
 
 
@@ -242,9 +243,9 @@ def support_values_batch(stack: np.ndarray, k: int, angles: np.ndarray) -> np.nd
     """
     stack = np.asarray(stack, dtype=complex)
     if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[1] != stack.shape[2]:
-        raise ValueError(f"expected a (count, d, d) stack, count >= 1, got shape {stack.shape}")
+        raise UsageError(f"expected a (count, d, d) stack, count >= 1, got shape {stack.shape}")
     if not np.all(np.isfinite(stack)):
-        raise ValueError("stack entries must be finite")
+        raise UsageError("stack entries must be finite")
     angles = _check_angles(angles)
     _check_int("k", k, 1, stack.shape[1] - 1)
     w = _rotated_eigs(stack, angles)
@@ -299,7 +300,7 @@ def ranges_equal(p1: SupportProfile, p2: SupportProfile, tol: float = DEFAULT_RT
     """
     _check_tol(tol)
     if p1.k != p2.k or p1.num_angles != p2.num_angles:
-        raise ValueError(
+        raise UsageError(
             f"profiles on different grids: k={p1.k}/{p2.k}, "
             f"num_angles={p1.num_angles}/{p2.num_angles}"
         )

@@ -3,7 +3,8 @@ Hermitian arguments the same way (matcore._check_int, matcore._check_tol,
 matcore.as_matrix and matcore._check_hermitian): a bool, a float or a numpy
 integer is no integer, a tolerance must be a finite real number > 0, a matrix
 of the wrong size is named with the size it must have, and a non-Hermitian
-one with its defect."""
+one with its defect. Each raises matcore.UsageError, the ValueError that the
+CLI reports as a usage error."""
 
 import re
 
@@ -122,5 +123,5 @@ def test_rejects_with_value_error(call, valid, bad, message):
     the value would be out of range too. A matrix's message names the
     argument and the size it must have, or its Hermiticity defect."""
     call(valid)  # the rejection below is of `bad` alone
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(matcore.UsageError, match=message):
         call(bad)

@@ -55,7 +55,13 @@ from knrange.maps import (
     reflect_map,
     varphi_map,
 )
-from knrange.checks import _invalid_forms, _valid_forms, counterexample_matrices
+from knrange.checks import (
+    _invalid_forms,
+    _valid_forms,
+    counterexample_matrices,
+    preserver_suite,
+    suite_json,
+)
 
 from knrange.ranges import MAX_NUM_ANGLES
 
@@ -251,7 +257,7 @@ class TestSpectralCertificate:
 
     @pytest.mark.parametrize("shape", HALF_SHAPES, ids=shape_id)
     def test_affine_forms_match_on_the_reflected_branch_alone(self, shape):
-        nodes = np.pi * np.arange(shape.dim + 1) / (shape.dim + 1)
+        nodes = 2 * (shape.dim + 1)  # the grid whose solved half is pi j / (d + 1)
         plain_only = BipartiteShape(shape.m, shape.n, 1)  # mn != 2k: no reflected branch
         cap = classify._SPECTRAL_SLACK * shape.dim * EPS
         for i, (tag, affine) in enumerate(_valid_forms(shape)):
@@ -285,18 +291,24 @@ class TestSpectralCertificate:
                                        BipartiteShape(3, 3, 4)], ids=shape_id)
     def test_falsifier_draws_pay_two_solves(self, shape):
         """The witness trial at theta = 0 rejects a random draw: one
-        Hermitian-part solve per side beyond the grid's."""
+        Hermitian-part solve per side beyond the grid's, with the witness
+        memo cold. With it warm the witness side is read from the memo, at
+        theta = 0 as on the grid, so the check costs one solve, the image's."""
         rng = np.random.default_rng(shape.dim)
         for _ in range(5):
             phi = random_constrained_map(shape, rng)
             kwargs = dict(trials=classify.FALSIFY_TRIALS, num_angles=classify.FALSIFY_NUM_ANGLES,
                           seed=int(rng.integers(2**63)))
-            assert not assert_grid_decides(phi, **kwargs).passed
-            with solver_log() as log:
-                verify_preserver(phi, **kwargs)
-            with solver_log() as ref:
-                grid_report(phi, **kwargs)
-            assert log.matrices() == ref.matrices() + 2
+            assert not assert_grid_decides(phi, **kwargs).passed  # fills the memo
+            for cold, extra in ((False, 1), (True, 2)):
+                solved = []
+                for run in (verify_preserver, grid_report):
+                    if cold:
+                        classify._witness_memo.cache_clear()
+                    with solver_log() as log:
+                        run(phi, **kwargs)
+                    solved.append(log.matrices())
+                assert solved[0] == solved[1] + extra, cold
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-9, 3e-7, 1e-4])
     @pytest.mark.parametrize("shape,tag,affine", [
@@ -313,7 +325,7 @@ class TestSpectralCertificate:
         shape = BipartiteShape(3, 3, 2)
         phi = near_canonical(shape, "t", False, 1e-3, seed=4)
         _, _, xs = _trial_pairs(shape, 20, seed=1)
-        nodes = np.pi * np.arange(shape.dim + 1) / (shape.dim + 1)
+        nodes = 2 * (shape.dim + 1)  # the grid whose solved half is pi j / (d + 1)
         defect = _spectral_defects(xs, apply_map_batch(phi, xs), shape, nodes).max()
         assert classify._SPECTRAL_SLACK * shape.dim * EPS < defect <= 0.1
         assert assert_grid_decides(phi, trials=20, tol=0.1, seed=1).passed
@@ -324,6 +336,93 @@ class TestSpectralCertificate:
         assert report.decided_by == "spectra"
         assert list(verification_to_payload(report)) == [
             "trials", "num_angles", "tol", "max_support_defect", "verdict", "witnesses"]
+
+
+MEMO_SHAPES = [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3), BipartiteShape(3, 3, 4),
+               BipartiteShape(3, 4, 6), BipartiteShape(4, 4, 8)]
+
+
+def cold_and_warm(run):
+    """The JSON of run() with the witness memo cleared, then with it warm."""
+    classify._witness_memo.cache_clear()
+    cold = json.dumps(run())
+    return cold, json.dumps(run())
+
+
+class TestWitnessMemo:
+    """The witness product's spectra are memoized per (m, n, angle set), so a
+    verify solves only trials 1.. of A x B; every payload is the same with
+    the memo cold and warm."""
+
+    @pytest.mark.parametrize("shape", MEMO_SHAPES, ids=shape_id)
+    def test_verify_payloads(self, shape):
+        """Every canonical form, certified by the spectra and, with them
+        kept from deciding, passed on the grid; a random map's grid fail,
+        and at counterexample shapes the partial transposes' too."""
+        maps = [canonical(shape, tag, seed=i, affine=affine)[0]
+                for i, (tag, affine) in enumerate(canonical_forms(shape))]
+        maps.append(random_constrained_map(shape, np.random.default_rng(shape.dim)))
+        outcomes = set()
+        for i, phi in enumerate(maps):
+            kwargs = dict(trials=(1, 4, 12)[i % 3], num_angles=120, seed=i)
+            for run in (verify_preserver, grid_report):
+                def payload():
+                    report = run(phi, **kwargs)
+                    outcomes.add((report.decided_by, report.verdict))
+                    return report.decided_by, verification_to_payload(report)
+                cold, warm = cold_and_warm(payload)
+                assert cold == warm, (i, run.__name__)
+        assert outcomes == {("spectra", "pass"), ("grid", "pass"), ("grid", "fail")}
+
+    @pytest.mark.parametrize("shape", MEMO_SHAPES, ids=shape_id)
+    def test_falsify_summaries(self, shape):
+        cold, warm = cold_and_warm(lambda: falsify_to_payload(falsify_random(shape, 3, seed=9)))
+        assert cold == warm
+
+    def test_suite_json(self):
+        shape = BipartiteShape(3, 3, 2)
+        cold, warm = cold_and_warm(
+            lambda: suite_json(preserver_suite(shape, seed=1, trials=6, num_angles=90)))
+        assert cold == warm
+
+    def test_entries_are_read_only(self):
+        shape = BipartiteShape(3, 3, 4)
+        verify_preserver(varphi_map(shape, "pt_left"), trials=2, num_angles=120, seed=0)
+        for num_angles in (1, 2 * (shape.dim + 1), 120):
+            w = classify._witness_spectra(shape, num_angles)
+            assert w is classify._witness_spectra(shape, num_angles)
+            assert not w.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                w[0, 0, 0] = 0.0
+
+    def test_memo_stays_within_its_bound(self):
+        """Verifies at 8, 360, 361 and 2^16 angles keep every entry within
+        _WITNESS_ENTRY_BYTES: the 2^16-angle spectra are solved, not kept.
+        Past _WITNESS_MEMO_ENTRIES angle sets the oldest entries go. E_11 x
+        E_11 and its images are Hermitian, so a grid costs one solve."""
+        shape = BipartiteShape(2, 2, 1)
+        phi = random_constrained_map(shape, np.random.default_rng(3))
+        memo = classify._witness_memo
+        sizes = []
+        for num_angles in (8, 360, 361, 2**16):
+            assert verify_preserver(phi, trials=2, num_angles=num_angles, seed=0).decided_by == "grid"
+            sizes.append(memo.cache_info().currsize)
+        assert sizes[-1] == sizes[-2]
+        hits = memo.cache_info().hits
+        for num_angles in (8, 360, 361):
+            assert 0 < memo(shape.m, shape.n, num_angles).nbytes <= classify._WITNESS_ENTRY_BYTES
+        assert memo.cache_info().hits == hits + 3
+        for num_angles in range(8, 8 + 2 * classify._WITNESS_MEMO_ENTRIES):
+            verify_preserver(phi, trials=2, num_angles=num_angles, seed=0)
+        assert memo.cache_info().currsize == classify._WITNESS_MEMO_ENTRIES
+
+    def test_import_does_no_solve(self):
+        """The memo fills on first use: importing knrange leaves it empty."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(classify.__file__)))
+        script = "import knrange.classify as c; print(c._witness_memo.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                             env=dict(os.environ, PYTHONPATH=src), timeout=60).stdout
+        assert out == b"0\n"
 
 
 def per_trial_pairs(shape, trials, seed):
@@ -1336,6 +1435,17 @@ class TestFalsify:
         with solver_log() as log:
             falsify_random(shape, count=1, seed=2)
         assert log.matrices() == log.matrices(order=shape.dim) == solved
+
+    def test_a_warm_op_solves_the_image_only(self):
+        """With the witness memo warm, one falsify op at (4,4,8) reads the
+        counterexample pair's spectra from it: it solves Phi(A x B) alone,
+        at theta = 0 and at 60 of the 120 grid angles, 61 matrices of order
+        16 where a cold op solves 122."""
+        shape = BipartiteShape(4, 4, 8)
+        falsify_random(shape, count=1, seed=2)
+        with solver_log() as log:
+            falsify_random(shape, count=1, seed=2)
+        assert log.matrices() == log.matrices(order=shape.dim) == 1 + 60
 
     def test_a_witness_pass_runs_every_trial(self):
         """When the witness trial passes, the FALSIFY_TRIALS verify of the

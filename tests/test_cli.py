@@ -109,6 +109,15 @@ class TestRangeCommand:
         bad.write_text("not json {")
         assert cli.main(["range", str(bad), "--k", "1"]) == 2
 
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"dim": 1, "entries": [[1, 0]], "note": "\xe9"}')
+        assert cli.main(["range", str(bad), "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+        assert captured.err.count("\n") == 1
+
     def test_wrong_payload_shape(self, tmp_path):
         bad = tmp_path / "list.json"
         bad.write_text("[1, 2, 3]")
@@ -380,6 +389,23 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal error: TypeError('unsupported operand\\nsecond line')\n"
+
+
+def test_plain_value_error_exits_3(tmp_path, capsys, monkeypatch):
+    """Only matcore.UsageError is a usage error: a plain ValueError from a
+    check that a bug broke is a fault of the program, exit 3 with one error
+    line that names its type, and no output."""
+    def broken(name, *args):
+        raise ValueError(f"{name} check is broken")
+
+    monkeypatch.setattr(ranges, "_check_int", broken)
+    mpath, out = tmp_path / "m.json", tmp_path / "out.csv"
+    save_matrix(random_complex(3, np.random.default_rng(2)), mpath)
+    assert cli.main(["range", str(mpath), "--k", "1", "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: ValueError('k check is broken')\n"
 
 
 def test_huge_entries_exit_2_without_warnings(tmp_path, capsys):
