@@ -114,8 +114,8 @@ def entries(match=lambda key: True):
     yield from _range_entry(match)
 
 
-def read_digests(path: str = DIGESTS) -> dict[str, str]:
-    with open(path, encoding="utf-8") as fh:
+def read_digests() -> dict[str, str]:
+    with open(DIGESTS, encoding="utf-8") as fh:
         return {key: digest for digest, key in (line.split(None, 1) for line in fh.read().splitlines())}
 
 

@@ -12,6 +12,9 @@ closed-form spectra
 
 (both tensor products are unitarily similar to a direct sum of the zero block
 with two 2x2 and one 3x3 nilpotent blocks, which accounts for the mn-6 zeros).
+Both are unitarily similar to all their rotations e^{-i theta} (weighted
+shifts: see classify._witness_spectra), so W_k(A x B) and W_k(A x B^t) are
+disks about 0, and check_counterexample's theta = 0 gap is the whole comparison.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classify
-from .classify import counterexample_matrices
+from .classify import counterexample_matrices, counterexample_spectra
 from .matcore import (
     HERMITICITY_RTOL,
     BipartiteShape,
@@ -75,13 +78,6 @@ class CounterexampleReport:
     passed: bool
 
 
-def _expected_spectra(mn: int) -> tuple[np.ndarray, np.ndarray]:
-    zeros = [0.0] * (mn - 6)
-    ab = sorted([np.sqrt(41 / 2), 1.5, 1.5, -1.5, -1.5, -np.sqrt(41 / 2)] + zeros)
-    abt = sorted([4.5, np.sqrt(4.5), 0.5, -0.5, -np.sqrt(4.5), -4.5] + zeros)
-    return np.array(ab), np.array(abt)
-
-
 def check_counterexample(m: int, n: int) -> CounterexampleReport:
     """Spectra of the Hermitian parts against their closed forms within
     SPECTRUM_TOL, plus the W_k interval gap |hi - hi'| + |lo - lo'| for every
@@ -89,7 +85,7 @@ def check_counterexample(m: int, n: int) -> CounterexampleReport:
     a, b = counterexample_matrices(m, n)
     herm_ab, herm_abt = hermitian_part(kron(a, b)), hermitian_part(kron(a, b.T))
     spec_ab, spec_abt = np.linalg.eigvalsh(herm_ab), np.linalg.eigvalsh(herm_abt)
-    expected_ab, expected_abt = _expected_spectra(m * n)
+    expected_ab, expected_abt = counterexample_spectra(m * n)
     spectra_ok = (
         max_abs(spec_ab - expected_ab) <= SPECTRUM_TOL
         and max_abs(spec_abt - expected_abt) <= SPECTRUM_TOL

@@ -32,11 +32,10 @@ FALSIFY_TRIALS only if that passes; a result's defect is the grid defect of
 the report that decides, the witness trial's or all FALSIFY_TRIALS' largest
 (:func:`falsify_random`).
 
-Trial 0 of every verify is the witness pair, fixed by (m, n), so the
-spectra of its A x B at an angle set are too: a bounded memo, filled on
-first use, holds them per (m, n, angle set), read-only
+Trial 0 of every verify is the witness pair, two zero-padded weighted
+shifts, or E_11 x E_11; its A x B has rotated spectra in closed form
 (:func:`_witness_spectra`). A verify solves only trials 1.. of A x B, and
-every image; a falsify op whose memo is warm solves the map's side alone.
+every image, so a falsify op solves the map's side alone.
 """
 
 from __future__ import annotations
@@ -94,10 +93,6 @@ _SPECTRAL_SLACK = 64
 # a map up to d = 13. A block holds at least one row, which for the residual
 # is d^3 entries of the Choi view: more than this from d = 33, 4 MiB at d = 64.
 _BLOCK_BYTES = 2**19
-# The witness memo (see _witness_spectra) keeps the spectra of at most this
-# many (m, n, angle set) keys, each of at most this many bytes: 1 MiB in all.
-_WITNESS_MEMO_ENTRIES = 16
-_WITNESS_ENTRY_BYTES = 2**16
 _EPS = float(np.finfo(float).eps)
 
 
@@ -143,7 +138,7 @@ class ClassificationReport:
 
 def counterexample_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The pair (A, B): weighted shift X = [[0,3,0],[0,0,1],[0,0,0]] zero-padded
-    to m x m and n x n (see :mod:`knrange.checks` for its closed-form spectra)."""
+    to m x m and n x n (:func:`counterexample_spectra` gives the spectra)."""
     _check_int("m", m, 3)
     _check_int("n", n, 3)
     a = np.zeros((m, m), dtype=complex)
@@ -151,6 +146,15 @@ def counterexample_matrices(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     a[0, 1] = b[0, 1] = 3.0
     a[1, 2] = b[1, 2] = 1.0
     return a, b
+
+
+def counterexample_spectra(mn: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectra of Herm(A x B) and Herm(A x B^t), mn = m n, for the
+    pair of :func:`counterexample_matrices` (see :mod:`knrange.checks`)."""
+    ab, abt, r, s = np.zeros(mn), np.zeros(mn), np.sqrt(41 / 2), np.sqrt(4.5)
+    ab[:3], ab[-3:] = (-r, -1.5, -1.5), (1.5, 1.5, r)
+    abt[:3], abt[-3:] = (-4.5, -s, -0.5), (0.5, s, 4.5)
+    return ab, abt
 
 
 def _witness_pair(shape: BipartiteShape) -> tuple[np.ndarray, np.ndarray]:
@@ -197,29 +201,21 @@ def _trial_pairs(
     return a, b, xs
 
 
-def _solve_witness(m: int, n: int, num_angles: int) -> np.ndarray:
-    """Ascending spectra of Herm(e^{-i theta} X), X the witness product A x B
-    of an (m, n) shape, at the angles ranges._rotated_eigs solves of the
-    uniform grid 2*pi*j / num_angles: a read-only (1, solved, mn) array,
-    bitwise trial 0's row of the kernel on any trial stack (X's entries are
-    0, 1 and 3, so np.kron and _trial_pairs' broadcast give the same bits)."""
-    a, b = _witness_pair(BipartiteShape(m, n, 1))  # the pair does not depend on k
-    w = ranges._rotated_eigs(np.kron(a, b)[None], _uniform_grid(num_angles))
-    w.flags.writeable = False
-    return w
+def _witness_spectra(shape: BipartiteShape, angles: np.ndarray) -> np.ndarray:
+    """Ascending spectra of Herm(e^{-i theta} X), X the witness product A x B,
+    at the angles ranges._rotated_eigs solves of `angles`: a (1, solved, mn)
+    array, in closed form.
 
-
-_witness_memo = functools.lru_cache(maxsize=_WITNESS_MEMO_ENTRIES)(_solve_witness)
-
-
-def _witness_spectra(shape: BipartiteShape, num_angles: int) -> np.ndarray:
-    """:func:`_solve_witness` for this shape, memoized per (m, n, num_angles)
-    when the spectra take at most _WITNESS_ENTRY_BYTES (num_angles rows of mn
-    floats bound them), and solved afresh, not stored, otherwise. The witness
-    pair is fixed by (m, n), so every verify at a shape and angle set reads
-    the same spectra; the memo fills on first use."""
-    kept = num_angles * shape.dim * 8 <= _WITNESS_ENTRY_BYTES
-    return (_witness_memo if kept else _solve_witness)(shape.m, shape.n, num_angles)
+    A weighted shift S has D S D* = e^{-i phi} S, D = diag(1, e^{i phi}, ...)
+    (Shields, 1974), so for the counterexample pair e^{-i theta} X is unitarily
+    similar to X: counterexample_spectra's spectrum at every angle, within
+    8 d eps of the kernel's. E_11 x E_11 is Hermitian: cos(theta) (0, .., 0, 1),
+    reversed where cos(theta) < 0, bitwise as the kernel computes it."""
+    solved = angles[:len(angles) // 2] if ranges._is_antipodal_grid(angles) else angles
+    if shape.has_counterexample:
+        return counterexample_spectra(shape.dim)[0][None, None].repeat(len(solved), axis=1)
+    cos, d = np.cos(solved), shape.dim  # cos(theta) times e_d, or e_1 where cos(theta) < 0
+    return (cos[:, None] * np.eye(d)[np.where(cos < 0.0, 0, d - 1)])[None]
 
 
 def _spectral_defects(xs: np.ndarray, ys: np.ndarray, shape: BipartiteShape,
@@ -231,9 +227,9 @@ def _spectral_defects(xs: np.ndarray, ys: np.ndarray, shape: BipartiteShape,
     the smaller of that and the same for the reflected branch,
     Re(e^{-i theta} tr X) / k - w_x reversed in place of w_x. xs is a trial
     stack (:func:`_trial_pairs`), so trial 0's w_x is the witness product's,
-    which :func:`_witness_spectra` gives and which is not solved here."""
+    whose closed form :func:`_witness_spectra` gives: it is not solved."""
     angles = _uniform_grid(num_angles)
-    wx = _witness_spectra(shape, num_angles)
+    wx = _witness_spectra(shape, angles)
     if len(xs) > 1:
         wx = np.concatenate([wx, ranges._rotated_eigs(xs[1:], angles)])
     wy = ranges._rotated_eigs(ys, angles)
@@ -263,9 +259,8 @@ def verify_preserver(
     in theta, so d + 1 angles distinct mod pi fix the spectrum at every angle
     (Kippenhahn), and a canonical preserver keeps it (or at mn = 2k reflects
     it: Re(e^{-i theta} tr X) / k minus it, reversed). The witness trial is
-    checked at theta = 0 (one solve per side, the image's alone once the
-    witness memo holds the angle; nearly every non-preserver fails there),
-    then every trial at the nodes pi j / (d + 1), j = 0..d, the solved half
+    checked at theta = 0 (nearly every non-preserver fails there), then
+    every trial at the nodes pi j / (d + 1), j = 0..d, the solved half
     of the uniform grid of 2 (d + 1) angles (:func:`_spectral_defects`). If
     each defect is at most the rounding cap
     min(tol, _SPECTRAL_SLACK d eps), since agreement within tol proves
@@ -280,9 +275,9 @@ def verify_preserver(
     larger support magnitude. The two sides are solved one after the other,
     each one matrix at a time (see :mod:`knrange.ranges`).
 
-    At theta = 0, at the nodes and on the grid, trial 0's A x B side is read
-    from the witness memo (:func:`_witness_spectra`), bitwise the spectra
-    the kernel would solve for it; only trials 1.. of A x B are solved.
+    Trial 0's A x B side is never solved: :func:`_witness_spectra` gives it
+    in closed form, bitwise the kernel's spectra where min(m, n) <= 2 and
+    within 8 d eps of them otherwise.
 
     trials is at most MAX_TRIALS, 200 times DEFAULT_TRIALS. Every trial is
     held at once: at mn = 16 and 360 angles one costs about 17 KB (its A x B
@@ -304,7 +299,7 @@ def verify_preserver(
         if spectral <= cap:
             return VerificationReport(trials, spectral, [], "pass", tol, num_angles,
                                       decided_by="spectra")
-    witness = _witness_spectra(shape, num_angles)
+    witness = _witness_spectra(shape, angles)
     hx = _top_means(witness, shape.k, witness.shape[1] < num_angles)
     if trials > 1:
         hx = np.concatenate([hx, support_values_batch(xs[1:], shape.k, angles)])
@@ -702,10 +697,10 @@ def falsify_random(
     FALSIFY_TRIALS verify, with the same seed. The report that decides gives
     the verdict and the defect: the witness trial's grid defect, or the
     largest of all FALSIFY_TRIALS' when the witness passes. The witness
-    pair's spectra at theta = 0 and on the FALSIFY_NUM_ANGLES grid come from
-    the witness memo after the first op at a shape, so a later draw solves
-    its image alone: at (4,4,8), 61 matrices of order 16 (1 + 60 grid
-    angles), where the first op solves 122.
+    pair's spectra at theta = 0 and on the FALSIFY_NUM_ANGLES grid are in
+    closed form (:func:`_witness_spectra`), so each op solves its image
+    alone: at (4,4,8), 61 matrices of order 16 (1 + 60 grid angles); at
+    (2,2,2), whose E_11 x E_11 image is Hermitian, 2.
 
     A pass is a reportable finding, not an assertion failure; the result
     records whether the passing map secretly classified as canonical or

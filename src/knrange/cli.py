@@ -14,12 +14,12 @@ value, or an input file that is not UTF-8 JSON or not a valid payload), 3
 the run could not complete (a LAPACK routine did not converge,
 np.linalg.LinAlgError; an allocation failed, MemoryError; or any other
 exception, ValueError included, an internal error named by its type); 2 and
-3 print one "error:" line. Flag values are checked by the library calls they
-feed, which raise UsageError before any output is written; the counts
---angles and --trials are bounded there too (ranges.MAX_NUM_ANGLES,
-classify.MAX_TRIALS). Flag defaults are the library's own. All randomness
-is seeded; the default seed is DEFAULT_SEED so repeated runs with the same
-flags are reproducible.
+3 print one "error:" line. Flag values but --seed (checked here, >= 0) are
+checked by the library calls they feed, which raise UsageError before any
+output is written; the counts --angles and --trials are bounded there too
+(ranges.MAX_NUM_ANGLES, classify.MAX_TRIALS). Flag defaults are the
+library's own. All randomness is seeded; the default seed is DEFAULT_SEED
+so repeated runs with the same flags are reproducible.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from . import checks, classify
 from .matcore import (
     BipartiteShape,
     UsageError,
+    _check_int,
     _load_json,
     is_hermitian,
     load_matrix,
@@ -116,6 +117,7 @@ def _load_map_input(args):
 
 
 def _cmd_verify(args) -> int:
+    _check_int("seed", args.seed, 0)
     phi = _load_map_input(args)
     report = classify.verify_preserver(
         phi, trials=args.trials, num_angles=args.angles, tol=args.tol, seed=args.seed
@@ -131,6 +133,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    _check_int("seed", args.seed, 0)
     shape = BipartiteShape(m=args.m, n=args.n, k=args.k)
     items = checks.preserver_suite(
         shape, seed=args.seed, trials=args.trials, num_angles=args.angles, tol=args.tol

@@ -82,6 +82,7 @@ class CanonicalFormSpec:
         if self.varphi not in VARPHI_TAGS:
             raise UsageError(f"varphi must be one of {VARPHI_TAGS}, got {self.varphi!r}")
         u = as_matrix(self.unitary, self.shape.dim, "unitary")
+        object.__setattr__(self, "unitary", u)  # nested lists become the checked array
         defect = _unitarity_defect(u)
         if defect > UNITARITY_TOL:
             raise UsageError(f"matrix is not unitary (defect {defect:.3e})")
@@ -156,7 +157,7 @@ def build_canonical(spec: CanonicalFormSpec) -> LinearMapMatrix:
     """Map matrix of a canonical form, in closed form (module docstring)."""
     return LinearMapMatrix(
         shape=spec.shape,
-        matrix=_canonical_matrix(as_matrix(spec.unitary), spec.shape, spec.varphi, spec.affine),
+        matrix=_canonical_matrix(spec.unitary, spec.shape, spec.varphi, spec.affine),
     )
 
 

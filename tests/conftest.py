@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from knrange import classify
 from knrange.classify import _random_constrained_choi
 from knrange.maps import map_from_choi
 from knrange.matcore import _VARPHI_AXES, vec
@@ -51,14 +50,6 @@ def random_constrained_map(shape, rng):
     """The map of a falsifier draw: a random unital, trace-preserving,
     Hermiticity-preserving map (classify._random_constrained_choi)."""
     return map_from_choi(_random_constrained_choi(shape, rng), shape)
-
-
-@pytest.fixture(autouse=True)
-def cold_witness_memo():
-    """Every test starts with classify's witness memo empty, so that the
-    solves and kernel calls a test counts or spies on do not depend on the
-    tests that ran before it."""
-    classify._witness_memo.cache_clear()
 
 
 @pytest.fixture

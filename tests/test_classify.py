@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from knrange import classify
+from knrange import classify, ranges
 from knrange.classify import (
     FALSIFY_NUM_ANGLES,
     FALSIFY_REJECT_TOL,
@@ -60,7 +60,6 @@ from knrange.checks import (
     _valid_forms,
     counterexample_matrices,
     preserver_suite,
-    suite_json,
 )
 
 from knrange.ranges import MAX_NUM_ANGLES
@@ -290,25 +289,22 @@ class TestSpectralCertificate:
     @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3),
                                        BipartiteShape(3, 3, 4)], ids=shape_id)
     def test_falsifier_draws_pay_two_solves(self, shape):
-        """The witness trial at theta = 0 rejects a random draw: one
-        Hermitian-part solve per side beyond the grid's, with the witness
-        memo cold. With it warm the witness side is read from the memo, at
-        theta = 0 as on the grid, so the check costs one solve, the image's."""
+        """The witness trial at theta = 0 rejects a random draw. Of the two
+        Hermitian parts it compares there, only the image's is solved beyond
+        the grid's solves: the witness side is in closed form
+        (classify._witness_spectra)."""
         rng = np.random.default_rng(shape.dim)
         for _ in range(5):
             phi = random_constrained_map(shape, rng)
             kwargs = dict(trials=classify.FALSIFY_TRIALS, num_angles=classify.FALSIFY_NUM_ANGLES,
                           seed=int(rng.integers(2**63)))
-            assert not assert_grid_decides(phi, **kwargs).passed  # fills the memo
-            for cold, extra in ((False, 1), (True, 2)):
-                solved = []
-                for run in (verify_preserver, grid_report):
-                    if cold:
-                        classify._witness_memo.cache_clear()
-                    with solver_log() as log:
-                        run(phi, **kwargs)
-                    solved.append(log.matrices())
-                assert solved[0] == solved[1] + extra, cold
+            assert not assert_grid_decides(phi, **kwargs).passed
+            solved = []
+            for run in (verify_preserver, grid_report):
+                with solver_log() as log:
+                    run(phi, **kwargs)
+                solved.append(log.matrices())
+            assert solved[0] == solved[1] + 1
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-9, 3e-7, 1e-4])
     @pytest.mark.parametrize("shape,tag,affine", [
@@ -336,93 +332,6 @@ class TestSpectralCertificate:
         assert report.decided_by == "spectra"
         assert list(verification_to_payload(report)) == [
             "trials", "num_angles", "tol", "max_support_defect", "verdict", "witnesses"]
-
-
-MEMO_SHAPES = [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3), BipartiteShape(3, 3, 4),
-               BipartiteShape(3, 4, 6), BipartiteShape(4, 4, 8)]
-
-
-def cold_and_warm(run):
-    """The JSON of run() with the witness memo cleared, then with it warm."""
-    classify._witness_memo.cache_clear()
-    cold = json.dumps(run())
-    return cold, json.dumps(run())
-
-
-class TestWitnessMemo:
-    """The witness product's spectra are memoized per (m, n, angle set), so a
-    verify solves only trials 1.. of A x B; every payload is the same with
-    the memo cold and warm."""
-
-    @pytest.mark.parametrize("shape", MEMO_SHAPES, ids=shape_id)
-    def test_verify_payloads(self, shape):
-        """Every canonical form, certified by the spectra and, with them
-        kept from deciding, passed on the grid; a random map's grid fail,
-        and at counterexample shapes the partial transposes' too."""
-        maps = [canonical(shape, tag, seed=i, affine=affine)[0]
-                for i, (tag, affine) in enumerate(canonical_forms(shape))]
-        maps.append(random_constrained_map(shape, np.random.default_rng(shape.dim)))
-        outcomes = set()
-        for i, phi in enumerate(maps):
-            kwargs = dict(trials=(1, 4, 12)[i % 3], num_angles=120, seed=i)
-            for run in (verify_preserver, grid_report):
-                def payload():
-                    report = run(phi, **kwargs)
-                    outcomes.add((report.decided_by, report.verdict))
-                    return report.decided_by, verification_to_payload(report)
-                cold, warm = cold_and_warm(payload)
-                assert cold == warm, (i, run.__name__)
-        assert outcomes == {("spectra", "pass"), ("grid", "pass"), ("grid", "fail")}
-
-    @pytest.mark.parametrize("shape", MEMO_SHAPES, ids=shape_id)
-    def test_falsify_summaries(self, shape):
-        cold, warm = cold_and_warm(lambda: falsify_to_payload(falsify_random(shape, 3, seed=9)))
-        assert cold == warm
-
-    def test_suite_json(self):
-        shape = BipartiteShape(3, 3, 2)
-        cold, warm = cold_and_warm(
-            lambda: suite_json(preserver_suite(shape, seed=1, trials=6, num_angles=90)))
-        assert cold == warm
-
-    def test_entries_are_read_only(self):
-        shape = BipartiteShape(3, 3, 4)
-        verify_preserver(varphi_map(shape, "pt_left"), trials=2, num_angles=120, seed=0)
-        for num_angles in (1, 2 * (shape.dim + 1), 120):
-            w = classify._witness_spectra(shape, num_angles)
-            assert w is classify._witness_spectra(shape, num_angles)
-            assert not w.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                w[0, 0, 0] = 0.0
-
-    def test_memo_stays_within_its_bound(self):
-        """Verifies at 8, 360, 361 and 2^16 angles keep every entry within
-        _WITNESS_ENTRY_BYTES: the 2^16-angle spectra are solved, not kept.
-        Past _WITNESS_MEMO_ENTRIES angle sets the oldest entries go. E_11 x
-        E_11 and its images are Hermitian, so a grid costs one solve."""
-        shape = BipartiteShape(2, 2, 1)
-        phi = random_constrained_map(shape, np.random.default_rng(3))
-        memo = classify._witness_memo
-        sizes = []
-        for num_angles in (8, 360, 361, 2**16):
-            assert verify_preserver(phi, trials=2, num_angles=num_angles, seed=0).decided_by == "grid"
-            sizes.append(memo.cache_info().currsize)
-        assert sizes[-1] == sizes[-2]
-        hits = memo.cache_info().hits
-        for num_angles in (8, 360, 361):
-            assert 0 < memo(shape.m, shape.n, num_angles).nbytes <= classify._WITNESS_ENTRY_BYTES
-        assert memo.cache_info().hits == hits + 3
-        for num_angles in range(8, 8 + 2 * classify._WITNESS_MEMO_ENTRIES):
-            verify_preserver(phi, trials=2, num_angles=num_angles, seed=0)
-        assert memo.cache_info().currsize == classify._WITNESS_MEMO_ENTRIES
-
-    def test_import_does_no_solve(self):
-        """The memo fills on first use: importing knrange leaves it empty."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(classify.__file__)))
-        script = "import knrange.classify as c; print(c._witness_memo.cache_info().currsize)"
-        out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
-                             env=dict(os.environ, PYTHONPATH=src), timeout=60).stdout
-        assert out == b"0\n"
 
 
 def per_trial_pairs(shape, trials, seed):
@@ -1424,28 +1333,18 @@ class TestFalsify:
             assert witness.a.tobytes() == _witness_pair(shape)[0].tobytes()
             assert result.defect == witness.defect
 
-    @pytest.mark.parametrize("shape,solved", [(BipartiteShape(2, 2, 2), 4),
-                                              (BipartiteShape(2, 4, 4), 4),
-                                              (BipartiteShape(3, 4, 6), 2 + 2 * 60),
-                                              (BipartiteShape(4, 4, 8), 2 + 2 * 60)])
+    @pytest.mark.parametrize("shape,solved", [(BipartiteShape(2, 2, 2), 2),
+                                              (BipartiteShape(2, 4, 4), 2),
+                                              (BipartiteShape(3, 4, 6), 1 + 60),
+                                              (BipartiteShape(4, 4, 8), 1 + 60)])
     def test_one_op_solves_the_witness_trial_only(self, shape, solved):
-        """One falsify op solves the witness pair and its image at theta = 0,
-        then on the grid: one solve per side for the Hermitian E_11 x E_11,
-        60 of the 120 angles per side for the counterexample pair."""
+        """One falsify op solves the witness pair's image Phi(A x B) at
+        theta = 0, then on the grid: one solve each for the Hermitian image
+        of E_11 x E_11, 60 of the 120 angles for the counterexample pair's.
+        The pair's own spectra are in closed form."""
         with solver_log() as log:
             falsify_random(shape, count=1, seed=2)
         assert log.matrices() == log.matrices(order=shape.dim) == solved
-
-    def test_a_warm_op_solves_the_image_only(self):
-        """With the witness memo warm, one falsify op at (4,4,8) reads the
-        counterexample pair's spectra from it: it solves Phi(A x B) alone,
-        at theta = 0 and at 60 of the 120 grid angles, 61 matrices of order
-        16 where a cold op solves 122."""
-        shape = BipartiteShape(4, 4, 8)
-        falsify_random(shape, count=1, seed=2)
-        with solver_log() as log:
-            falsify_random(shape, count=1, seed=2)
-        assert log.matrices() == log.matrices(order=shape.dim) == 1 + 60
 
     def test_a_witness_pass_runs_every_trial(self):
         """When the witness trial passes, the FALSIFY_TRIALS verify of the
@@ -1537,3 +1436,118 @@ class TestFalsify:
         s1 = falsify_random(BipartiteShape(2, 2, 1), count=3, seed=5)
         s2 = falsify_random(BipartiteShape(2, 2, 1), count=3, seed=5)
         assert json.dumps(falsify_to_payload(s1)) == json.dumps(falsify_to_payload(s2))
+
+
+# The counterexample shapes of criterion 5's sweep and of the falsifier
+# battery, and shapes whose witness pair is E_11 x E_11.
+COUNTEREXAMPLE_SHAPES = sorted(
+    {shape for shape in [BipartiteShape(*mnk) for mnk in SWEEP_SHAPES] + FALSIFY_SHAPES
+     if shape.has_counterexample}, key=lambda s: (s.m, s.n, s.k))
+E11_SHAPES = [BipartiteShape(2, 2, 1), BipartiteShape(2, 3, 3), BipartiteShape(2, 4, 4),
+              BipartiteShape(3, 2, 2), BipartiteShape(2, 8, 8)]
+
+
+def solved_witness_spectra(shape, angles):
+    """Oracle: the witness product's rotated spectra as the kernel solves them."""
+    return ranges._rotated_eigs(np.kron(*classify._witness_pair(shape))[None], angles)
+
+
+@contextmanager
+def solved_witness():
+    """verify_preserver with trial 0's A x B side solved by the kernel."""
+    with mock.patch.object(classify, "_witness_spectra", side_effect=solved_witness_spectra):
+        yield
+
+
+class TestWitnessSpectra:
+    """Trial 0's A x B side is in closed form (classify._witness_spectra):
+    within 8 d eps of the kernel's spectra for the counterexample pair, whose
+    rotated spectrum does not depend on theta, and bitwise for E_11 x E_11."""
+
+    @staticmethod
+    def angle_sets(shape):
+        return [ranges._uniform_grid(n) for n in (1, 2 * (shape.dim + 1), 120, 360, 361)]
+
+    @pytest.mark.parametrize("shape", COUNTEREXAMPLE_SHAPES, ids=shape_id)
+    def test_counterexample_pair_matches_the_kernel(self, shape):
+        for angles in self.angle_sets(shape):
+            closed = classify._witness_spectra(shape, angles)
+            solved = solved_witness_spectra(shape, angles)
+            assert closed.shape == solved.shape, len(angles)
+            assert max_abs(closed - solved) <= 8 * shape.dim * EPS, len(angles)
+
+    @pytest.mark.parametrize("shape", E11_SHAPES, ids=shape_id)
+    def test_e11_pair_is_the_kernels_bitwise(self, shape):
+        for angles in self.angle_sets(shape):
+            closed = classify._witness_spectra(shape, angles)
+            assert closed.tobytes() == solved_witness_spectra(shape, angles).tobytes()
+
+    def test_a_pair_that_is_not_rotation_invariant_fails(self):
+        """The check above fails for a witness pair whose A x B is not
+        unitarily similar to its rotations: a diagonal entry added to A."""
+        shape = BipartiteShape(3, 3, 4)
+        a, b = counterexample_matrices(3, 3)
+        a[0, 0] = 1.0
+        angles = ranges._uniform_grid(120)
+        with mock.patch.object(classify, "_witness_pair", return_value=(a, b)):
+            solved = solved_witness_spectra(shape, angles)
+        assert max_abs(classify._witness_spectra(shape, angles) - solved) > 0.1
+
+    @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3),
+                                       BipartiteShape(2, 4, 3), BipartiteShape(3, 3, 2),
+                                       BipartiteShape(3, 3, 4), BipartiteShape(3, 4, 6),
+                                       BipartiteShape(4, 4, 8)], ids=shape_id)
+    def test_reports_match_the_solved_witness(self, shape):
+        """Every canonical form, certified by the spectra and, with them kept
+        from deciding, passed on the grid, and a random map's grid fail: the
+        same verdicts, decided_by and witnesses as with trial 0 solved by the
+        kernel; the same bytes where min(m, n) <= 2, defects within 1e-15
+        elsewhere (trial 0's gap then does not depend on theta, so its
+        witness theta is rounding's choice and is not compared)."""
+        maps = [canonical(shape, tag, seed=i, affine=affine)[0]
+                for i, (tag, affine) in enumerate(canonical_forms(shape))]
+        maps.append(random_constrained_map(shape, np.random.default_rng(shape.dim)))
+        outcomes = set()
+        for i, phi in enumerate(maps):
+            kwargs = dict(trials=(1, 4, 12)[i % 3], num_angles=(120, 361)[i % 2], seed=i)
+            for run in (verify_preserver, grid_report):
+                got = run(phi, **kwargs)
+                with solved_witness():
+                    ref = run(phi, **kwargs)
+                outcomes.add((got.decided_by, got.verdict))
+                assert (got.decided_by, got.verdict) == (ref.decided_by, ref.verdict)
+                assert len(got.witnesses) == len(ref.witnesses)
+                if not shape.has_counterexample:
+                    assert json.dumps(verification_to_payload(got)) == \
+                        json.dumps(verification_to_payload(ref))
+                    continue
+                assert abs(got.max_support_defect - ref.max_support_defect) <= 1e-15
+                for g, r in zip(got.witnesses, ref.witnesses):
+                    assert g.a.tobytes() == r.a.tobytes() and g.b.tobytes() == r.b.tobytes()
+                    assert abs(g.defect - r.defect) <= 1e-15
+        assert outcomes == {("spectra", "pass"), ("grid", "pass"), ("grid", "fail")}
+
+    @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3),
+                                       BipartiteShape(3, 3, 4), BipartiteShape(3, 4, 6),
+                                       BipartiteShape(4, 4, 8)], ids=shape_id)
+    def test_falsify_summaries_match_the_solved_witness(self, shape):
+        got = falsify_random(shape, 3, seed=9)
+        with solved_witness():
+            ref = falsify_random(shape, 3, seed=9)
+        assert [(r.verdict, r.pass_kind) for r in got.results] == \
+            [(r.verdict, r.pass_kind) for r in ref.results]
+        for g, r in zip(got.results, ref.results):
+            assert abs(g.defect - r.defect) <= (1e-15 if shape.has_counterexample else 0.0)
+
+    def test_suite_json_matches_the_solved_witness(self):
+        """At (3, 3, 2) the spectra decide the valid forms and the grid the
+        partial transposes: the same items and verdicts, defects within 1e-15."""
+        shape = BipartiteShape(3, 3, 2)
+        got = preserver_suite(shape, seed=1, trials=6, num_angles=90)
+        with solved_witness():
+            ref = preserver_suite(shape, seed=1, trials=6, num_angles=90)
+        assert [(i.name, i.passed) for i in got] == [(i.name, i.passed) for i in ref]
+        for g, r in zip(got, ref):
+            assert g.detail.keys() == r.detail.keys()
+            for key in g.detail:
+                assert abs(g.detail[key] - r.detail[key]) <= 1e-15, (g.name, key)

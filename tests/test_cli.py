@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import knrange
 from knrange import checks, classify, cli, ranges
@@ -600,3 +605,126 @@ def test_default_suite_bytes_independent_of_blas_threads(tmp_path):
         run_cli_at_blas_threads([["suite", "--m", "3", "--n", "3", "--k", "2", "--out", str(out)]], threads)
         outputs.append((out / "suite_summary.json").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# Fuzz of the three commands' input files and flags, in process.
+# ---------------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=4),
+    max_leaves=8)
+# Valid files that the fuzz mutates: a matrix for range; a map and a
+# descriptor for verify.
+VALID_FILES = {
+    "range": [matrix_to_payload(np.eye(3))],
+    "verify": [map_to_payload(random_constrained_map(BipartiteShape(2, 2, 2),
+                                                     np.random.default_rng(5))),
+               {"varphi": "t", "affine": False, "unitary": "identity"}],
+}
+# Per flag, valid values that keep a run cheap, and malformed ones; None
+# leaves the flag out. Leaving out --angles or --trials would run the
+# default grid or trial count, which is valid but slow.
+COUNTS = ["0", "-1", "x", "1.5", "nan"]
+FLAGS = {
+    "--m": ([None, "2"], ["3"] + COUNTS),
+    "--n": ([None, "2"], ["3"] + COUNTS),
+    "--k": ([None, "1", "2"], ["4", "9"] + COUNTS),
+    "--angles": (["8", "9"], COUNTS),
+    "--trials": (["1", "2"], COUNTS),
+    "--tol": ([None, "1e-8", "0.5"], ["0", "-1e-8", "nan", "inf", "-inf", "x"]),
+    "--seed": ([None, "0", str(2**64)], ["-1", "x", "1.5"]),
+    "--format": ([None, "csv", "svg", "json"], ["pdf", ""]),
+}
+COMMAND_FLAGS = {
+    "range": ["--k", "--angles", "--format"],
+    "verify": ["--m", "--n", "--k", "--angles", "--trials", "--tol", "--seed"],
+    "suite": ["--m", "--n", "--k", "--angles", "--trials", "--tol", "--seed"],
+}
+
+
+@st.composite
+def file_bytes(draw, command):
+    """A valid file of the command, mutated: a key dropped, a value or one
+    entry replaced by a JSON value (bools included); or any JSON value; or a
+    valid file truncated, or with a byte that is not UTF-8 put in."""
+    base = draw(st.sampled_from(VALID_FILES[command]))
+    kind = draw(st.sampled_from(["drop", "replace", "entry", "value", "truncate", "not-utf8"]))
+    payload = json.loads(json.dumps(base))
+    if kind == "drop":
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    elif kind == "replace":
+        payload[draw(st.sampled_from(sorted(payload)))] = draw(JSON_VALUES)
+    elif kind == "entry" and "entries" in payload:
+        payload["entries"][draw(st.integers(0, len(payload["entries"]) - 1))] = draw(JSON_VALUES)
+    elif kind == "value":
+        payload = draw(JSON_VALUES)
+    data = json.dumps(payload).encode()
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "not-utf8":
+        cut = draw(st.integers(0, len(data)))
+        return data[:cut] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[cut:]
+    return data
+
+
+@st.composite
+def cli_runs(draw):
+    """(command, input file bytes or None, flags): a valid file or a
+    malformed one, and at most two malformed flags among valid ones."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    data = None
+    if command != "suite":
+        valid = json.dumps(draw(st.sampled_from(VALID_FILES[command]))).encode()
+        data = draw(st.sampled_from([valid]) | file_bytes(command))
+    bad = draw(st.sets(st.sampled_from(COMMAND_FLAGS[command]), max_size=2))
+    flags = []
+    for flag in COMMAND_FLAGS[command]:
+        valid, malformed = FLAGS[flag]
+        if command == "suite" and flag in ("--m", "--n", "--k"):
+            valid = ["2"]  # a suite needs its shape, and a 3x3 one takes seconds
+        value = draw(st.sampled_from(malformed if flag in bad else valid))
+        if value is not None:
+            flags += [flag, value]
+    return command, data, flags
+
+
+def run_cli(tmp, command, data, flags):
+    """Exit code, stdout and stderr of cli.main, and whether it wrote output."""
+    out = os.path.join(tmp, "out")
+    argv = [command]
+    if data is not None:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        argv.append(path)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv + flags + ["--out", out])
+    return code, stdout.getvalue(), stderr.getvalue(), os.path.exists(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=cli_runs())
+@example(run=("suite", None, ["--m", "2", "--n", "2", "--k", "2", "--angles", "8",
+                              "--trials", "1", "--seed", "-1"]))
+@example(run=("verify", json.dumps(VALID_FILES["verify"][1]).encode(),
+              ["--m", "2", "--n", "2", "--k", "2", "--angles", "8", "--seed", "-1"]))
+@example(run=("range", json.dumps(matrix_to_payload(np.eye(3))).encode(),
+              ["--k", "1", "--angles", str(ranges.MAX_NUM_ANGLES + 1)]))
+@example(run=("verify", json.dumps(VALID_FILES["verify"][1]).encode(),
+              ["--m", "2", "--n", "2", "--k", "2", "--trials", str(classify.MAX_TRIALS + 1)]))
+@example(run=("suite", None, ["--m", "2", "--n", "2", "--k", "2", "--angles",
+                              str(ranges.MAX_NUM_ANGLES + 1), "--trials", "1"]))
+def test_fuzzed_files_and_flags_exit_0_1_or_2(run):
+    """Every run ends in exit 0, 1 or 2 with no traceback; an exit 2 prints
+    exactly one error: line and no report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err, wrote = run_cli(tmp, *run)
+    assert "Traceback" not in err
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+        assert out == "" and not wrote

@@ -5,8 +5,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 import knrange
 
 SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -27,8 +25,8 @@ def test_subset_matches_at_one_and_two_blas_threads():
         assert out.splitlines()[-1] == "116 of 116 entries match"
 
 
-@pytest.mark.parametrize("args", [["--write", "--match", "x"], ["--write", "--check"]])
-def test_write_rewrites_the_whole_corpus(args):
-    run = subprocess.run([sys.executable, SCRIPT, *args], env=dict(os.environ, PYTHONPATH=SRC),
-                         capture_output=True, text=True, timeout=60)
+def test_write_rewrites_the_whole_corpus():
+    run = subprocess.run([sys.executable, SCRIPT, "--write", "--match", "x"],
+                         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+                         timeout=60)
     assert run.returncode == 2 and "error:" in run.stderr
