@@ -17,7 +17,7 @@ import sys
 
 from knrange.checks import counterexample_matrices
 from knrange.matcore import kron
-from knrange.ranges import DEFAULT_NUM_ANGLES, krange_profile, write_profile_csv, write_profile_svg
+from knrange.ranges import DEFAULT_NUM_ANGLES, krange_profile, profile_csv, profile_svg
 
 
 def main() -> int:
@@ -41,8 +41,9 @@ def main() -> int:
         p2 = krange_profile(abt, k, args.angles)
         for label, profile in (("ab", p1), ("abt", p2)):
             base = os.path.join(args.out, f"{label}_k{k}")
-            write_profile_csv(profile, base + ".csv")
-            write_profile_svg(profile, base + ".svg")
+            for ext, text in ((".csv", profile_csv(profile)), (".svg", profile_svg(profile))):
+                with open(base + ext, "w", encoding="utf-8") as fh:
+                    fh.write(text)
         gap = abs(p1.support[0] - p2.support[0])
         print(f"k={k}: support gap at angle 0 = {gap:.6f}")
     print(f"profiles written to {args.out}/")

@@ -8,7 +8,6 @@ from .matcore import (
     hermitian_part,
     is_orthogonal_pair,
     kron,
-    partial_transpose,
     random_complex,
     random_haar_unitary,
     random_hermitian,
@@ -22,13 +21,11 @@ from .ranges import (
     krange_profile,
     ranges_equal,
     sample_points,
-    support_value,
 )
 from .maps import (
     CanonicalFormSpec,
     LinearMapMatrix,
     affine_reflect,
-    apply_map,
     build_canonical,
     choi_matrix,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "SupportProfile",
     "VerificationReport",
     "affine_reflect",
-    "apply_map",
     "boundary_point",
     "build_canonical",
     "check_block_split",
@@ -72,14 +68,12 @@ __all__ = [
     "krange_hermitian",
     "krange_profile",
     "kron",
-    "partial_transpose",
     "preserver_suite",
     "random_complex",
     "random_haar_unitary",
     "random_hermitian",
     "ranges_equal",
     "sample_points",
-    "support_value",
     "verify_preserver",
 ]
 

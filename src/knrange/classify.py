@@ -54,7 +54,6 @@ from .matcore import (
     _check_tol,
     matrix_to_payload,
     max_abs,
-    unvec,
 )
 from .maps import (
     UNITARITY_TOL,
@@ -529,8 +528,9 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
     of the map matrix (:func:`_hermitian_choi`); C itself is never held.
 
     A candidate matches when it passes, in turn:
-    - the read-off: U = sqrt(d) unvec(v), phase-normalized, with v one power
-      step on H (:func:`_rank_one_fit`), is unitary within maps.UNITARITY_TOL;
+    - the read-off: U = sqrt(d) v.reshape(d, d, order="F"), phase-normalized,
+      with v one power step on H (:func:`_rank_one_fit`), is unitary within
+      maps.UNITARITY_TOL;
     - the rebuild from U equals Phi entrywise within tol (on the vec basis,
       which is the matrix unit tensor products), compared through their
       Choi views a block of rows at a time (:func:`_rebuild_residual`);
@@ -567,7 +567,7 @@ def classify_preserver(phi: LinearMapMatrix, tol: float = DEFAULT_RTOL) -> Class
         v, lam, spread = _rank_one_fit(herm)
         del herm  # overwritten by the fit; freed before any other candidate's
         bounds[key] = (spread + max(0.0, -lam)) / d
-        u = _normalize_phase(unvec(v) * np.sqrt(d))
+        u = _normalize_phase(v.reshape(d, d, order="F").copy() * np.sqrt(d))
         if _unitarity_defect(u) > UNITARITY_TOL:
             continue  # recovered matrix not unitary enough: near-miss, no match
         residual = _rebuild_residual(phi, u, tag, affine)

@@ -36,7 +36,6 @@ from .matcore import (
     _VARPHI_AXES,
     _check_int,
     _payload_fields,
-    apply_varphi,  # re-exported: a varphi of the canonical forms
     as_matrix,
     matrix_from_payload,
     matrix_to_payload,
@@ -172,13 +171,6 @@ def reflect_map(shape: BipartiteShape) -> LinearMapMatrix:
     own, so there is no mn = 2k gate."""
     eye = np.eye(shape.dim, dtype=complex)
     return LinearMapMatrix(shape, _canonical_matrix(eye, shape, "id", affine=True))
-
-
-def apply_map(phi: LinearMapMatrix, x) -> np.ndarray:
-    """unvec(M @ vec(X)): the image of X in a stack of one, bitwise that of
-    X in any stack (:func:`apply_map_batch`)."""
-    m = as_matrix(x, phi.shape.dim, "X")
-    return apply_map_batch(phi, m[None])[0]
 
 
 def apply_map_batch(phi: LinearMapMatrix, stack: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Dense complex matrix primitives: Kronecker products, Hermitian parts and
-partial transposes, seeded random sampling, and the matrix JSON format.
+"""Dense complex matrix primitives: Kronecker products, Hermitian parts,
+seeded random sampling, and the matrix JSON format.
 
 Convention fixed here once and relied on everywhere else (in particular by the
 map-matrix machinery in :mod:`knrange.maps`):
@@ -40,24 +40,15 @@ class UsageError(ValueError):
 
 
 # The four varphi of :mod:`knrange.maps`, each as the transpose of the
-# (m, n, m, n) view [a, b, c, e] of X, X[(a, b), (c, e)], that gives varphi(X).
-# Each is an involution.
+# (m, n, m, n) view [a, b, c, e] of X, X[(a, b), (c, e)], that gives varphi(X):
+# the encoding that maps._choi_view and the classify probe read. Each is an
+# involution.
 _VARPHI_AXES = {
     "id": (0, 1, 2, 3),
     "t": (2, 3, 0, 1),  # (a, b) <-> (c, e)
     "pt_right": (0, 3, 2, 1),  # b <-> e
     "pt_left": (2, 1, 0, 3),  # a <-> c
 }
-
-
-def apply_varphi(x, tag: str, shape: BipartiteShape) -> np.ndarray:
-    """Apply one of the four varphi involutions to a single matrix: the
-    transpose in _VARPHI_AXES of its (m, n, m, n) view, copied."""
-    if tag not in _VARPHI_AXES:
-        raise UsageError(f"unknown varphi tag {tag!r}")
-    m = as_matrix(x, shape.dim, "X")
-    view = m.reshape(shape.m, shape.n, shape.m, shape.n).transpose(_VARPHI_AXES[tag])
-    return view.copy().reshape(shape.dim, shape.dim)
 
 
 def _check_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
@@ -175,18 +166,6 @@ def hermitian_part(a) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def partial_transpose(x, shape: BipartiteShape, side: str) -> np.ndarray:
-    """Transpose one tensor factor of a bipartite matrix.
-
-    Viewing x as an m x m grid of n x n blocks:
-      side="right" transposes each block in place   (A x B -> A x B^t),
-      side="left"  swaps block (i,j) with block (j,i) (A x B -> A^t x B).
-    """
-    if side not in ("left", "right"):
-        raise UsageError(f"side must be 'left' or 'right', got {side!r}")
-    return apply_varphi(x, f"pt_{side}", shape)
-
-
 def _ginibre(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Array of the given shape of independent standard complex Gaussians:
     all real parts are drawn first, then all imaginary parts.
@@ -231,20 +210,6 @@ def is_orthogonal_pair(a, b, tol: float = 1e-10) -> bool:
     mb = as_matrix(b, len(ma), "B")
     scale = (1.0 + max_abs(ma)) * (1.0 + max_abs(mb))
     return max_abs(ma @ mb.conj().T) <= tol * scale and max_abs(ma.conj().T @ mb) <= tol * scale
-
-
-def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization: vec(X)[j*d + i] = X[i, j]."""
-    return np.ravel(x, order="F")
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec` for square matrices."""
-    v = np.asarray(v).ravel()
-    dim = int(round(np.sqrt(v.size)))
-    if dim * dim != v.size:
-        raise UsageError(f"vector of length {v.size} is not a square matrix")
-    return v.reshape(dim, dim, order="F").copy()
 
 
 # ---------------------------------------------------------------------------

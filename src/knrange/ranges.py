@@ -225,12 +225,6 @@ def support_values(a, k: int, angles: np.ndarray) -> np.ndarray:
     return support_values_batch(as_matrix(a)[None], k, np.atleast_1d(angles))[0]
 
 
-def support_value(a, k: int, theta: float) -> float:
-    """Max of Re(e^{-i theta} W_k(A)): mean of the k largest eigenvalues of
-    the Hermitian part of e^{-i theta} A."""
-    return float(support_values(a, k, np.array([float(theta)]))[0])
-
-
 def support_values_batch(stack: np.ndarray, k: int, angles: np.ndarray) -> np.ndarray:
     """Support grids for a (count, d, d) stack of matrices at once.
 
@@ -259,9 +253,9 @@ def boundary_point(a, k: int, theta: float) -> complex:
     the largest eigenvalues (stable order on ties) and returns tr(X* A X)/k
     through `_frame_points`. The construction makes the value a member of
     W_k(A) by definition, and its rotated real part equals
-    support_value(a, k, theta). At a solved angle of a profile's grid it is
-    bitwise that profile's boundary point: the same solve gives the same
-    frame, and the same kernel traces it.
+    support_values(a, k, [theta])[0]. At a solved angle of a profile's grid
+    it is bitwise that profile's boundary point: the same solve gives the
+    same frame, and the same kernel traces it.
     """
     m = as_matrix(a)
     _check_int("k", k, 1, m.shape[0] - 1)
@@ -427,11 +421,6 @@ def profile_csv(profile: SupportProfile) -> str:
     return buf.getvalue()
 
 
-def write_profile_csv(profile: SupportProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(profile_csv(profile))
-
-
 def profile_svg(profile: SupportProfile) -> str:
     """Closed boundary polyline with coordinate axes on a 480 px square, the
     boundary's extent padded by 10% on each side. Styling is unconstrained."""
@@ -471,11 +460,6 @@ def profile_svg(profile: SupportProfile) -> str:
     )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def write_profile_svg(profile: SupportProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(profile_svg(profile))
 
 
 def profile_to_payload(profile: SupportProfile) -> dict:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import settings
 
 from knrange.classify import _random_constrained_choi
-from knrange.maps import map_from_choi
-from knrange.matcore import _VARPHI_AXES, vec
+from knrange.maps import apply_map_batch, map_from_choi
+from knrange.matcore import _VARPHI_AXES, UsageError, as_matrix
 
 # Every @given test draws the same examples on every run, and no example
 # database carries failures from one run into the next; each test's own
@@ -35,6 +35,27 @@ def frame_trace(a, frames, k):
     """Oracle for every point of W_k: tr(X* A X)/k for each (d, k) frame X of
     a (count, d, k) stack, as one product A @ X and a two-operand reduction."""
     return np.einsum("jis,jis->j", frames.conj(), a @ frames) / k
+
+
+def vec(x):
+    """Column-stacking vectorization: vec(X)[j*d + i] = X[i, j]."""
+    return np.ravel(x, order="F")
+
+
+def apply_map(phi, x):
+    """Oracle: the image of one matrix, as a stack of one through
+    maps.apply_map_batch."""
+    return apply_map_batch(phi, as_matrix(x, phi.shape.dim, "X")[None])[0]
+
+
+def apply_varphi(x, tag, shape):
+    """Oracle: one of the four varphi applied to a single matrix, the
+    transpose in matcore._VARPHI_AXES of its (m, n, m, n) view, copied."""
+    if tag not in _VARPHI_AXES:
+        raise UsageError(f"unknown varphi tag {tag!r}")
+    m = as_matrix(x, shape.dim, "X")
+    view = m.reshape(shape.m, shape.n, shape.m, shape.n).transpose(_VARPHI_AXES[tag])
+    return view.copy().reshape(shape.dim, shape.dim)
 
 
 def varphi_perm(shape, tag):

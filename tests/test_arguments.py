@@ -34,7 +34,6 @@ INT_ENTRIES = {
     "affine_reflect.k": (lambda x: maps.affine_reflect(np.eye(4), x), 2),
     "krange_hermitian.k": (lambda x: ranges.krange_hermitian(np.diag([1.0, 2.0, 3.0]), x), 2),
     "support_values.k": (lambda x: ranges.support_values(shift3(), x, [0.0, 1.0]), 2),
-    "support_value.k": (lambda x: ranges.support_value(shift3(), x, 0.5), 2),
     "support_values_batch.k": (
         lambda x: ranges.support_values_batch(shift3()[None], x, [0.0, 1.0]), 2),
     "boundary_point.k": (lambda x: ranges.boundary_point(shift3(), x, 0.5), 2),
@@ -75,10 +74,7 @@ SIZE_ENTRIES = {
     "CanonicalFormSpec.unitary": (
         lambda x: maps.CanonicalFormSpec("id", x, False, SHAPE), np.eye(4), "unitary"),
     "LinearMapMatrix.matrix": (lambda x: maps.LinearMapMatrix(SHAPE, x), np.eye(16), "map matrix"),
-    "apply_map": (lambda x: maps.apply_map(PHI, x), np.eye(4), "X"),
     "map_from_choi": (lambda x: maps.map_from_choi(x, SHAPE), maps.choi_matrix(PHI), "Choi matrix"),
-    "apply_varphi": (lambda x: matcore.apply_varphi(x, "t", SHAPE), np.eye(4), "X"),
-    "partial_transpose": (lambda x: matcore.partial_transpose(x, SHAPE, "left"), np.eye(4), "X"),
     "is_orthogonal_pair.b": (
         lambda x: matcore.is_orthogonal_pair(PSD_PAIR[0], x), PSD_PAIR[1], "B"),
     "check_orthogonality_criterion.b": (

@@ -37,7 +37,6 @@ from knrange.matcore import (
     random_complex,
     random_haar_unitary,
     random_hermitian,
-    unvec,
 )
 from knrange.maps import (
     UNITARITY_TOL,
@@ -64,7 +63,7 @@ from knrange.checks import (
 
 from knrange.ranges import MAX_NUM_ANGLES
 
-from conftest import peak_alloc, random_constrained_map, solver_log, varphi_perm
+from conftest import apply_map, peak_alloc, random_constrained_map, solver_log, varphi_perm
 from test_acceptance import SWEEP_SHAPES
 
 
@@ -550,7 +549,7 @@ def eigh_classifier(phi, tol=1e-8):
         gaps[f"{tag}+affine" if affine else tag] = gap
         if max_abs(choi - choi.conj().T) > tol * d or gap > tol or abs(w[-1] - d) > tol * d:
             continue
-        u = unvec(v[:, -1]) * np.sqrt(d)
+        u = v[:, -1].reshape(d, d, order="F") * np.sqrt(d)
         pivot = u.flat[np.argmax(np.abs(u))]
         u = u * (abs(pivot) / pivot)
         try:
@@ -1288,8 +1287,6 @@ class TestFalsify:
         """The draw is not positive semidefinite: the projection alone makes
         the map unital and trace-preserving, and the exactly Hermitian draw
         makes it Hermiticity-preserving."""
-        from knrange.maps import apply_map
-
         d = shape.dim
         rng = np.random.default_rng(3)
         phi = random_constrained_map(shape, rng)

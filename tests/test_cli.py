@@ -511,6 +511,11 @@ def test_render_counterexample_script(tmp_path):
     assert result.returncode == 0, result.stderr
     assert sorted(os.listdir(out)) == ["ab_k1.csv", "ab_k1.svg", "abt_k1.csv", "abt_k1.svg"]
     assert "k=1: support gap at angle 0" in result.stdout
+    a, b = counterexample_matrices(3, 3)
+    for label, product in (("ab", kron(a, b)), ("abt", kron(a, b.T))):
+        profile = ranges.krange_profile(product, 1, 8)
+        assert (out / f"{label}_k1.csv").read_text() == ranges.profile_csv(profile)
+        assert (out / f"{label}_k1.svg").read_text() == ranges.profile_svg(profile)
 
 
 def test_flags_are_deterministic(tmp_path):

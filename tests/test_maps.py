@@ -11,11 +11,9 @@ from knrange.matcore import (
     kron,
     matrix_from_payload,
     matrix_to_payload,
-    partial_transpose,
     random_complex,
     random_haar_unitary,
     random_hermitian,
-    vec,
 )
 from knrange.checks import _invalid_forms, _valid_forms
 from knrange.classify import (
@@ -29,9 +27,7 @@ from knrange.maps import (
     LinearMapMatrix,
     VARPHI_TAGS,
     affine_reflect,
-    apply_map,
     apply_map_batch,
-    apply_varphi,
     build_canonical,
     choi_matrix,
     compose,
@@ -45,7 +41,16 @@ from knrange.maps import (
     varphi_map,
 )
 
-from conftest import SQRT_9_OVER_2, peak_alloc, shift3, unit_matrix, varphi_perm
+from conftest import (
+    SQRT_9_OVER_2,
+    apply_map,
+    apply_varphi,
+    peak_alloc,
+    shift3,
+    unit_matrix,
+    varphi_perm,
+    vec,
+)
 
 
 def spec_for(shape, tag="id", seed=0, affine=False):
@@ -184,20 +189,28 @@ class TestBuildCanonical:
                     np.testing.assert_array_equal(apply_map(phi, x), apply_varphi(x, tag, shape))
 
 
+def blockwise_partial_transposes(x, shape):
+    """x as an m x m grid of n x n blocks: each block transposed in place
+    (A x B -> A x B^t), and block (i, j) swapped with block (j, i)
+    (A x B -> A^t x B)."""
+    n = shape.n
+    block = [[x[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(shape.m)]
+             for i in range(shape.m)]
+    right = np.block([[b.T for b in row] for row in block])
+    left = np.block([[block[j][i] for j in range(shape.m)] for i in range(shape.m)])
+    return right, left
+
+
 class TestApplyVarphi:
-    """The axis table behind apply_varphi against the plain transpose and
-    matcore.partial_transpose."""
+    """The test-side apply_varphi against the plain transpose and the
+    blockwise partial transposes."""
 
     @pytest.mark.parametrize("shape", [BipartiteShape(2, 3, 2), BipartiteShape(3, 2, 2),
                                        BipartiteShape(3, 4, 6)])
     def test_bitwise_equal_to_reference(self, shape, rng):
         x = random_complex(shape.dim, rng)
-        reference = {
-            "id": x,
-            "t": x.T,
-            "pt_right": partial_transpose(x, shape, "right"),
-            "pt_left": partial_transpose(x, shape, "left"),
-        }
+        right, left = blockwise_partial_transposes(x, shape)
+        reference = {"id": x, "t": x.T, "pt_right": right, "pt_left": left}
         for tag in VARPHI_TAGS:
             got = apply_varphi(x, tag, shape)
             assert got.tobytes() == np.ascontiguousarray(reference[tag]).tobytes(), tag
@@ -272,8 +285,8 @@ class TestApply:
     @pytest.mark.parametrize("mnk", [(2, 2, 2), (3, 4, 6), (4, 4, 8)])
     def test_images_do_not_depend_on_the_stack_length(self, mnk):
         """Each image has the same bits in a stack of 1, 2, 3 or 8, the one
-        the single-row product would round differently included, and as
-        apply_map's image of the one matrix."""
+        the single-row product would round differently included, and as the
+        image of that matrix alone in a stack of one."""
         shape = BipartiteShape(*mnk)
         rng = np.random.default_rng(shape.dim)
         phi = LinearMapMatrix(shape, random_complex(shape.dim ** 2, rng))
@@ -282,12 +295,12 @@ class TestApply:
         for count in (1, 2, 3):
             assert apply_map_batch(phi, stack[:count]).tobytes() == full[:count].tobytes(), count
         for t in range(8):
-            assert apply_map(phi, stack[t]).tobytes() == full[t].tobytes(), t
+            assert apply_map_batch(phi, stack[t:t + 1])[0].tobytes() == full[t].tobytes(), t
 
     def test_dim_mismatch(self, rng):
         phi = LinearMapMatrix(BipartiteShape(2, 2, 2), np.eye(16, dtype=complex))
         with pytest.raises(ValueError):
-            apply_map(phi, np.eye(5))
+            apply_map_batch(phi, np.eye(5)[None])
 
 
 class TestAffineReflect:

@@ -12,14 +12,45 @@ from knrange import checks, classify
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
-# Names imported with no use in their module: the future import, and
-# apply_varphi, which maps re-exports as a varphi of the canonical forms.
-UNUSED_IMPORTS_ALLOWED = {"annotations", "maps.apply_varphi"}
+# Names imported with no use in their module: the future import.
+UNUSED_IMPORTS_ALLOWED = {"annotations"}
 
 
 def test_every_export_resolves():
     for name in knrange.__all__:
         getattr(knrange, name)  # AttributeError names a stale export
+
+
+def _python_files(*dirs):
+    for top in dirs:
+        for path, _, files in os.walk(top):
+            yield from (os.path.join(path, f) for f in sorted(files) if f.endswith(".py"))
+
+
+def test_every_export_is_reached():
+    """Every name in knrange.__all__ is read by a module of src/knrange other
+    than __init__, by the acceptance tests, or by a file under bench/ or
+    scripts/: as a name, an attribute, an imported name, or a string that
+    getattr looks up, as bench/tracing.py does."""
+    src = os.path.join(ROOT, "src", "knrange")
+    paths = [path for path in _python_files(src) if os.path.basename(path) != "__init__.py"]
+    paths += [os.path.join(ROOT, "tests", "test_acceptance.py")]
+    paths += _python_files(BENCH, os.path.join(ROOT, "scripts"))
+    read = set()
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            for node in ast.walk(ast.parse(fh.read())):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    read.add(node.asname or node.name)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+    assert len(paths) > 10, paths  # the scan still sees the modules and scripts
+    unreached = sorted(set(knrange.__all__) - read)
+    assert not unreached, unreached
 
 
 def test_star_import():

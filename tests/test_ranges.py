@@ -37,7 +37,6 @@ from knrange.ranges import (
     profile_svg,
     ranges_equal,
     sample_points,
-    support_value,
     support_values,
     support_values_batch,
 )
@@ -121,17 +120,17 @@ class TestHermitianInterval:
 
 class TestSupportValue:
     def test_skew_rotation(self):
-        assert support_value(np.diag([1j, -1j]), 1, np.pi / 2) == pytest.approx(1.0)
+        assert support_values(np.diag([1j, -1j]), 1, [np.pi / 2])[0] == pytest.approx(1.0)
 
     def test_hermitian_consistency(self, rng):
         h = random_hermitian(5, rng)
         interval = krange_hermitian(h, 2)
-        assert support_value(h, 2, 0.0) == pytest.approx(interval.hi, abs=1e-12)
-        assert support_value(h, 2, np.pi) == pytest.approx(-interval.lo, abs=1e-12)
+        assert support_values(h, 2, [0.0])[0] == pytest.approx(interval.hi, abs=1e-12)
+        assert support_values(h, 2, [np.pi])[0] == pytest.approx(-interval.lo, abs=1e-12)
 
     def test_counterexample_top(self):
         x = shift3()
-        assert support_value(kron(x, x), 1, 0.0) == pytest.approx(SQRT_41_OVER_2, abs=1e-10)
+        assert support_values(kron(x, x), 1, [0.0])[0] == pytest.approx(SQRT_41_OVER_2, abs=1e-10)
 
     def test_fast_path_matches_generic(self, rng):
         # Hermitian input must give the same grid through either code path.
@@ -181,7 +180,7 @@ class TestSupportValue:
     def test_scalar_angle_accepted(self):
         a = shift3()
         assert support_values(a, 1, 0.5).shape == (1,)
-        assert support_values(a, 1, 0.5)[0] == support_value(a, 1, 0.5)
+        assert support_values(a, 1, 0.5)[0] == support_values(a, 1, [0.5])[0]
 
 
 class TestBoundaryPoint:
@@ -202,7 +201,7 @@ class TestBoundaryPoint:
         profile = krange_profile(a, 2, 90)
         for theta in (0.0, 0.7, 2.3, 4.0):
             b = boundary_point(a, 2, theta)
-            h = support_value(a, 2, theta)
+            h = support_values(a, 2, [theta])[0]
             assert (np.exp(-1j * theta) * b).real == pytest.approx(h, abs=1e-9)
             # member of every supporting half-plane
             proj = (np.exp(-1j * profile.angles) * b).real
