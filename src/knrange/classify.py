@@ -27,15 +27,15 @@ Hermitian matrix, from one real normal per real degree of freedom, projected
 onto the unital, trace-preserving maps, O((mn)^4) with no matrix product
 (:func:`_random_constrained_choi`). It classifies each draw at
 FALSIFY_REJECT_TOL; the probe turns a random draw away with no Choi matrix.
-A kept map is verified on its witness trial alone, and on all
-FALSIFY_TRIALS only if that passes; a result's defect is the grid defect of
-the report that decides, the witness trial's or all FALSIFY_TRIALS' largest
-(:func:`falsify_random`).
+A kept map is checked on its witness trial at theta = 0 and pi alone, by
+the grid defect formula (:func:`_witness_defect`), and verified on all
+FALSIFY_TRIALS only if that passes (:func:`falsify_random`).
 
 Trial 0 of every verify is the witness pair, two zero-padded weighted
 shifts, or E_11 x E_11; its A x B has rotated spectra in closed form
 (:func:`_witness_spectra`). A verify solves only trials 1.. of A x B, and
-every image, so a falsify op solves the map's side alone.
+every image, so a falsify op solves one matrix: the witness pair's image
+at theta = 0.
 """
 
 from __future__ import annotations
@@ -79,9 +79,8 @@ DEFAULT_TRIALS = 50
 MAX_TRIALS = 10_000  # the reason is in verify_preserver's docstring
 # Internal verification settings for the falsifier: random non-canonical maps
 # fail by O(1) margins, so a coarse grid and few trials suffice. Each kept map
-# is verified on its witness trial alone first, and only a witness pass runs
-# all FALSIFY_TRIALS (see falsify_random); the reported defect is the grid
-# defect of the report that decides.
+# is checked on its witness trial at theta = 0 and pi first, and only a pass
+# there runs all FALSIFY_TRIALS (see falsify_random).
 FALSIFY_TRIALS = 8
 FALSIFY_NUM_ANGLES = 120
 FALSIFY_REJECT_TOL = 1e-6
@@ -241,6 +240,14 @@ def _spectral_defects(xs: np.ndarray, ys: np.ndarray, shape: BipartiteShape,
     return gap / scale
 
 
+def _support_defects(hx: np.ndarray, hy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|hx - hy| and, per row, its max over the angles relative to 1 + the
+    larger support magnitude: the grid defect of verify_preserver."""
+    gaps = np.abs(hx - hy)
+    scales = 1.0 + np.maximum(np.abs(hx).max(axis=1), np.abs(hy).max(axis=1))
+    return gaps, gaps.max(axis=1) / scales
+
+
 def verify_preserver(
     phi: LinearMapMatrix,
     trials: int = DEFAULT_TRIALS,
@@ -282,8 +289,9 @@ def verify_preserver(
     held at once: at mn = 16 and 360 angles one costs about 17 KB (its A x B
     and Phi(A x B) and three support grids), so MAX_TRIALS take 0.17 GB.
     A map that is not a preserver fails on the witness pair or within a few
-    random trials (the falsifier runs the witness trial alone, and all
-    FALSIFY_TRIALS only when it passes), so more buy nothing.
+    random trials (the falsifier checks the witness trial at theta = 0 and
+    pi, and runs all FALSIFY_TRIALS only when that passes), so more buy
+    nothing.
     """
     _check_int("trials", trials, 1, MAX_TRIALS)
     _check_tol(tol)
@@ -304,9 +312,7 @@ def verify_preserver(
         hx = np.concatenate([hx, support_values_batch(xs[1:], shape.k, angles)])
     hy = support_values_batch(ys, shape.k, angles)
 
-    gaps = np.abs(hx - hy)
-    scales = 1.0 + np.maximum(np.abs(hx).max(axis=1), np.abs(hy).max(axis=1))
-    defects = gaps.max(axis=1) / scales
+    gaps, defects = _support_defects(hx, hy)
     max_defect = float(defects.max())
     witnesses = [
         TrialWitness(
@@ -596,6 +602,7 @@ class FalsifyResult:
     defect: float
     verdict: str  # verification verdict
     pass_kind: str | None  # on pass: "matches_canonical" | "defect_below_tol"
+    decided_by: str = "trials"  # "witness" | "trials"; not in the JSON payload
 
 
 @dataclass(frozen=True)
@@ -669,6 +676,18 @@ def _random_constrained_choi(shape: BipartiteShape, rng: np.random.Generator) ->
     return _project_marginals(choi, d)
 
 
+def _witness_defect(phi: LinearMapMatrix, seed) -> float:
+    """The grid defect (:func:`_support_defects`) of the witness trial of a
+    verify with this seed at theta = 0 and pi alone: the witness product's
+    spectrum in closed form (:func:`_witness_spectra`), its image's solved
+    once."""
+    shape, zero = phi.shape, np.zeros(1)
+    _, _, xs = _trial_pairs(shape, 1, seed)
+    hx = _top_means(_witness_spectra(shape, zero), shape.k, True)
+    hy = _top_means(ranges._rotated_eigs(apply_map_batch(phi, xs), zero), shape.k, True)
+    return float(_support_defects(hx, hy)[1][0])
+
+
 def falsify_random(
     shape: BipartiteShape,
     count: int,
@@ -688,19 +707,18 @@ def falsify_random(
     "not_a_preserver", which for a random draw its probe decides with no
     Choi matrix (:func:`_admitted_tags`).
 
-    A kept map is verified on its witness trial first: verify_preserver with
-    trials=1 and the seed the FALSIFY_TRIALS verify would take. Its trial 0
-    is the same witness pair, solved bitwise the same
-    (maps.apply_map_batch's images do not depend on the stack's length), so
-    a fail there is a fail of the FALSIFY_TRIALS verify, and nearly every
-    draw fails there by an O(1) margin. Only a witness pass runs the
-    FALSIFY_TRIALS verify, with the same seed. The report that decides gives
-    the verdict and the defect: the witness trial's grid defect, or the
-    largest of all FALSIFY_TRIALS' when the witness passes. The witness
-    pair's spectra at theta = 0 and on the FALSIFY_NUM_ANGLES grid are in
-    closed form (:func:`_witness_spectra`), so each op solves its image
-    alone: at (4,4,8), 61 matrices of order 16 (1 + 60 grid angles); at
-    (2,2,2), whose E_11 x E_11 image is Hermitian, 2.
+    A kept map is checked on its witness trial first (:func:`_witness_defect`):
+    the FALSIFY_TRIALS verify's trial 0, its image solved at theta = 0 alone
+    (maps.apply_map_batch's images do not depend on the stack's length),
+    compared at theta = 0 and pi, two angles of the FALSIFY_NUM_ANGLES grid,
+    by the grid's defect formula. Random draws fail there by an O(1) margin:
+    the result is then a "fail" decided_by "witness", with that defect.
+    Where min(m, n) <= 2 it is bitwise the one-trial grid defect, since the
+    Hermitian E_11 x E_11 image makes both support functions scale with
+    |cos theta|. Only a pass there runs the FALSIFY_TRIALS verify, with the
+    same seed, whose verdict and largest defect decide ("trials"). The
+    witness pair's own spectrum is in closed form (:func:`_witness_spectra`),
+    so an op that the witness decides solves one matrix of order mn.
 
     A pass is a reportable finding, not an assertion failure; the result
     records whether the passing map secretly classified as canonical or
@@ -719,26 +737,18 @@ def falsify_random(
         else:
             raise RuntimeError("could not draw a non-canonical map in 64 attempts")
         trial_seed = rng.integers(2**63)
-        report = verify_preserver(
-            phi, trials=1, num_angles=FALSIFY_NUM_ANGLES, tol=tol, seed=trial_seed
-        )
-        if report.passed:
+        defect, verdict, decided_by = _witness_defect(phi, trial_seed), "fail", "witness"
+        if defect <= tol:
             report = verify_preserver(
                 phi, trials=FALSIFY_TRIALS, num_angles=FALSIFY_NUM_ANGLES, tol=tol, seed=trial_seed
             )
+            defect, verdict, decided_by = report.max_support_defect, report.verdict, "trials"
         pass_kind = None
-        if report.passed:
+        if verdict == "pass":
             passes += 1
             cls = classify_preserver(phi, tol)
             pass_kind = "matches_canonical" if cls.verdict != "not_a_preserver" else "defect_below_tol"
-        results.append(
-            FalsifyResult(
-                index=index,
-                defect=report.max_support_defect,
-                verdict=report.verdict,
-                pass_kind=pass_kind,
-            )
-        )
+        results.append(FalsifyResult(index, defect, verdict, pass_kind, decided_by))
     return FalsifySummary(shape=shape, count=count, tol=tol, passes=passes, results=results)
 
 

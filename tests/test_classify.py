@@ -51,6 +51,7 @@ from knrange.maps import (
     choi_matrix,
     compose,
     map_from_choi,
+    preserves_on_tensors,
     reflect_map,
     varphi_map,
 )
@@ -1308,7 +1309,8 @@ class TestFalsify:
         passing = classify.VerificationReport(
             trials=1, max_support_defect=0.0, witnesses=[], verdict="pass", tol=1e-8, num_angles=8
         )
-        with mock.patch.object(classify, "verify_preserver", return_value=passing):
+        with mock.patch.object(classify, "_witness_defect", return_value=0.0), \
+                mock.patch.object(classify, "verify_preserver", return_value=passing):
             summary = falsify_random(BipartiteShape(2, 2, 2), count=2, seed=3)
         assert summary.passes == 2
         assert [(r.verdict, r.pass_kind) for r in summary.results] == [("pass", "defect_below_tol")] * 2
@@ -1316,55 +1318,71 @@ class TestFalsify:
     @pytest.mark.parametrize("seed", [5, 6])
     @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
     def test_witness_trial_decides_as_the_full_verify(self, shape, seed):
-        """Each kept map is verified on its witness trial alone, and that
-        fails: the verdict is the FALSIFY_TRIALS verify's on the same map and
-        seed, and the defect is bitwise its trial 0's, the witness pair's."""
-        with mock.patch.object(classify, "verify_preserver", wraps=verify_preserver) as verify:
+        """Each kept map fails its witness check: the verdict is the
+        FALSIFY_TRIALS verify's on the same map and seed. Where min(m, n) <= 2
+        the E_11 x E_11 image is Hermitian, both support functions scale with
+        |cos theta|, and the defect is bitwise the one-trial grid verify's;
+        elsewhere it is the grid verify's defect formula on theta = 0 and pi,
+        columns 0 and FALSIFY_NUM_ANGLES / 2 of its supports."""
+        with spy(classify, "_witness_defect") as checks:
             summary = falsify_random(shape, count=3, seed=seed)
-        assert [call.kwargs["trials"] for call in verify.call_args_list] == [1] * 3
-        for result, call in zip(summary.results, verify.call_args_list):
-            assert call.kwargs["num_angles"] == FALSIFY_NUM_ANGLES
-            full = verify_preserver(*call.args, **dict(call.kwargs, trials=FALSIFY_TRIALS))
+        assert len(checks) == 3
+        grid = ranges._uniform_grid(FALSIFY_NUM_ANGLES)
+        for result, ((phi, trial_seed), defect) in zip(summary.results, checks):
+            assert (result.decided_by, result.defect) == ("witness", defect)
+            full = verify_preserver(phi, trials=FALSIFY_TRIALS, num_angles=FALSIFY_NUM_ANGLES,
+                                    seed=trial_seed)
             assert result.verdict == full.verdict == "fail"
-            witness = full.witnesses[0]
-            assert witness.a.tobytes() == _witness_pair(shape)[0].tobytes()
-            assert result.defect == witness.defect
+            if not shape.has_counterexample:
+                one = verify_preserver(phi, trials=1, num_angles=FALSIFY_NUM_ANGLES, seed=trial_seed)
+                assert result.defect == one.max_support_defect
+                continue
+            _, _, xs = _trial_pairs(shape, 1, trial_seed)
+            hx = ranges._top_means(classify._witness_spectra(shape, grid), shape.k, True)
+            hy = ranges.support_values_batch(apply_map_batch(phi, xs), shape.k, grid)
+            columns = [0, FALSIFY_NUM_ANGLES // 2]
+            assert result.defect == classify._support_defects(hx[:, columns], hy[:, columns])[1][0]
 
-    @pytest.mark.parametrize("shape,solved", [(BipartiteShape(2, 2, 2), 2),
-                                              (BipartiteShape(2, 4, 4), 2),
-                                              (BipartiteShape(3, 4, 6), 1 + 60),
-                                              (BipartiteShape(4, 4, 8), 1 + 60)])
-    def test_one_op_solves_the_witness_trial_only(self, shape, solved):
+    @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
+    def test_one_op_solves_the_witness_trial_only(self, shape):
         """One falsify op solves the witness pair's image Phi(A x B) at
-        theta = 0, then on the grid: one solve each for the Hermitian image
-        of E_11 x E_11, 60 of the 120 angles for the counterexample pair's.
-        The pair's own spectra are in closed form."""
+        theta = 0 alone, which decides it; the pair's own spectra are in
+        closed form."""
         with solver_log() as log:
-            falsify_random(shape, count=1, seed=2)
-        assert log.matrices() == log.matrices(order=shape.dim) == solved
+            summary = falsify_random(shape, count=1, seed=2)
+        assert summary.results[0].decided_by == "witness"
+        assert log.matrices() == log.matrices(order=shape.dim) == 1
 
     def test_a_witness_pass_runs_every_trial(self):
-        """When the witness trial passes, the FALSIFY_TRIALS verify of the
+        """When the witness check passes, one FALSIFY_TRIALS verify of the
         same map and seed decides: its verdict and its defect."""
-        passing = classify.VerificationReport(
-            trials=1, max_support_defect=0.0, witnesses=[], verdict="pass", tol=1e-8,
-            num_angles=FALSIFY_NUM_ANGLES
-        )
-        calls = []
-
-        def verify(phi, **kwargs):
-            calls.append((phi, kwargs))
-            return passing if kwargs["trials"] == 1 else verify_preserver(phi, **kwargs)
-        with mock.patch.object(classify, "verify_preserver", side_effect=verify):
+        with mock.patch.object(classify, "_witness_defect", return_value=0.0), \
+                mock.patch.object(classify, "verify_preserver", wraps=verify_preserver) as verify:
             summary = falsify_random(BipartiteShape(3, 3, 4), count=2, seed=3)
-        assert [kwargs["trials"] for _, kwargs in calls] == [1, FALSIFY_TRIALS] * 2
+        assert [call.kwargs["trials"] for call in verify.call_args_list] == [FALSIFY_TRIALS] * 2
         assert summary.passes == 0
-        for result, witness, full in zip(summary.results, calls[::2], calls[1::2]):
-            assert witness[0] is full[0]
-            assert dict(witness[1], trials=FALSIFY_TRIALS) == full[1]
-            report = verify_preserver(full[0], **full[1])
+        for result, call in zip(summary.results, verify.call_args_list):
+            assert call.kwargs["num_angles"] == FALSIFY_NUM_ANGLES
+            report = verify_preserver(*call.args, **call.kwargs)
+            assert result.decided_by == "trials"
             assert result.verdict == report.verdict == "fail"
             assert result.defect == report.max_support_defect
+
+    @pytest.mark.parametrize("shape", [BipartiteShape(*mnk) for mnk in (
+        (2, 2, 2), (2, 3, 3), (2, 4, 4), (3, 3, 2), (3, 3, 4), (3, 4, 6), (4, 4, 8))], ids=shape_id)
+    def test_witness_check_agrees_with_the_theorem(self, shape):
+        """On canonical maps the witness check passes every form that
+        preserves W_k on tensors, to rounding, and fails every invalid
+        partial transpose by its one-trial verify's defect on a fine grid."""
+        for i, (tag, affine) in enumerate(canonical_forms(shape)):
+            phi, _ = canonical(shape, tag, seed=i, affine=affine)
+            defect = classify._witness_defect(phi, i)
+            if preserves_on_tensors(tag, shape):
+                assert defect <= classify._SPECTRAL_SLACK * shape.dim * EPS, (tag, affine)
+                continue
+            fine = verify_preserver(phi, trials=1, num_angles=360).max_support_defect
+            assert defect > 1e-2, (tag, affine)
+            assert abs(defect - fine) <= 1e-10 * fine, (tag, affine)
 
     def test_gives_up_after_64_canonical_draws(self):
         shape = BipartiteShape(2, 2, 2)
