@@ -13,13 +13,14 @@ parse error (an argparse error, an OSError, or matcore.UsageError: a flag
 value, or an input file that is not UTF-8 JSON or not a valid payload), 3
 the run could not complete (a LAPACK routine did not converge,
 np.linalg.LinAlgError; an allocation failed, MemoryError; or any other
-exception, ValueError included, an internal error named by its type); 2 and
-3 print one "error:" line. Flag values but --seed (checked here, >= 0) are
-checked by the library calls they feed, which raise UsageError before any
-output is written; the counts --angles and --trials are bounded there too
-(ranges.MAX_NUM_ANGLES, classify.MAX_TRIALS). Flag defaults are the
-library's own. All randomness is seeded; the default seed is DEFAULT_SEED
-so repeated runs with the same flags are reproducible.
+exception, ValueError included, an internal error named by its type and
+its innermost traceback frame); 2 and 3 print one "error:" line. Flag values
+but --seed (checked here, >= 0) are checked by the library calls they feed,
+which raise UsageError before any output is written; the counts --angles
+and --trials are bounded there too (ranges.MAX_NUM_ANGLES,
+classify.MAX_TRIALS). Flag defaults are the library's own. All randomness
+is seeded; the default seed is DEFAULT_SEED so repeated runs with the same
+flags are reproducible.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import json
 import os
 import reprlib
 import sys
+import traceback
 
 import numpy as np
 
@@ -209,7 +211,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # no verdict was reached, so not exit 1
-        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"error: internal error: {exc!r} at {frame.filename}:{frame.lineno} in {frame.name}",
+              file=sys.stderr)
         return 3
 
 

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import combinations
 from unittest import mock
 
@@ -62,9 +62,9 @@ from knrange.checks import (
     preserver_suite,
 )
 
-from knrange.ranges import MAX_NUM_ANGLES
+from knrange.ranges import DEFAULT_NUM_ANGLES, DEFAULT_RTOL, MAX_NUM_ANGLES
 
-from conftest import apply_map, peak_alloc, random_constrained_map, solver_log, varphi_perm
+from conftest import apply_map, peak_alloc, random_constrained_map, solver_log, varphi_perm, vec
 from test_acceptance import SWEEP_SHAPES
 
 
@@ -220,6 +220,72 @@ def assert_grid_decides(phi, **kwargs):
     return report
 
 
+def grid_oracle(phi, trials=classify.DEFAULT_TRIALS, num_angles=DEFAULT_NUM_ANGLES,
+                tol=DEFAULT_RTOL, seed=0):
+    """Oracle: every trial's grid defect, both sides of verify's trial stack,
+    trial 0 included, solved by support_values_batch on the uniform grid."""
+    shape = phi.shape
+    _, _, xs = _trial_pairs(shape, trials, seed)
+    grid = ranges._uniform_grid(num_angles)
+    hx, hy = (ranges.support_values_batch(s, shape.k, grid) for s in (xs, apply_map_batch(phi, xs)))
+    scale = 1.0 + np.maximum(np.abs(hx).max(axis=1), np.abs(hy).max(axis=1))
+    return np.abs(hx - hy).max(axis=1) / scale
+
+
+def assert_witness_decides(phi, **kwargs):
+    """A fail decided on trial 0 at theta = 0 or pi with one solve, its
+    image's at theta = 0; the grid oracle fails it too, and the defect is at
+    most trial 0's on any even grid, which holds 0 and pi."""
+    settings = dict(trials=classify.DEFAULT_TRIALS, num_angles=DEFAULT_NUM_ANGLES,
+                    tol=DEFAULT_RTOL, seed=0) | kwargs
+    shape = phi.shape
+    with mock.patch.object(ranges, "_rotated_eigs", wraps=ranges._rotated_eigs) as kernel, \
+            solver_log() as log:
+        report = verify_preserver(phi, **settings)
+    assert (report.decided_by, report.verdict) == ("witness", "fail")
+    assert log.matrices() == log.matrices(order=shape.dim) == 1
+    [((stack, angles), _)] = kernel.call_args_list
+    assert stack.shape == (1, shape.dim, shape.dim) and list(angles) == [0.0]
+    oracle = grid_oracle(phi, **settings)
+    assert oracle.max() > settings["tol"]
+    [w] = report.witnesses
+    a, b = _witness_pair(shape)
+    assert w.a.tobytes() == a.tobytes() and w.b.tobytes() == b.tobytes()
+    assert w.theta in (0.0, np.pi) and w.defect == report.max_support_defect
+    assert settings["tol"] < report.max_support_defect
+    if settings["num_angles"] % 2 == 0:
+        assert report.max_support_defect <= oracle[0] + 1e-14
+    return report
+
+
+def assert_not_certified(phi, **kwargs):
+    """A fail that trial 0 shows at theta = 0 or pi is decided there
+    (assert_witness_decides); any other report is the grid's."""
+    if verify_preserver(phi, **kwargs).decided_by == "witness":
+        return assert_witness_decides(phi, **kwargs)
+    return assert_grid_decides(phi, **kwargs)
+
+
+def witness_fixing_map(shape, seed):
+    """Identity plus noise in every map-matrix column that vec of the witness
+    product does not use: the map fixes trial 0's image and moves the rest."""
+    d = shape.dim
+    used = vec(np.kron(*_witness_pair(shape))) != 0
+    noise = random_complex(d * d, np.random.default_rng(seed))
+    noise[:, used] = 0.0
+    return LinearMapMatrix(shape, np.eye(d * d) + 0.1 * noise)
+
+
+def witness_blind_map(shape):
+    """X -> X + X_11 E_22 / 2 at k = 1, where the witness pair is E_11 x E_11:
+    its image E_11 + E_22 / 2 has another spectrum at theta = 0, but the
+    same largest and smallest eigenvalue, so the same supports at 0 and pi."""
+    d = shape.dim
+    matrix = np.eye(d * d, dtype=complex)
+    matrix[d + 1, 0] = 0.5  # vec index of E_22 (0-based (1, 1)) from that of E_11
+    return LinearMapMatrix(shape, matrix)
+
+
 def constrained_direction(shape, seed):
     """E with max|E| = 1, a Hermitian Choi matrix and zero marginals, so that
     Phi0 + eps E stays unital, trace- and Hermiticity-preserving."""
@@ -241,8 +307,9 @@ HALF_SHAPES = [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3), BipartiteShape(
 
 class TestSpectralCertificate:
     """A pass is decided by the spectra at the d + 1 nodes when every trial
-    agrees to rounding, on the plain or (at mn = 2k) the reflected branch;
-    every other report is the grid's."""
+    agrees to rounding, on the plain or (at mn = 2k) the reflected branch; a
+    fail that trial 0 shows at theta = 0 or pi is decided there, with one
+    solve; every other report is the grid's."""
 
     @pytest.mark.parametrize(
         "shape", [BipartiteShape(*mnk) for mnk in SWEEP_SHAPES + [(4, 4, 8), (2, 8, 8)]], ids=shape_id)
@@ -256,15 +323,14 @@ class TestSpectralCertificate:
 
     @pytest.mark.parametrize("shape", HALF_SHAPES, ids=shape_id)
     def test_affine_forms_match_on_the_reflected_branch_alone(self, shape):
-        nodes = 2 * (shape.dim + 1)  # the grid whose solved half is pi j / (d + 1)
         plain_only = BipartiteShape(shape.m, shape.n, 1)  # mn != 2k: no reflected branch
         cap = classify._SPECTRAL_SLACK * shape.dim * EPS
         for i, (tag, affine) in enumerate(_valid_forms(shape)):
             phi, _ = canonical(shape, tag, seed=i, affine=affine)
             _, _, xs = _trial_pairs(shape, 20, seed=i)
             ys = apply_map_batch(phi, xs)
-            plain = _spectral_defects(xs, ys, plain_only, nodes)
-            assert _spectral_defects(xs, ys, shape, nodes).max() <= cap, (tag, affine)
+            plain = _spectral_defects(xs, ys, plain_only)
+            assert _spectral_defects(xs, ys, shape).max() <= cap, (tag, affine)
             if affine:  # some trials match the reflected branch alone
                 assert plain.max() > 1e-2, tag
             else:
@@ -282,29 +348,50 @@ class TestSpectralCertificate:
                                        BipartiteShape(3, 4, 6), BipartiteShape(4, 4, 8)],
                              ids=shape_id)
     def test_invalid_partial_transposes_are_not_certified(self, shape):
+        """Each fails on trial 0 at theta = 0, with one solve. Its image is a
+        disk about 0 like W_k(A x B), so the gap does not depend on theta:
+        the defect is trial 0's on the whole grid, and theta is 0, the least
+        angle of the tie."""
         for i, (tag, affine) in enumerate(_invalid_forms(shape)):
             phi, _ = canonical(shape, tag, seed=i, affine=affine)
-            assert not assert_grid_decides(phi, trials=10, num_angles=120, seed=i).passed
+            report = assert_witness_decides(phi, trials=10, num_angles=120, seed=i)
+            trial0 = grid_oracle(phi, trials=1, num_angles=360)[0]
+            assert abs(report.max_support_defect - trial0) <= 1e-10 * trial0, (tag, affine)
+            assert report.witnesses[0].theta == 0.0, (tag, affine)
 
     @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3),
-                                       BipartiteShape(3, 3, 4)], ids=shape_id)
-    def test_falsifier_draws_pay_two_solves(self, shape):
-        """The witness trial at theta = 0 rejects a random draw. Of the two
-        Hermitian parts it compares there, only the image's is solved beyond
-        the grid's solves: the witness side is in closed form
-        (classify._witness_spectra)."""
+                                       BipartiteShape(3, 3, 4), BipartiteShape(4, 4, 8)],
+                             ids=shape_id)
+    def test_falsifier_draws_solve_one_matrix(self, shape):
+        """The witness trial at theta = 0 and pi rejects a random draw: the
+        image's spectrum at theta = 0 is the one solve, since the witness
+        side is in closed form (classify._witness_spectra)."""
         rng = np.random.default_rng(shape.dim)
         for _ in range(5):
-            phi = random_constrained_map(shape, rng)
-            kwargs = dict(trials=classify.FALSIFY_TRIALS, num_angles=classify.FALSIFY_NUM_ANGLES,
-                          seed=int(rng.integers(2**63)))
-            assert not assert_grid_decides(phi, **kwargs).passed
-            solved = []
-            for run in (verify_preserver, grid_report):
-                with solver_log() as log:
-                    run(phi, **kwargs)
-                solved.append(log.matrices())
-            assert solved[0] == solved[1] + 1
+            assert_witness_decides(random_constrained_map(shape, rng),
+                                   trials=FALSIFY_TRIALS, num_angles=FALSIFY_NUM_ANGLES,
+                                   seed=int(rng.integers(2**63)))
+
+    @pytest.mark.parametrize("shape", [BipartiteShape(2, 3, 1), BipartiteShape(2, 3, 3),
+                                       BipartiteShape(3, 3, 4), BipartiteShape(3, 4, 6)],
+                             ids=shape_id)
+    def test_a_witness_that_agrees_leaves_the_fail_to_the_grid(self, shape):
+        """A non-preserver whose trial 0 has the same supports at theta = 0
+        and pi still fails, on the grid: one that fixes trial 0's image, so
+        its spectra agree and the nodes decide that the grid runs, and at
+        k = 1 one whose trial-0 spectra differ at theta = 0 with the same
+        extreme eigenvalues."""
+        maps = [(witness_fixing_map(shape, shape.dim), 0.0)]
+        if shape.k == 1:
+            maps.append((witness_blind_map(shape), 0.5))
+        for phi, spectral_gap in maps:  # the theta = 0 spectra's largest gap
+            defect, theta, wx, wy = classify._witness_defect(phi)
+            assert (defect, theta) == (0.0, 0.0)
+            assert abs(max_abs(wx - wy) - spectral_gap) <= 8 * shape.dim * EPS
+            report = assert_grid_decides(phi, trials=10, num_angles=120, seed=3)
+            assert not report.passed
+            assert grid_oracle(phi, trials=10, num_angles=120, seed=3).max() > DEFAULT_RTOL
+            assert report.witnesses and all(w.defect > DEFAULT_RTOL for w in report.witnesses)
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-9, 3e-7, 1e-4])
     @pytest.mark.parametrize("shape,tag,affine", [
@@ -312,7 +399,7 @@ class TestSpectralCertificate:
         (BipartiteShape(3, 3, 4), "id", False), (BipartiteShape(4, 4, 8), "t", True)],
         ids=["2x2k2-t", "2x3k3-pt_right+affine", "3x3k4-id", "4x4k8-t+affine"])
     def test_near_canonical_maps_are_not_certified(self, shape, tag, affine, eps):
-        assert_grid_decides(near_canonical(shape, tag, affine, eps, seed=5), trials=20, seed=2)
+        assert_not_certified(near_canonical(shape, tag, affine, eps, seed=5), trials=20, seed=2)
 
     def test_certificate_is_capped_at_rounding_not_tol(self):
         """A canonical map plus 1e-3 noise: its trials' spectra agree at the
@@ -321,10 +408,37 @@ class TestSpectralCertificate:
         shape = BipartiteShape(3, 3, 2)
         phi = near_canonical(shape, "t", False, 1e-3, seed=4)
         _, _, xs = _trial_pairs(shape, 20, seed=1)
-        nodes = 2 * (shape.dim + 1)  # the grid whose solved half is pi j / (d + 1)
-        defect = _spectral_defects(xs, apply_map_batch(phi, xs), shape, nodes).max()
+        defect = _spectral_defects(xs, apply_map_batch(phi, xs), shape).max()
         assert classify._SPECTRAL_SLACK * shape.dim * EPS < defect <= 0.1
         assert assert_grid_decides(phi, trials=20, tol=0.1, seed=1).passed
+
+    @pytest.mark.parametrize("shape", [BipartiteShape(3, 4, 6), BipartiteShape(4, 4, 8)],
+                             ids=shape_id)
+    def test_a_trace_zero_tie_reports_theta_zero(self, shape):
+        """At k = mn/2 a trace-0 image has W_k symmetric about 0 (the
+        complement identity), as the witness product has: trial 0's gaps at
+        0 and pi tie, and theta is 0 whether trial 0's A x B side is in
+        closed form or solved, whose rounding differs."""
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            phi = random_constrained_map(shape, rng)
+            for context in (nullcontext(), solved_witness()):
+                with context:
+                    report = verify_preserver(phi, trials=2, num_angles=120, seed=1)
+                assert report.decided_by == "witness"
+                assert report.witnesses[0].theta == 0.0
+
+    def test_support_defect_ties_pick_the_least_angle(self):
+        """A gap within rounding (_SPECTRAL_SLACK d eps, relative) of the row's
+        largest ties with it; one a 1e-9 above it does not."""
+        d = 4
+        rounding = classify._SPECTRAL_SLACK * d * EPS
+        hy = np.array([[0.3, 0.1, 0.3 * (1 + rounding / 4), 0.2],
+                       [0.3, 0.1, 0.3 + 1e-9, 0.2],
+                       [0.1, 0.3, 0.2, 0.3]])
+        defects, first = classify._support_defects(np.zeros_like(hy), hy, d)
+        assert list(first) == [0, 2, 1]
+        assert list(defects) == list(hy.max(axis=1) / (1 + hy.max(axis=1)))
 
     def test_payload_keys_are_unchanged(self):
         phi, _ = canonical(BipartiteShape(2, 3, 3), "t", seed=1)
@@ -361,21 +475,28 @@ class TestTrialStack:
             assert g.tobytes() == r.tobytes()
 
     def test_witness_factors_are_copies(self):
+        """On both fail paths: a random dense map, which the witness trial
+        decides, and one that fixes trial 0's image, whose five other trials
+        fail on the grid."""
         shape = BipartiteShape(2, 3, 3)
-        phi = LinearMapMatrix(shape, random_complex(shape.dim ** 2, np.random.default_rng(4)))
-        report = verify_preserver(phi, trials=6, num_angles=90, seed=1)
-        factors = [f for w in report.witnesses for f in (w.a, w.b)]
-        assert len(factors) == 12
-        for i, j in combinations(range(len(factors)), 2):
-            assert not np.shares_memory(factors[i], factors[j]), (i, j)
+        dense = LinearMapMatrix(shape, random_complex(shape.dim ** 2, np.random.default_rng(4)))
+        for phi, decided_by, count in ((dense, "witness", 1),
+                                       (witness_fixing_map(shape, 4), "grid", 5)):
+            report = verify_preserver(phi, trials=6, num_angles=90, seed=1)
+            assert (report.decided_by, len(report.witnesses)) == (decided_by, count)
+            factors = [f for w in report.witnesses for f in (w.a, w.b)]
+            for i, j in combinations(range(len(factors)), 2):
+                assert not np.shares_memory(factors[i], factors[j]), (i, j)
 
     def test_verify_memory_is_bounded(self):
-        """(3, 4, 6) with 50 trials at 360 angles, on both paths: the spectra
-        at 13 nodes, and the grid, one matrix's rotated family at a time,
-        instead of a (50, 180, 12, 12) stack per side."""
+        """(3, 4, 6) with 50 trials at 360 angles, on every path: the spectra
+        at 13 nodes, the witness trial, and the grid, one matrix's rotated
+        family at a time, instead of a (50, 180, 12, 12) stack per side."""
         shape = BipartiteShape(3, 4, 6)
-        for tag, decided_by in (("t", "spectra"), ("pt_right", "grid")):
-            phi, _ = canonical(shape, tag, seed=1)
+        maps = [("t", canonical(shape, "t", seed=1)[0], "spectra"),
+                ("pt_right", canonical(shape, "pt_right", seed=1)[0], "witness"),
+                ("fixing", witness_fixing_map(shape, 1), "grid")]
+        for tag, phi, decided_by in maps:
             verify_preserver(phi, trials=3, num_angles=360, seed=0)  # warm-up
             with peak_alloc() as peak:
                 report = verify_preserver(phi, trials=50, num_angles=360, seed=0)
@@ -1309,7 +1430,7 @@ class TestFalsify:
         passing = classify.VerificationReport(
             trials=1, max_support_defect=0.0, witnesses=[], verdict="pass", tol=1e-8, num_angles=8
         )
-        with mock.patch.object(classify, "_witness_defect", return_value=0.0), \
+        with mock.patch.object(classify, "_witness_defect", return_value=(0.0, 0.0, None, None)), \
                 mock.patch.object(classify, "verify_preserver", return_value=passing):
             summary = falsify_random(BipartiteShape(2, 2, 2), count=2, seed=3)
         assert summary.passes == 2
@@ -1318,30 +1439,32 @@ class TestFalsify:
     @pytest.mark.parametrize("seed", [5, 6])
     @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
     def test_witness_trial_decides_as_the_full_verify(self, shape, seed):
-        """Each kept map fails its witness check: the verdict is the
-        FALSIFY_TRIALS verify's on the same map and seed. Where min(m, n) <= 2
-        the E_11 x E_11 image is Hermitian, both support functions scale with
-        |cos theta|, and the defect is bitwise the one-trial grid verify's;
-        elsewhere it is the grid verify's defect formula on theta = 0 and pi,
-        columns 0 and FALSIFY_NUM_ANGLES / 2 of its supports."""
+        """Each kept map fails its witness check: the verdict and defect are
+        those of a FALSIFY_TRIALS verify of the map, which its witness trial
+        decides too, whatever the seed. Where min(m, n) <= 2 the E_11 x E_11
+        image is Hermitian, both support functions scale with |cos theta|,
+        and the defect is bitwise trial 0's on the whole grid; elsewhere it
+        is the grid verify's defect formula on theta = 0 and pi, columns 0
+        and FALSIFY_NUM_ANGLES / 2 of its supports."""
         with spy(classify, "_witness_defect") as checks:
             summary = falsify_random(shape, count=3, seed=seed)
         assert len(checks) == 3
         grid = ranges._uniform_grid(FALSIFY_NUM_ANGLES)
-        for result, ((phi, trial_seed), defect) in zip(summary.results, checks):
+        for result, ((phi,), (defect, *_)) in zip(summary.results, checks):
             assert (result.decided_by, result.defect) == ("witness", defect)
             full = verify_preserver(phi, trials=FALSIFY_TRIALS, num_angles=FALSIFY_NUM_ANGLES,
-                                    seed=trial_seed)
-            assert result.verdict == full.verdict == "fail"
+                                    seed=seed)
+            assert full.decided_by == "witness"
+            assert (result.verdict, result.defect) == (full.verdict, full.max_support_defect)
             if not shape.has_counterexample:
-                one = verify_preserver(phi, trials=1, num_angles=FALSIFY_NUM_ANGLES, seed=trial_seed)
-                assert result.defect == one.max_support_defect
+                assert result.defect == grid_oracle(phi, trials=1, num_angles=FALSIFY_NUM_ANGLES)[0]
                 continue
-            _, _, xs = _trial_pairs(shape, 1, trial_seed)
+            _, _, xs = _trial_pairs(shape, 1, 0)
             hx = ranges._top_means(classify._witness_spectra(shape, grid), shape.k, True)
             hy = ranges.support_values_batch(apply_map_batch(phi, xs), shape.k, grid)
             columns = [0, FALSIFY_NUM_ANGLES // 2]
-            assert result.defect == classify._support_defects(hx[:, columns], hy[:, columns])[1][0]
+            assert result.defect == classify._support_defects(hx[:, columns], hy[:, columns],
+                                                              shape.dim)[0][0]
 
     @pytest.mark.parametrize("shape", FALSIFY_SHAPES)
     def test_one_op_solves_the_witness_trial_only(self, shape):
@@ -1356,31 +1479,35 @@ class TestFalsify:
     def test_a_witness_pass_runs_every_trial(self):
         """When the witness check passes, one FALSIFY_TRIALS verify of the
         same map and seed decides: its verdict and its defect."""
-        with mock.patch.object(classify, "_witness_defect", return_value=0.0), \
+        original = classify._witness_defect
+
+        def passing(phi):  # every witness check passes, in verify too
+            return (0.0,) + original(phi)[1:]
+        with mock.patch.object(classify, "_witness_defect", side_effect=passing), \
                 mock.patch.object(classify, "verify_preserver", wraps=verify_preserver) as verify:
             summary = falsify_random(BipartiteShape(3, 3, 4), count=2, seed=3)
-        assert [call.kwargs["trials"] for call in verify.call_args_list] == [FALSIFY_TRIALS] * 2
-        assert summary.passes == 0
-        for result, call in zip(summary.results, verify.call_args_list):
-            assert call.kwargs["num_angles"] == FALSIFY_NUM_ANGLES
-            report = verify_preserver(*call.args, **call.kwargs)
-            assert result.decided_by == "trials"
-            assert result.verdict == report.verdict == "fail"
-            assert result.defect == report.max_support_defect
+            assert [call.kwargs["trials"] for call in verify.call_args_list] == [FALSIFY_TRIALS] * 2
+            assert summary.passes == 0
+            for result, call in zip(summary.results, verify.call_args_list):
+                assert call.kwargs["num_angles"] == FALSIFY_NUM_ANGLES
+                report = verify_preserver(*call.args, **call.kwargs)
+                assert result.decided_by == "trials" and report.decided_by == "grid"
+                assert result.verdict == report.verdict == "fail"
+                assert result.defect == report.max_support_defect
 
     @pytest.mark.parametrize("shape", [BipartiteShape(*mnk) for mnk in (
         (2, 2, 2), (2, 3, 3), (2, 4, 4), (3, 3, 2), (3, 3, 4), (3, 4, 6), (4, 4, 8))], ids=shape_id)
     def test_witness_check_agrees_with_the_theorem(self, shape):
         """On canonical maps the witness check passes every form that
         preserves W_k on tensors, to rounding, and fails every invalid
-        partial transpose by its one-trial verify's defect on a fine grid."""
+        partial transpose by its witness trial's defect on a fine grid."""
         for i, (tag, affine) in enumerate(canonical_forms(shape)):
             phi, _ = canonical(shape, tag, seed=i, affine=affine)
-            defect = classify._witness_defect(phi, i)
+            defect = classify._witness_defect(phi)[0]
             if preserves_on_tensors(tag, shape):
                 assert defect <= classify._SPECTRAL_SLACK * shape.dim * EPS, (tag, affine)
                 continue
-            fine = verify_preserver(phi, trials=1, num_angles=360).max_support_defect
+            fine = grid_oracle(phi, trials=1, num_angles=360)[0]
             assert defect > 1e-2, (tag, affine)
             assert abs(defect - fine) <= 1e-10 * fine, (tag, affine)
 
@@ -1514,17 +1641,22 @@ class TestWitnessSpectra:
                                        BipartiteShape(4, 4, 8)], ids=shape_id)
     def test_reports_match_the_solved_witness(self, shape):
         """Every canonical form, certified by the spectra and, with them kept
-        from deciding, passed on the grid, and a random map's grid fail: the
-        same verdicts, decided_by and witnesses as with trial 0 solved by the
-        kernel; the same bytes where min(m, n) <= 2, defects within 1e-15
-        elsewhere (trial 0's gap then does not depend on theta, so its
-        witness theta is rounding's choice and is not compared)."""
+        from deciding, passed on the grid, a random map's witness fail, and
+        the grid fail of a map that fixes trial 0's image: the same verdicts,
+        decided_by and witnesses as with trial 0 solved by the kernel; the
+        same bytes where min(m, n) <= 2, defects within 1e-15 elsewhere. A
+        witness theta is the least angle within rounding of its trial's
+        largest gap, so it matches too where trial 0's gap does not depend
+        on theta."""
         maps = [canonical(shape, tag, seed=i, affine=affine)[0]
                 for i, (tag, affine) in enumerate(canonical_forms(shape))]
         maps.append(random_constrained_map(shape, np.random.default_rng(shape.dim)))
+        fixing = witness_fixing_map(shape, shape.dim)  # fails on trials 1.. alone
+        maps.append(fixing)
         outcomes = set()
         for i, phi in enumerate(maps):
-            kwargs = dict(trials=(1, 4, 12)[i % 3], num_angles=(120, 361)[i % 2], seed=i)
+            kwargs = dict(trials=4 if phi is fixing else (1, 4, 12)[i % 3],
+                          num_angles=(120, 361)[i % 2], seed=i)
             for run in (verify_preserver, grid_report):
                 got = run(phi, **kwargs)
                 with solved_witness():
@@ -1539,8 +1671,9 @@ class TestWitnessSpectra:
                 assert abs(got.max_support_defect - ref.max_support_defect) <= 1e-15
                 for g, r in zip(got.witnesses, ref.witnesses):
                     assert g.a.tobytes() == r.a.tobytes() and g.b.tobytes() == r.b.tobytes()
-                    assert abs(g.defect - r.defect) <= 1e-15
-        assert outcomes == {("spectra", "pass"), ("grid", "pass"), ("grid", "fail")}
+                    assert abs(g.defect - r.defect) <= 1e-15 and g.theta == r.theta
+        assert outcomes == {("spectra", "pass"), ("grid", "pass"), ("witness", "fail"),
+                            ("grid", "fail")}
 
     @pytest.mark.parametrize("shape", [BipartiteShape(2, 2, 2), BipartiteShape(2, 3, 3),
                                        BipartiteShape(3, 3, 4), BipartiteShape(3, 4, 6),

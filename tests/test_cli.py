@@ -382,7 +382,8 @@ def test_solver_failure_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     """An exception that is neither a usage error nor a numerical or resource
     failure is a fault of the program, not a failing verdict: exit 3, with one
-    error line that names its type, and no output."""
+    error line that names its type and the innermost frame of its traceback,
+    and no output."""
     def broken(*args, **kwargs):
         raise TypeError("unsupported operand\nsecond line")
 
@@ -393,13 +394,15 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: internal error: TypeError('unsupported operand\\nsecond line')\n"
+    where = f"{broken.__code__.co_filename}:{broken.__code__.co_firstlineno + 1} in broken"
+    assert captured.err == ("error: internal error: TypeError('unsupported operand\\nsecond line')"
+                            f" at {where}\n")
 
 
 def test_plain_value_error_exits_3(tmp_path, capsys, monkeypatch):
     """Only matcore.UsageError is a usage error: a plain ValueError from a
     check that a bug broke is a fault of the program, exit 3 with one error
-    line that names its type, and no output."""
+    line that names its type and where it was raised, and no output."""
     def broken(name, *args):
         raise ValueError(f"{name} check is broken")
 
@@ -410,7 +413,8 @@ def test_plain_value_error_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: internal error: ValueError('k check is broken')\n"
+    where = f"{broken.__code__.co_filename}:{broken.__code__.co_firstlineno + 1} in broken"
+    assert captured.err == f"error: internal error: ValueError('k check is broken') at {where}\n"
 
 
 def test_huge_entries_exit_2_without_warnings(tmp_path, capsys):

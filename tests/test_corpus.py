@@ -10,8 +10,9 @@ import knrange
 SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "scripts", "corpus.py")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(knrange.__file__)))
-# Both sides of min(m, n) <= 2, and each kind of output.
-SUBSET = r"^(verify/(2x2k2|2x4k3|3x3k4|3x4k6)/|falsify/(2x3k3|3x3k4|3x4k6|4x4k8)|suite/2x3k3|range/)"
+# Both sides of min(m, n) <= 2, and each kind of output; suite/3x3k2 holds
+# the necessity items, failing verifies of the partial transposes.
+SUBSET = r"^(verify/(2x2k2|2x4k3|3x3k4|3x4k6)/|falsify/(2x3k3|3x3k4|3x4k6|4x4k8)|suite/|range/)"
 
 
 def test_subset_matches_at_one_and_two_blas_threads():
@@ -22,7 +23,7 @@ def test_subset_matches_at_one_and_two_blas_threads():
     for run in runs:
         out, err = run.communicate(timeout=120)
         assert run.returncode == 0, out + err
-        assert out.splitlines()[-1] == "118 of 118 entries match"
+        assert out.splitlines()[-1] == "119 of 119 entries match"
 
 
 def test_write_rewrites_the_whole_corpus():
