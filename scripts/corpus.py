@@ -11,7 +11,13 @@ Covers, at the shapes SHAPES:
   suite/<shape>
       the preserver_suite JSON, at SUITE_SHAPES;
   range/<name>
-      the CSV of one `knrange range` run.
+      the CSV of one `knrange range` run;
+  ranges/<kind>-d<d>-k<k>/<family>[/A<angles>]
+      the ranges outputs for a Ginibre, a Hermitian and a weighted-shift
+      matrix of each order in RANGE_DIMS, k in {1, d/2, d - 1}: the profile
+      (support and boundary), support_values, k_numerical_radius and
+      boundary_point (at every RANGE_STRIDE-th grid angle) on each grid of
+      RANGE_GRIDS, and RANGE_SAMPLES sample_points.
 
 A JSON float is written as its shortest round-trip repr, so two digests are
 equal exactly when the outputs are bitwise equal. Shapes with d^2 = (mn)^2
@@ -40,14 +46,19 @@ import tempfile
 
 import numpy as np
 
-from knrange import checks, classify, cli
+from knrange import checks, classify, cli, ranges
 from knrange.maps import CanonicalFormSpec, build_canonical, canonical_forms, map_from_choi
-from knrange.matcore import BipartiteShape, random_complex, random_haar_unitary, save_matrix
+from knrange.matcore import (BipartiteShape, random_complex, random_haar_unitary,
+                             random_hermitian, save_matrix)
 
 SHAPES = [(2, 2, 1), (2, 2, 2), (2, 3, 3), (2, 4, 3), (3, 3, 2), (3, 3, 4), (3, 4, 6), (4, 4, 8)]
 SETTINGS = [(1, 120), (3, 361), (20, 90), (50, 360)]  # (trials, num_angles)
 SUITE_SHAPES = [(3, 3, 2), (2, 3, 3)]
 FALSIFY_COUNT = 3
+RANGE_DIMS = [2, 5, 9, 12, 16]
+RANGE_GRIDS = [8, 360, 361]
+RANGE_STRIDE = 24
+RANGE_SAMPLES = 64
 SEED = 7
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus.sha256")
 
@@ -97,6 +108,35 @@ def _range_entry(match):
             yield key, code.to_bytes(1, "big") + fh.read()
 
 
+def _points(z) -> list:
+    return [[float(p.real), float(p.imag)] for p in np.atleast_1d(z)]
+
+
+def _ranges_entries(match):
+    for d in RANGE_DIMS:
+        kinds = {"ginibre": random_complex(d, SEED + d), "hermitian": random_hermitian(d, SEED + d),
+                 "shift": np.diag(np.arange(1.0, d), 1).astype(complex)}
+        for kind, a in kinds.items():
+            for k in sorted({1, d // 2, d - 1}):
+                base = f"ranges/{kind}-d{d}-k{k}"
+                for n in RANGE_GRIDS:
+                    angles = ranges._angle_grid(n)
+                    outputs = {
+                        "profile": lambda: ranges.profile_to_payload(ranges.krange_profile(a, k, n)),
+                        "support": lambda: [float(h) for h in ranges.support_values(a, k, angles)],
+                        "radius": lambda: ranges.k_numerical_radius(a, k, n),
+                        "boundary": lambda: _points([ranges.boundary_point(a, k, float(t))
+                                                     for t in angles[::RANGE_STRIDE]]),
+                    }
+                    for family, output in outputs.items():
+                        key = f"{base}/{family}/A{n}"
+                        if match(key):
+                            yield key, _json(output())
+                key = f"{base}/sample"
+                if match(key):
+                    yield key, _json(_points(ranges.sample_points(a, k, RANGE_SAMPLES, SEED)))
+
+
 def entries(match=lambda key: True):
     """(key, output bytes) for every corpus entry whose key `match` accepts."""
     for mnk in SHAPES:
@@ -112,6 +152,7 @@ def entries(match=lambda key: True):
             items = checks.preserver_suite(BipartiteShape(*mnk), seed=SEED)
             yield key, checks.suite_json(items).encode()
     yield from _range_entry(match)
+    yield from _ranges_entries(match)
 
 
 def read_digests() -> dict[str, str]:
