@@ -277,7 +277,8 @@ def verify_preserver(
     Trial 0 uses the deterministic witness pair, its A x B side in closed
     form (:func:`_witness_spectra`), and goes first, at theta = 0 alone, with
     one solve, its image's (:func:`_witness_defect`). Later trials alternate
-    Hermitian and fully complex pairs, drawn in one call (:func:`_trial_pairs`).
+    Hermitian and fully complex pairs, drawn after it in one call
+    (:func:`_trial_pairs`), so a fail there draws none.
 
     If its spectra agree there, every trial is checked at the nodes
     pi j / (d + 1), j = 0..d (:func:`_spectral_defects`): the trace of
@@ -303,7 +304,7 @@ def verify_preserver(
     the angle grid of the support-function discrepancy, relative to 1 + the
     larger support magnitude, and each trial above tol is a witness at the
     least angle within rounding of its largest gap (:func:`_support_defects`).
-    The two sides are solved one matrix at a time (see :mod:`knrange.ranges`).
+    The two sides are solved in byte-bounded batches (see :mod:`knrange.ranges`).
 
     trials is at most MAX_TRIALS, 200 times DEFAULT_TRIALS. Every trial is
     held at once: at mn = 16 and 360 angles one costs about 17 KB (its A x B
@@ -315,14 +316,14 @@ def verify_preserver(
     _check_tol(tol)
     shape = phi.shape
     angles = _angle_grid(num_angles)
-    a, b, xs = _trial_pairs(shape, trials, seed)
     cap = min(tol, _SPECTRAL_SLACK * shape.dim * _EPS)
     defect, theta, wx, wy = _witness_defect(phi)
-    agree = _spectral_gaps(xs[:1], wx, wy, shape, np.zeros(1))[0] <= cap
+    pair = _witness_pair(shape)
+    agree = _spectral_gaps(np.kron(*pair)[None], wx, wy, shape, np.zeros(1))[0] <= cap
     if not agree and defect > tol:
-        trial0 = TrialWitness(a[0].copy(), b[0].copy(), theta, defect)
-        return VerificationReport(trials, defect, [trial0], "fail", tol, num_angles,
-                                  decided_by="witness")
+        return VerificationReport(trials, defect, [TrialWitness(*pair, theta, defect)], "fail",
+                                  tol, num_angles, decided_by="witness")
+    a, b, xs = _trial_pairs(shape, trials, seed)
     ys = apply_map_batch(phi, xs)
     if agree:
         spectral = float(_spectral_defects(xs, ys, shape).max())

@@ -105,7 +105,12 @@ def is_hermitian(a: np.ndarray):
     array of shape (count,) for a (count, d, d) stack.
     """
     a = np.asarray(a)
-    defect = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    return _is_hermitian(a, a - np.swapaxes(a, -1, -2).conj())
+
+
+def _is_hermitian(a: np.ndarray, skew: np.ndarray):
+    """is_hermitian(a), given skew = a - a*."""
+    defect = np.abs(skew).max(axis=(-2, -1), initial=0.0)
     ok = defect <= HERMITICITY_RTOL * (1.0 + np.abs(a).max(axis=(-2, -1), initial=0.0))
     return bool(ok) if ok.ndim == 0 else ok
 

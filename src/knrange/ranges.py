@@ -23,10 +23,10 @@ eigenvectors are v[..., k-1::-1]. Odd grids and caller-chosen angles are
 solved in full. A Hermitian matrix takes one eigendecomposition of its own:
 every rotated frame is that eigenbasis, its columns reversed where
 cos(theta) < 0, so its whole profile has two distinct top-k frames.
-A stack is solved one matrix at a time: each non-Hermitian matrix's rotated
-family over the solved angles is built and solved before the next one's, so
-the transient memory is O(half * d^2), with half the number of angles solved,
-whatever the stack's length.
+The non-Hermitian matrices of a stack are solved in batches, one LAPACK call
+each: a batch holds whole rotated families (a matrix at every solved angle)
+up to _FAMILY_BYTES, and a larger family is split into slices of angles, so
+the transient memory is bounded whatever the stack's length and the grid's.
 
 Every point of W_k(A) the module returns, a profile's boundary points,
 `boundary_point` and `sample_points`, is tr(X* A X)/k for a (d, k) isometry X,
@@ -59,6 +59,7 @@ from .matcore import (
     _check_int,
     _check_tol,
     _ginibre,
+    _is_hermitian,
     as_matrix,
     is_hermitian,
     max_abs,
@@ -73,6 +74,7 @@ MAX_SAMPLES = 2**20  # the reason is in sample_points' docstring
 # coarse pass, and the rounding slack is _RADIUS_SLACK * d * eps * (1 + ||A||_F).
 _RADIUS_STRIDE = 8
 _RADIUS_SLACK = 64
+_FAMILY_BYTES = 2**17  # a kernel batch's families, and their second terms, each
 
 
 @dataclass(frozen=True)
@@ -152,12 +154,12 @@ def _rotated_eigs(stack: np.ndarray, angles: np.ndarray, vectors: bool = False):
     Hermitian part is then cos(theta) H: v is that eigenbasis, of shape
     (1, d, d), broadcast over the angles, and flip is cos(theta) < 0. For any
     other matrix v has shape (half, d, d) and flip is all False.
-    The non-Hermitian rows are solved one at a time: a row's (half, d, d)
-    family cos(theta) H + sin(theta) K is built and solved before the next
-    row's, so the transient memory is about 2 * half * d^2 complex entries
-    (the family and one term of it), not count times that. Each entry is the
-    same product and sum as a whole-stack broadcast, so the spectra are
-    bitwise the same.
+    The non-Hermitian rows are solved in batches, one eigvalsh (or eigh) call
+    each, that take as many whole rows as fit, at least one, or slices of the
+    angles of a larger row: their families cos(theta) H + sin(theta) K fill a
+    buffer of at most _FAMILY_BYTES, sized to the work, and their second terms
+    its twin. Each entry is the product and sum of a whole-stack broadcast,
+    and each matrix is solved on its own, so the bits are the broadcast's.
     """
     count, d = stack.shape[0], stack.shape[1]
     half = len(angles) // 2 if _is_antipodal_grid(angles) else len(angles)
@@ -165,30 +167,40 @@ def _rotated_eigs(stack: np.ndarray, angles: np.ndarray, vectors: bool = False):
     # Herm(e^{-i theta} A) = cos(theta) H + sin(theta) K
     adj = stack.conj().transpose(0, 2, 1)
     h = (stack + adj) / 2
-    kk = -0.5j * (stack - adj)
-    herm = is_hermitian(stack)
-    flip = cos < 0.0  # scaling by a negative cosine reverses the order
+    skew = stack - adj
+    herm = _is_hermitian(stack, skew)
+    rows = (~herm).nonzero()[0]
 
     w = np.empty((count, half, d))
     v = None
-    if herm.any():
+    if rows.size < count:
+        flip = cos < 0.0  # scaling by a negative cosine reverses the order
         hw, v = np.linalg.eigh(h[herm]) if vectors else (np.linalg.eigvalsh(h[herm]), None)
         hw = cos[None, :, None] * hw[:, None, :]
         hw[:, flip] = hw[:, flip, ::-1]
         w[herm] = hw
-    for i in np.flatnonzero(~herm):
-        # The products and the sum of a whole-stack broadcast, in complex
-        # arithmetic: real products on float views would differ in the signs
-        # of zeros, which moves the spectra of sparse Kronecker products in
-        # the last bits.
-        rot = cos[:, None, None] * h[i]
-        rot += sin[:, None, None] * kk[i]
-        if vectors:
-            w[i], v = np.linalg.eigh(rot)
-        else:
-            w[i] = np.linalg.eigvalsh(rot)
+    fit = max(1, _FAMILY_BYTES // (16 * d * d))  # matrices per batch
+    span, per = min(half, fit), max(1, fit // half)  # angles and rows per batch
+    if rows.size:
+        h, kk = h.take(rows, 0), -0.5j * skew.take(rows, 0)
+        buf = np.empty((2, min(per, rows.size), span, d, d), dtype=complex)
+        v = np.empty((half, d, d), dtype=complex) if vectors else None
+    for r in range(0, rows.size, per):
+        for j in range(0, half, span):
+            rot, term = buf[:, :min(per, rows.size - r), :min(span, half - j)]
+            # The products and the sum of a whole-stack broadcast, in complex
+            # arithmetic: real products on float views would differ in the
+            # signs of zeros, which moves the spectra of sparse Kronecker
+            # products in the last bits.
+            np.multiply(cos[j:j + span, None, None], h[r:r + per, None], out=rot)
+            np.multiply(sin[j:j + span, None, None], kk[r:r + per, None], out=term)
+            rot += term
+            if vectors:
+                w[0, j:j + span], v[j:j + span] = np.linalg.eigh(rot[0])
+            else:
+                w[rows[r:r + per], j:j + span] = np.linalg.eigvalsh(rot)
     if vectors:
-        return w, v, flip & herm[0]
+        return w, v, (cos < 0.0) & herm[0]
     return w
 
 

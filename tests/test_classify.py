@@ -234,15 +234,18 @@ def grid_oracle(phi, trials=classify.DEFAULT_TRIALS, num_angles=DEFAULT_NUM_ANGL
 
 def assert_witness_decides(phi, **kwargs):
     """A fail decided on trial 0 at theta = 0 or pi with one solve, its
-    image's at theta = 0; the grid oracle fails it too, and the defect is at
-    most trial 0's on any even grid, which holds 0 and pi."""
+    image's at theta = 0, and no trial stack drawn; the grid oracle fails it
+    too, and the defect is at most trial 0's on any even grid, which holds 0
+    and pi."""
     settings = dict(trials=classify.DEFAULT_TRIALS, num_angles=DEFAULT_NUM_ANGLES,
                     tol=DEFAULT_RTOL, seed=0) | kwargs
     shape = phi.shape
     with mock.patch.object(ranges, "_rotated_eigs", wraps=ranges._rotated_eigs) as kernel, \
+            mock.patch.object(classify, "_trial_pairs", wraps=_trial_pairs) as draws, \
             solver_log() as log:
         report = verify_preserver(phi, **settings)
     assert (report.decided_by, report.verdict) == ("witness", "fail")
+    assert draws.call_count == 0
     assert log.matrices() == log.matrices(order=shape.dim) == 1
     [((stack, angles), _)] = kernel.call_args_list
     assert stack.shape == (1, shape.dim, shape.dim) and list(angles) == [0.0]
@@ -320,6 +323,21 @@ class TestSpectralCertificate:
             assert report.decided_by == "spectra", (tag, affine)
             assert report.passed and report.witnesses == []
             assert report.max_support_defect <= classify._SPECTRAL_SLACK * shape.dim * EPS
+
+    @pytest.mark.parametrize("mnk, calls, matrices", [((2, 2, 2), 5, 292), ((3, 3, 4), 9, 541),
+                                                      ((3, 4, 6), 16, 688)])
+    def test_certified_verify_solves_in_batches(self, mnk, calls, matrices):
+        """The witness image, then each side's Hermitian rows in one call and
+        its complex rows' families at the d + 1 nodes in batches of whole
+        rows: at (3, 4, 6), four rows of 13 nodes each, so 16 eigvalsh calls
+        for 688 matrices, where one call per row made 52."""
+        shape = BipartiteShape(*mnk)
+        phi, _ = canonical(shape, "t", seed=1)
+        with solver_log() as log:
+            report = verify_preserver(phi)
+        assert (report.decided_by, report.verdict) == ("spectra", "pass")
+        assert log.calls()["eigvalsh"] == len(log) == calls
+        assert log.matrices() == log.matrices(order=shape.dim) == matrices
 
     @pytest.mark.parametrize("shape", HALF_SHAPES, ids=shape_id)
     def test_affine_forms_match_on_the_reflected_branch_alone(self, shape):
@@ -490,8 +508,9 @@ class TestTrialStack:
 
     def test_verify_memory_is_bounded(self):
         """(3, 4, 6) with 50 trials at 360 angles, on every path: the spectra
-        at 13 nodes, the witness trial, and the grid, one matrix's rotated
-        family at a time, instead of a (50, 180, 12, 12) stack per side."""
+        at 13 nodes, the witness trial, and the grid, in batches of rotated
+        families of at most _FAMILY_BYTES, instead of a (50, 180, 12, 12)
+        stack per side."""
         shape = BipartiteShape(3, 4, 6)
         maps = [("t", canonical(shape, "t", seed=1)[0], "spectra"),
                 ("pt_right", canonical(shape, "pt_right", seed=1)[0], "witness"),

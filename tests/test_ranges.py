@@ -674,7 +674,8 @@ def full_grid_eigs(stack, angles, vectors=False):
     """_rotated_eigs on every angle of the grid, in the full-grid layout of
     broadcast_rotated_eigs: the antipodal half read by the index rule of the
     ranges module docstring (spectra -w[..., ::-1], frames v[..., ::-1]), and
-    with vectors=True every angle's frame written out, one matrix at a time."""
+    with vectors=True, which takes one matrix, every angle's frame written
+    out, matrix by matrix."""
     n = len(angles)
     if not vectors:
         w = _rotated_eigs(stack, angles)
@@ -708,16 +709,33 @@ def kernel_stacks(d, rng):
     return {"mixed": np.stack(rows), "hermitian": herm, "ginibre": ginibre}
 
 
-class TestStreamedKernel:
-    """_rotated_eigs solves one matrix's angle family at a time; its spectra
-    and frames are bitwise those of the whole-stack broadcast."""
+def family_bytes(budget, d, half):
+    """A value of ranges._FAMILY_BYTES that puts the kernel's batches at
+    `budget`: one matrix each ("matrix"), a third of a row's angles plus one,
+    so a row is cut into two full slices and a shorter one ("slice"), two
+    and a half rows, so two whole rows and a shorter last batch ("rows"), or
+    more than the whole stack ("stack")."""
+    matrix = 16 * d * d
+    return {"matrix": matrix - 1, "slice": matrix * (half // 3 + 1),
+            "rows": matrix * (2 * half + half // 2), "stack": 2**40}[budget]
 
+
+class TestStreamedKernel:
+    """_rotated_eigs solves the non-Hermitian rows' rotated families in
+    batches of at most _FAMILY_BYTES, whole rows or slices of one row's
+    angles; at every batch boundary its spectra and frames are bitwise those
+    of the whole-stack broadcast, one solve call for everything."""
+
+    @pytest.mark.parametrize("budget", ["default", "matrix", "slice", "rows", "stack"])
     @pytest.mark.parametrize("grid", ["even", "odd", "custom"])
     @pytest.mark.parametrize("d", [2, 5, 12, 16])
-    def test_bitwise_equal_to_broadcast(self, d, grid):
+    def test_bitwise_equal_to_broadcast(self, monkeypatch, d, grid, budget):
         rng = np.random.default_rng(100 + d)
         angles = {"even": _angle_grid(360), "odd": _angle_grid(361),
                   "custom": np.sort(rng.uniform(0.0, 2 * np.pi, 37))}[grid]
+        if budget != "default":
+            half = len(angles) // 2 if grid == "even" else len(angles)
+            monkeypatch.setattr(ranges, "_FAMILY_BYTES", family_bytes(budget, d, half))
         for kind, stack in kernel_stacks(d, rng).items():
             assert is_hermitian(stack).all() == (kind == "hermitian")
             assert is_hermitian(stack).any() == (kind != "ginibre")
@@ -728,10 +746,25 @@ class TestStreamedKernel:
             assert w.tobytes() == ref_w.tobytes(), kind
             assert v.tobytes() == ref_v.tobytes(), kind
 
+    @pytest.mark.parametrize("budget, calls", [("matrix", 3 * 37), ("slice", 3 * 3),
+                                               ("rows", 2), ("stack", 1)])
+    def test_one_solve_call_per_batch(self, monkeypatch, budget, calls):
+        """Three Ginibre rows at 37 custom angles: one eigvalsh call per
+        matrix, per slice of a row, per two rows, or for the whole stack;
+        111 matrices solved in each case."""
+        stack = kernel_stacks(5, np.random.default_rng(5))["ginibre"]
+        angles = np.sort(np.random.default_rng(6).uniform(0.0, 2 * np.pi, 37))
+        monkeypatch.setattr(ranges, "_FAMILY_BYTES", family_bytes(budget, 5, 37))
+        with solver_log() as log:
+            _rotated_eigs(stack, angles)
+        assert log.calls()["eigvalsh"] == len(log) == calls
+        assert log.matrices(order=5) == 3 * 37
+
     def test_support_values_batch_memory_is_one_family(self):
-        """A (25, 12, 12) Ginibre stack at 360 angles: two (180, 12, 12)
-        complex buffers (0.8 MiB) instead of two (25, 180, 12, 12) ones
-        (20 MiB); the spectra (1.3 MiB with their antipodal half) dominate."""
+        """A (25, 12, 12) Ginibre stack at 360 angles: a batch's family and
+        its second term (2 * _FAMILY_BYTES = 0.25 MiB) instead of two
+        (25, 180, 12, 12) stacks (20 MiB); the spectra (1.3 MiB with their
+        antipodal half) dominate."""
         rng = np.random.default_rng(8)
         stack = np.stack([random_complex(12, rng) for _ in range(25)])
         angles = _angle_grid(360)
@@ -739,6 +772,19 @@ class TestStreamedKernel:
         with peak_alloc() as peak:
             support_values_batch(stack, 6, angles)
         assert peak.bytes < 4 * 2**20, peak.bytes
+
+    def test_long_grid_memory_is_bounded(self):
+        """A (2, 8, 8) Ginibre stack on the 2^15-angle grid: the spectra of
+        2^14 solved angles (2 MiB) and their top-k means, plus one batch's
+        family and second term, instead of a (16384, 8, 8) family and term
+        per row (32 MiB)."""
+        rng = np.random.default_rng(15)
+        stack = np.stack([random_complex(8, rng) for _ in range(2)])
+        angles = _angle_grid(2**15)
+        support_values_batch(stack, 4, _angle_grid(360))  # warm-up
+        with peak_alloc() as peak:
+            support_values_batch(stack, 4, angles)
+        assert peak.bytes < 6 * 2**20, peak.bytes
 
 
 def reference_support(stack, k, angles):
