@@ -179,15 +179,16 @@ def _rotated_eigs(stack: np.ndarray, angles: np.ndarray, vectors: bool = False):
         hw = cos[None, :, None] * hw[:, None, :]
         hw[:, flip] = hw[:, flip, ::-1]
         w[herm] = hw
+        h, skew = h.take(rows, 0), skew.take(rows, 0)
     fit = max(1, _FAMILY_BYTES // (16 * d * d))  # matrices per batch
     span, per = min(half, fit), max(1, fit // half)  # angles and rows per batch
     if rows.size:
-        h, kk = h.take(rows, 0), -0.5j * skew.take(rows, 0)
-        buf = np.empty((2, min(per, rows.size), span, d, d), dtype=complex)
+        kk = -0.5j * skew
+        buf, twin = np.empty((2, min(per, rows.size), span, d, d), dtype=complex)
         v = np.empty((half, d, d), dtype=complex) if vectors else None
     for r in range(0, rows.size, per):
         for j in range(0, half, span):
-            rot, term = buf[:, :min(per, rows.size - r), :min(span, half - j)]
+            rot, term = buf[:rows.size - r, :half - j], twin[:rows.size - r, :half - j]
             # The products and the sum of a whole-stack broadcast, in complex
             # arithmetic: real products on float views would differ in the
             # signs of zeros, which moves the spectra of sparse Kronecker
