@@ -720,31 +720,45 @@ def family_bytes(budget, d, half):
             "rows": matrix * (2 * half + half // 2), "stack": 2**40}[budget]
 
 
+def assert_kernel_bitwise(monkeypatch, d, grid, budget):
+    """_rotated_eigs at the batch budget `budget` (see family_bytes, or the
+    module's own for "default") gives bitwise the broadcast's spectra, and
+    frames, on a mixed, a Hermitian and a Ginibre stack."""
+    rng = np.random.default_rng(100 + d)
+    angles = {"even": _angle_grid(360), "odd": _angle_grid(361),
+              "custom": np.sort(rng.uniform(0.0, 2 * np.pi, 37))}[grid]
+    if budget != "default":
+        half = len(angles) // 2 if grid == "even" else len(angles)
+        monkeypatch.setattr(ranges, "_FAMILY_BYTES", family_bytes(budget, d, half))
+    for kind, stack in kernel_stacks(d, rng).items():
+        assert is_hermitian(stack).all() == (kind == "hermitian")
+        assert is_hermitian(stack).any() == (kind != "ginibre")
+        w = full_grid_eigs(stack, angles)
+        assert w.tobytes() == broadcast_rotated_eigs(stack, angles).tobytes(), kind
+        w, v = full_grid_eigs(stack, angles, vectors=True)
+        ref_w, ref_v = broadcast_rotated_eigs(stack, angles, vectors=True)
+        assert w.tobytes() == ref_w.tobytes(), kind
+        assert v.tobytes() == ref_v.tobytes(), kind
+
+
 class TestStreamedKernel:
     """_rotated_eigs solves the non-Hermitian rows' rotated families in
     batches of at most _FAMILY_BYTES, whole rows or slices of one row's
     angles; at every batch boundary its spectra and frames are bitwise those
     of the whole-stack broadcast, one solve call for everything."""
 
-    @pytest.mark.parametrize("budget", ["default", "matrix", "slice", "rows", "stack"])
     @pytest.mark.parametrize("grid", ["even", "odd", "custom"])
     @pytest.mark.parametrize("d", [2, 5, 12, 16])
-    def test_bitwise_equal_to_broadcast(self, monkeypatch, d, grid, budget):
-        rng = np.random.default_rng(100 + d)
-        angles = {"even": _angle_grid(360), "odd": _angle_grid(361),
-                  "custom": np.sort(rng.uniform(0.0, 2 * np.pi, 37))}[grid]
-        if budget != "default":
-            half = len(angles) // 2 if grid == "even" else len(angles)
-            monkeypatch.setattr(ranges, "_FAMILY_BYTES", family_bytes(budget, d, half))
-        for kind, stack in kernel_stacks(d, rng).items():
-            assert is_hermitian(stack).all() == (kind == "hermitian")
-            assert is_hermitian(stack).any() == (kind != "ginibre")
-            w = full_grid_eigs(stack, angles)
-            assert w.tobytes() == broadcast_rotated_eigs(stack, angles).tobytes(), kind
-            w, v = full_grid_eigs(stack, angles, vectors=True)
-            ref_w, ref_v = broadcast_rotated_eigs(stack, angles, vectors=True)
-            assert w.tobytes() == ref_w.tobytes(), kind
-            assert v.tobytes() == ref_v.tobytes(), kind
+    def test_bitwise_equal_to_broadcast(self, monkeypatch, d, grid):
+        assert_kernel_bitwise(monkeypatch, d, grid, "default")
+
+    @pytest.mark.parametrize("budget", ["matrix", "slice", "rows", "stack"])
+    @pytest.mark.parametrize("grid", ["even", "odd", "custom"])
+    @pytest.mark.parametrize("d", [2, 5, 12, 16])
+    def test_bitwise_at_forced_batch_boundaries(self, monkeypatch, d, grid, budget):
+        """_FAMILY_BYTES below one matrix, below one row, between rows and
+        above the whole stack (see family_bytes)."""
+        assert_kernel_bitwise(monkeypatch, d, grid, budget)
 
     @pytest.mark.parametrize("budget, calls", [("matrix", 3 * 37), ("slice", 3 * 3),
                                                ("rows", 2), ("stack", 1)])
